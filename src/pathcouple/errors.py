@@ -26,7 +26,8 @@ class NotDiniError(PathcoupleError):
 
 
 class SolverFailureError(PathcoupleError):
-    """Linear solve did not reach the requested residual."""
+    """A solve failed: a linear residual above tolerance, a non-invertible
+    transform, or a fixed-point iteration that did not converge."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -9,8 +9,10 @@ quantity needed to reproduce the verdict.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -116,25 +118,30 @@ class ExperimentConfig:
             return self.epsilon_alpha
         return 0.0 if alpha == 0 else 1.0
 
+    @cached_property
+    def _zvonkin_map(self):
+        """The lambda sweep's chosen map for a Dini drift, solved once per config."""
+        from .zvonkin import EllipticGrid, default_lambda_grid, select_lambda
+
+        coeffs = self.coefficients()
+        L = float(math.ceil(12.0 + self.T))
+        dx = 1e-3 if self.pathcfg.d == 1 else 0.05
+        return select_lambda(coeffs, EllipticGrid(self.pathcfg.d, L, dx),
+                             default_lambda_grid(coeffs))
+
     def effective_coefficients(self):
         """Transformed coefficients when a Dini drift is present, else raw.
 
-        Returns (coeffs, zvonkin_map_or_None).
+        Returns (coeffs, zvonkin_map_or_None).  Each call gets its own copy of
+        the map, so its box-escape counts cover that caller's simulations only.
         """
         coeffs = self.coefficients()
         if coeffs.b0 is None:
             return coeffs, None
-        from .zvonkin import (
-            EllipticGrid,
-            default_lambda_grid,
-            select_lambda,
-            transformed_coeffs,
-        )
+        from .zvonkin import transformed_coeffs
 
-        L = float(math.ceil(12.0 + self.T))
-        dx = 1e-3 if self.pathcfg.d == 1 else 0.05
-        zmap = select_lambda(coeffs, EllipticGrid(self.pathcfg.d, L, dx),
-                             default_lambda_grid(coeffs))
+        zmap = copy.copy(self._zvonkin_map)
+        zmap.eval_count = zmap.escape_count = 0
         return transformed_coeffs(zmap, coeffs), zmap
 
 

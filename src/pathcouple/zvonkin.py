@@ -12,6 +12,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -59,10 +60,13 @@ class EllipticGrid:
         if not np.isclose(m, round(m), atol=1e-9) or round(m) < 2:
             raise ConfigurationError(f"L={self.L} must be an integer multiple of dx={self.dx}")
 
-    @property
+    @cached_property
     def axis(self) -> np.ndarray:
+        """Node coordinates, built once and shared read-only."""
         n = int(round(2 * self.L / self.dx))
-        return -self.L + self.dx * np.arange(n + 1)
+        axis = -self.L + self.dx * np.arange(n + 1)
+        axis.flags.writeable = False
+        return axis
 
     @property
     def n_axis(self) -> int:
@@ -119,6 +123,18 @@ class ZvonkinMap:
         itp = RegularGridInterpolator((g.axis, g.axis), tab, method="linear")
         out = itp(x.reshape(-1, 2))
         return out.reshape(x.shape[:-1] + table.shape[1:])
+
+    @cached_property
+    def _theta_nodes(self) -> np.ndarray:
+        """Theta at the 1-D grid nodes, the abscissae of the exact inverse."""
+        nodes = self.grid.axis + self.u[:, 0]
+        steps = np.diff(nodes)
+        if not np.all(steps > 0):
+            raise SolverFailureError(
+                f"Theta is not strictly increasing on the grid (smallest node step "
+                f"{steps.min():.3e}); it has no inverse"
+            )
+        return nodes
 
     def _require_in_box(self, x: np.ndarray) -> None:
         if np.any(np.abs(x) > self.grid.L + 1e-12):
@@ -253,7 +269,12 @@ def solve_resolvent(coeffs: CoefficientSet, grid: EllipticGrid, lam: float) -> Z
             f"resolvent residual {residual:.3e} above tolerance {tol:.3e}", residual=residual
         )
     u_inf = float(np.max(np.linalg.norm(u, axis=-1)))
-    grad_inf = float(np.max(np.linalg.norm(grad, ord=2, axis=(-2, -1))))
+    if grad.shape[-1] == 1:
+        # The spectral norm of a single column is its Euclidean norm; the SVD
+        # the general case needs costs more than the 1-D solve itself.
+        grad_inf = float(np.max(np.linalg.norm(grad[..., 0], axis=-1)))
+    else:
+        grad_inf = float(np.max(np.linalg.norm(grad, ord=2, axis=(-2, -1))))
     return ZvonkinMap(
         grid=grid,
         lam=float(lam),
@@ -295,7 +316,14 @@ def theta(zmap: ZvonkinMap, x) -> np.ndarray:
 
 
 def theta_inv(zmap: ZvonkinMap, y, max_iter: int = 200, extend: bool = False) -> np.ndarray:
-    """Fixed point of x = y - u(x); contraction factor <= 1/2 by smallness.
+    """Solution x of x + u(x) = y.
+
+    In 1-D Theta is piecewise linear, so x = y - u(x) is exact once u is
+    interpolated against the node values Theta(x_i) instead of x_i; beyond
+    Theta(+-L) the interpolation clamps to u(+-L), the flat far field.  In 2-D
+    it is the Picard fixed point, a contraction with factor <= 1/2 by
+    smallness, and ``max_iter`` sweeps without convergence raise
+    SolverFailureError.
 
     With ``extend=True`` points outside the box use the constant extension of
     u (flat far field) instead of raising, and the escaped mass is counted.
@@ -305,16 +333,22 @@ def theta_inv(zmap: ZvonkinMap, y, max_iter: int = 200, extend: bool = False) ->
         zmap._clip_counted(y)
     else:
         zmap._require_in_box(y)
+    if zmap.grid.dimension == 1:
+        return y - np.interp(y, zmap._theta_nodes, zmap.u[:, 0])
     L = zmap.grid.L
     x = y.copy()
+    delta = math.inf
     for _ in range(max_iter):
         # Clip iterates to the box: u is constant outside by construction.
         x_new = y - zmap.u_at(np.clip(x, -L, L))
         delta = np.max(np.abs(x_new - x))
         x = x_new
         if delta < PICARD_TOL:
-            break
-    return x
+            return x
+    raise SolverFailureError(
+        f"Picard inverse of Theta did not converge in {max_iter} sweeps "
+        f"(last step {delta:.3e}, tolerance {PICARD_TOL:.0e})", residual=float(delta)
+    )
 
 
 def _apply_pointwise(seg, fn):
@@ -332,8 +366,8 @@ def transformed_coeffs(zmap: ZvonkinMap, coeffs: CoefficientSet) -> CoefficientS
     L = zmap.grid.L
 
     # The simulators evaluate drift and diffusion at the same endpoint array
-    # within a step; memoize the Picard inverse on array identity (two slots:
-    # the coupled integrator alternates between both copies).
+    # within a step; memoize the inverse on array identity (two slots: the
+    # coupled integrator alternates between both copies).
     inv_cache = []
 
     def inv_extended(y):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pathcouple import zvonkin
 from pathcouple.coefficients import (
     CoefficientSet,
     DiniModulus,
@@ -12,6 +13,13 @@ from pathcouple.errors import (
     ConfigurationError,
     LambdaExhaustedError,
     OutOfDomainError,
+    SolverFailureError,
+)
+from pathcouple.experiments import (
+    parse_config,
+    run_decay,
+    run_entropy,
+    run_gradient_estimate,
 )
 from pathcouple.pathspace import PathSegment, PathSpaceConfig, SegmentBatch
 from pathcouple.zvonkin import (
@@ -29,6 +37,21 @@ from pathcouple.zvonkin import (
 
 CFG = PathSpaceConfig(d=1, tau=1.0, h=0.05, T_mem=2.0)
 GRID = EllipticGrid(1, 5.0, 0.01)
+
+
+def dini_2d_map():
+    cfg2 = PathSpaceConfig(d=2, tau=1.0, h=0.05, T_mem=2.0)
+    coeffs = get_coefficients("dini_sqrt", cfg2)
+    return solve_resolvent(coeffs, EllipticGrid(2, 3.0, 0.1), 4.0), coeffs
+
+
+def picard_inverse(zmap, y, sweeps=100):
+    """Reference fixed-point iteration x = y - u(clip(x)) for the exact inverse."""
+    L = zmap.grid.L
+    x = y.copy()
+    for _ in range(sweeps):
+        x = y - zmap.u_at(np.clip(x, -L, L))
+    return x
 
 
 def constant_drift_coeffs(c, cfg=CFG):
@@ -68,12 +91,27 @@ class TestSolve:
         assert zmap.residual <= 1e-8 * (1 + coeffs.b0_bound)
 
     def test_2d_solve(self):
-        cfg2 = PathSpaceConfig(d=2, tau=1.0, h=0.05, T_mem=2.0)
-        coeffs = get_coefficients("dini_sqrt", cfg2)
-        zmap = solve_resolvent(coeffs, EllipticGrid(2, 3.0, 0.1), 4.0)
+        zmap, coeffs = dini_2d_map()
         assert zmap.u_inf <= coeffs.b0_bound / 4.0 + 10 * 0.1**2
         x = np.random.default_rng(0).uniform(-2, 2, (50, 2))
         np.testing.assert_allclose(theta_inv(zmap, theta(zmap, x)), x, atol=1e-10)
+
+    def test_2d_picard_not_converged_raises(self):
+        zmap, _ = dini_2d_map()
+        x = np.random.default_rng(0).uniform(-2, 2, (50, 2))
+        with pytest.raises(SolverFailureError, match="did not converge"):
+            theta_inv(zmap, theta(zmap, x), max_iter=1)
+
+    def test_1d_grad_inf_is_spectral_norm(self):
+        zmap = solve_resolvent(get_coefficients("dini_log", CFG), GRID, 8.0)
+        expected = np.linalg.norm(zmap.grad_u, ord=2, axis=(-2, -1)).max()
+        assert zmap.grad_inf == expected
+
+    def test_axis_cached_read_only(self):
+        grid = EllipticGrid(1, 5.0, 0.01)
+        axis = grid.axis
+        assert grid.axis is axis
+        assert not axis.flags.writeable
 
     def test_bad_lambda(self):
         with pytest.raises(ConfigurationError):
@@ -134,6 +172,35 @@ class TestTheta:
         err = np.abs(theta(zmap, theta_inv(zmap, theta(zmap, x))) - theta(zmap, x))
         assert err.max() <= 1e-10
 
+    @pytest.mark.parametrize("name", ["dini_sqrt", "dini_log"])
+    def test_exact_inverse_matches_picard(self, name):
+        coeffs = get_coefficients(name, CFG)
+        zmap = select_lambda(coeffs, GRID, default_lambda_grid(coeffs))
+        y = np.random.default_rng(2).uniform(-5, 5, (2000, 1))
+        np.testing.assert_allclose(theta_inv(zmap, y), picard_inverse(zmap, y), rtol=0, atol=1e-12)
+
+    def test_extended_far_field(self):
+        coeffs = get_coefficients("dini_sqrt", CFG)
+        zmap = select_lambda(coeffs, GRID, default_lambda_grid(coeffs))
+        u_lo, u_hi = zmap.u[0, 0], zmap.u[-1, 0]
+        assert theta(zmap, [[-5.0]])[0, 0] > -5.6 and theta(zmap, [[5.0]])[0, 0] < 5.6
+        y = np.array([[-7.0], [-5.6], [0.3], [4.9], [5.6], [8.0]])
+        x = theta_inv(zmap, y, extend=True)
+        np.testing.assert_array_equal(x[:2], y[:2] - u_lo)
+        np.testing.assert_array_equal(x[-2:], y[-2:] - u_hi)
+        assert (zmap.eval_count, zmap.escape_count) == (6, 4)
+
+    def test_non_monotone_theta_rejected(self):
+        # u = -2x gives Theta = -x: no increasing inverse exists.
+        grid = EllipticGrid(1, 1.0, 0.1)
+        n = grid.n_axis
+        zmap = ZvonkinMap(
+            grid=grid, lam=1.0, u=-2.0 * grid.axis[:, None], grad_u=np.full((n, 1, 1), -2.0),
+            u_inf=2.0, grad_inf=2.0, hess_inf=0.0, residual=0.0,
+        )
+        with pytest.raises(SolverFailureError, match="not strictly increasing"):
+            theta_inv(zmap, np.array([[0.5]]))
+
     def test_out_of_domain(self):
         zmap = solve_resolvent(get_coefficients("zero", CFG), GRID, 4.0)
         with pytest.raises(OutOfDomainError):
@@ -191,3 +258,39 @@ def test_export_csv(tmp_path):
     assert "lambda" in text[0]
     assert text[1] == "x1,u1,du1"
     assert len(text) == 2 + zmap.grid.n_axis
+
+
+DINI_FAST = """
+path.tau = 1.0
+path.T_mem = 1.0
+coefficients.name = dini_sqrt
+sim.h = 0.05
+sim.T = 2.0
+sim.N_replicas = 64
+sim.kappa = 4.0
+sim.tau0 = 0.5
+"""
+
+
+class TestPerConfigMap:
+    def test_one_lambda_sweep_per_config(self, monkeypatch):
+        calls = []
+        original = zvonkin.select_lambda
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(zvonkin, "select_lambda", counting)
+        run_gradient_estimate(parse_config(DINI_FAST))
+        assert len(calls) == 1
+
+    def test_escape_fraction_per_experiment(self):
+        # Pairs start 15 units out, beyond the L = 14 box, so mass escapes.
+        text = DINI_FAST + "experiment.separation = 30.0\n"
+        alone = run_decay(parse_config(text)).records["box_escape_fraction"]
+        config = parse_config(text)
+        run_entropy(config)
+        after_entropy = run_decay(config).records["box_escape_fraction"]
+        assert alone > 0
+        assert after_entropy == alone
