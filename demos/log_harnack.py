@@ -37,4 +37,4 @@ print("\nheld-out pair, defect vs time (bound floor is c * dist^2):")
 print("   t    P_t log f(eta)   log P_t f(xi)    defect")
 for t, _, lhs, rhs, d, se, dist in pair0:
     print(f"  {t:3.0f}   {lhs:+.4f}         {rhs:+.4f}        {d:+.4f} +- {se:.4f}")
-print(f"\nfitted constant c = {report.fitted_c:.4f}")
+print(f"\nfitted constant c = {report.records['fitted_c']:.4f}")

@@ -1,0 +1,6 @@
+"""``python -m pathcouple``: the command-line harness."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

@@ -123,7 +123,7 @@ def _write_outputs(reports, out_dir: Path) -> None:
                 writer = csv.writer(fh)
                 writer.writerow(header)
                 for row in rows:
-                    writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+                    writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n")
 
 

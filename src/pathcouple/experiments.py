@@ -29,16 +29,10 @@ from .pathspace import (
     truncation_bound,
     weighted_norm,
 )
-from .simulate import (
-    SimulationResult,
-    simulate_coupled_Q,
-    simulate_mckean,
-    simulate_paths,
-)
+from .simulate import simulate_coupled_Q, simulate_mckean, simulate_paths
 from .wasserstein import wk_full
 
 __all__ = [
-    "ALHReport",
     "ExperimentConfig",
     "Report",
     "TestFunction",
@@ -458,11 +452,6 @@ def _alh_pairs(config: ExperimentConfig):
     return pairs
 
 
-@dataclass
-class ALHReport(Report):
-    fitted_c: float = 0.0
-
-
 def _simulate_from(config, coeffs, init, t_grid, stream, law_mode):
     cfg = config.pathcfg
     if law_mode:
@@ -475,7 +464,7 @@ def _simulate_from(config, coeffs, init, t_grid, stream, law_mode):
 
 def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None,
             pairs=None, t_grid=(1.0, 2.0, 4.0, 8.0), law_mode: bool = False,
-            n_train: Optional[int] = None) -> ALHReport:
+            n_train: Optional[int] = None) -> Report:
     """Check the asymptotic log-Harnack shape
 
         P_t log f(eta) <= log P_t f(xi) + c dist^2 + c e^{-tau0 t} Lip(f) dist
@@ -490,7 +479,7 @@ def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None,
     if not f.certify(seed=config.seed):
         raise ConfigurationError("test-function Lipschitz certificate failed")
     t_grid = np.array([t for t in t_grid if t <= config.T + 1e-9])
-    report = ALHReport("asymptotic-log-harnack", records=_base_records(config))
+    report = Report("asymptotic-log-harnack", records=_base_records(config))
     report.records["coefficients"] = coeffs.name
     report.records["lip_logf"] = f.lip
     raw = config.coefficients()
@@ -533,7 +522,6 @@ def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None,
 
     denom = dists[:, None] ** 2 + np.exp(-config.tau0 * t_grid)[None, :] * f.lip * dists[:, None]
     c_fit = float(np.max(np.maximum(D[:n_train], 0.0) / denom[:n_train]))
-    report.fitted_c = c_fit
     report.records["fitted_c"] = c_fit
 
     noisy = se_D > 0.1 * np.maximum(np.abs(D), 1e-12)

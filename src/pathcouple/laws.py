@@ -14,22 +14,16 @@ import math
 import numpy as np
 
 from .errors import UnreliableMomentWarning
-from .pathspace import ParticleCloud, PathSegment, PathSpaceConfig
+from .pathspace import ParticleCloud, PathSpaceConfig
 from .simulate import philox_rng
 
 __all__ = [
     "comonotone_pair",
     "exp_norm_moment",
     "gaussian_history_cloud",
-    "point_mass_cloud",
 ]
 
 _OVERFLOW_LOG = math.log(np.finfo(float).max) - math.log(10.0)  # 10x safety margin
-
-
-def point_mass_cloud(cfg: PathSpaceConfig, x, n: int) -> ParticleCloud:
-    """n copies of the constant history at x."""
-    return ParticleCloud.point_mass(PathSegment.constant(cfg, x), n)
 
 
 def _ou_histories(cfg: PathSpaceConfig, normals: np.ndarray, mean, scale: float, rate: float):

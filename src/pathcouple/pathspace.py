@@ -256,23 +256,11 @@ class ParticleCloud:
         self.weights = w
 
     @classmethod
-    def from_segments(cls, segments, weights=None) -> "ParticleCloud":
-        if not segments:
-            raise InvalidCloudError("empty cloud")
-        cfg = segments[0].config
-        if any(s.config != cfg for s in segments):
-            raise InvalidCloudError("segments live on different grids")
-        return cls(cfg, np.stack([s.values for s in segments]), weights)
-
-    @classmethod
     def point_mass(cls, seg: PathSegment, n: int = 1) -> "ParticleCloud":
         return cls(seg.config, np.repeat(seg.values[None], n, axis=0))
 
     def __len__(self) -> int:
         return self.values.shape[0]
-
-    def particle(self, i: int) -> PathSegment:
-        return PathSegment(self.config, self.values[i])
 
     def endpoints(self) -> np.ndarray:
         return self.values[:, -1, :]

@@ -1,20 +1,21 @@
 """Euler-Maruyama engines for path-dependent and distribution-dependent SDEs.
 
-Provides interacting-particle simulation of the mean-field equation, the
-drift-corrected coupled pair under the corrected measure Q or the reference
-measure P (with Girsanov log-weights), and the two-layer law-shift coupling.
+One Euler step serves the interacting-particle simulation of the mean-field
+equation and the drift-corrected coupled pair under the corrected measure Q
+or the reference measure P (with Girsanov log-weights).  The coupled pair is
+one batch: rows [0, R) hold X and rows [R, 2R) hold Y, driven by the same noise.
 
-Running weighted norms use the recursion n_t = max(e^{-tau h} n_{t-h}, |X(t)|),
-which is the exact grid norm of the path with infinite memory; it dominates the
-windowed norm and differs from it by at most the truncation bound.
+The running weighted norm of Z = X - Y uses the recursion
+n_t = max(e^{-tau h} n_{t-h}, |Z(t)|), the exact grid norm of the path with
+infinite memory; it dominates the windowed norm and differs from it by at
+most the truncation bound.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,24 +25,18 @@ from .errors import (
     ConfigurationError,
     DegenerateWeightWarning,
     SingularDiffusionError,
-    UnreliableMomentWarning,
 )
 from .pathspace import ParticleCloud, PathSegment, PathSpaceConfig, SegmentBatch
 
 __all__ = [
     "CouplingRun",
-    "DistCouplingRun",
     "LawSummary",
     "SimulationResult",
-    "dump_statistics_csv",
-    "exp_moment_A",
     "girsanov_weight_P",
     "philox_rng",
     "simulate_coupled_Q",
-    "simulate_law_shift",
     "simulate_mckean",
     "simulate_paths",
-    "step_euler",
 ]
 
 BLOWUP_LIMIT = 1e8
@@ -63,31 +58,6 @@ class LawSummary:
     def mean_endpoint(self) -> np.ndarray:
         return self.mean
 
-    @classmethod
-    def from_batch(cls, batch: SegmentBatch) -> "LawSummary":
-        return cls(batch.config, batch.endpoint().mean(axis=0))
-
-
-def step_euler(seg: PathSegment, drift, sigma, h: float, dW) -> PathSegment:
-    """One explicit Euler step: x <- x + drift*h + sigma @ dW, then advance."""
-    from .pathspace import advance
-
-    drift = np.asarray(drift, dtype=float)
-    dW = np.asarray(dW, dtype=float)
-    new = seg.endpoint() + drift * h + np.asarray(sigma, dtype=float) @ dW
-    if not np.all(np.isfinite(new)) or np.any(np.abs(new) > BLOWUP_LIMIT):
-        raise BlowUpError("non-finite or exploding Euler update", step=0)
-    return advance(seg, new)
-
-
-def _running_norm_init(batch: SegmentBatch) -> np.ndarray:
-    return batch.weighted_norm().copy()
-
-
-def _running_norm_step(norms: np.ndarray, decay: float, endpoints: np.ndarray) -> np.ndarray:
-    np.maximum(norms * decay, np.linalg.norm(endpoints, axis=-1), out=norms)
-    return norms
-
 
 def _check_endpoint(x: np.ndarray, step: int) -> None:
     bad = ~np.isfinite(x).all(axis=-1) | (np.abs(x) > BLOWUP_LIMIT).any(axis=-1)
@@ -100,21 +70,38 @@ def _check_endpoint(x: np.ndarray, step: int) -> None:
         )
 
 
-def _sigma_inv_apply(coeffs: CoefficientSet, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sigma(x)^{-1} v for a batch of points/vectors."""
-    if coeffs.sigma_identity:
+def _eval_sigma(coeffs: CoefficientSet, x: np.ndarray):
+    """sigma at a batch of points, or None for the identity diffusion."""
+    return None if coeffs.sigma_identity else coeffs.eval_sigma(x)
+
+
+def _apply_sigma(sig, v: np.ndarray) -> np.ndarray:
+    return v if sig is None else np.einsum("...ij,...j->...i", sig, v)
+
+
+def _solve_sigma(sig, v: np.ndarray) -> np.ndarray:
+    """sigma^{-1} v for a batch of vectors."""
+    if sig is None:
         return v
-    sig = coeffs.eval_sigma(x)
     try:
         return np.linalg.solve(sig, v[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularDiffusionError(f"sigma not invertible along the trajectory: {exc}") from exc
 
 
-def _apply_sigma(coeffs: CoefficientSet, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if coeffs.sigma_identity:
-        return v
-    return np.einsum("...ij,...j->...i", coeffs.eval_sigma(x), v)
+def _euler_step(coeffs: CoefficientSet, batch: SegmentBatch, x: np.ndarray, law, sig,
+                dW: np.ndarray, step: int, extra=0.0) -> np.ndarray:
+    """Advance ``batch`` to x + (b0 + b1 + extra) h + sigma dW and return that endpoint.
+
+    ``x`` is the batch endpoint that ``sig`` was evaluated at, so drift and
+    diffusion share any inverse memoized on it; ``step`` (1-based) labels a
+    blow-up.
+    """
+    drift = coeffs.eval_b0(x) + coeffs.eval_b1(batch, law) + extra
+    new = x + drift * batch.config.h + _apply_sigma(sig, dW)
+    _check_endpoint(new, step)
+    batch.advance(new)
+    return new
 
 
 def _save_steps(cfg: PathSpaceConfig, T: float, save_times) -> tuple[np.ndarray, np.ndarray]:
@@ -140,10 +127,7 @@ class SimulationResult:
 
     times: np.ndarray  # save times (n_saves,)
     clouds: list  # ParticleCloud at each save time
-    norms: np.ndarray  # (n_saves, N) running weighted norms
     endpoints: np.ndarray  # (n_saves, N, d)
-    law_means: np.ndarray  # (n_steps + 1, d) per-step law mean (empirical or frozen)
-    final: SegmentBatch
 
     def cloud_at(self, t: float) -> ParticleCloud:
         i = int(np.argmin(np.abs(self.times - t)))
@@ -159,37 +143,28 @@ def simulate_paths(
     seed: int = 0,
     stream: int = 0,
     save_times=None,
-    law_means: Optional[np.ndarray] = None,
     mckean: bool = False,
 ) -> SimulationResult:
     """Integrate a batch of paths to time T.
 
     With ``mckean=True`` the law argument is the empirical cloud frozen per
-    step; with ``law_means`` given (one mean per step) the law is that frozen
-    trajectory; otherwise the law argument is absent.
+    step; otherwise the law argument is absent.
     """
     cfg = init.config
     if cfg != coeffs.pathcfg:
         raise ConfigurationError("initial batch and coefficients use different configs")
-    if mckean and law_means is not None:
-        raise ConfigurationError("mckean and law_means are mutually exclusive")
     if mckean and init.n < 2 and coeffs.K1 > 0:
         raise ConfigurationError("mean-field simulation needs at least 2 particles")
     save_idx, times = _save_steps(cfg, T, save_times)
     n_steps = int(round(T / cfg.h))
     rng = philox_rng(seed, stream)
-    h, d, R = cfg.h, cfg.d, init.n
-    sqrt_h = math.sqrt(h)
-    decay = math.exp(-cfg.tau * h)
+    sqrt_h = math.sqrt(cfg.h)
 
     batch = SegmentBatch(cfg, init.ordered_values())
-    norms = _running_norm_init(batch)
-    means = np.empty((n_steps + 1, d))
-    saved_clouds, saved_norms, saved_ends = [], [], []
+    saved_clouds, saved_ends = [], []
 
     def snapshot():
         saved_clouds.append(batch.to_cloud())
-        saved_norms.append(norms.copy())
         saved_ends.append(batch.endpoint().copy())
 
     save_set = set(save_idx.tolist())
@@ -197,31 +172,13 @@ def simulate_paths(
         snapshot()
     for step in range(n_steps):
         x = batch.endpoint()
-        means[step] = x.mean(axis=0)
-        if mckean:
-            law = LawSummary(cfg, means[step])
-        elif law_means is not None:
-            law = LawSummary(cfg, law_means[step])
-        else:
-            law = None
-        drift = coeffs.eval_b0(x) + coeffs.eval_b1(batch, law)
-        dW = sqrt_h * rng.standard_normal((R, d))
-        new = x + drift * h + _apply_sigma(coeffs, x, dW)
-        _check_endpoint(new, step + 1)
-        batch.advance(new)
-        _running_norm_step(norms, decay, new)
+        law = LawSummary(cfg, x.mean(axis=0)) if mckean else None
+        dW = sqrt_h * rng.standard_normal((init.n, cfg.d))
+        _euler_step(coeffs, batch, x, law, _eval_sigma(coeffs, x), dW, step + 1)
         if (step + 1) in save_set:
             snapshot()
-    means[n_steps] = batch.endpoint().mean(axis=0)
 
-    return SimulationResult(
-        times=times,
-        clouds=saved_clouds,
-        norms=np.array(saved_norms),
-        endpoints=np.array(saved_ends),
-        law_means=means,
-        final=batch,
-    )
+    return SimulationResult(times=times, clouds=saved_clouds, endpoints=np.array(saved_ends))
 
 
 def simulate_mckean(
@@ -249,16 +206,11 @@ class CouplingRun:
     times: np.ndarray  # (n_saves,)
     x_end: np.ndarray  # (n_saves, R, d)
     y_end: np.ndarray
-    x_norms: np.ndarray  # (n_saves, R) running weighted norms
-    y_norms: np.ndarray
-    z_norms: np.ndarray  # running weighted norm of X - Y
+    z_norms: np.ndarray  # (n_saves, R) running weighted norm of X - Y
     gamma_traj: np.ndarray  # (n_saves, R, d)
     half_int_gamma_sq: np.ndarray  # (n_saves, R), nondecreasing in t
-    A_t: np.ndarray  # (n_saves, R): c2 * int ||Y_s||_tau^alpha ds, nondecreasing
     log_R: np.ndarray  # (n_saves, R); identically 0 under Q
     degenerate: np.ndarray  # (R,) bool, |log R| overflow flags
-    x_final: SegmentBatch = None
-    y_final: SegmentBatch = None
 
     @property
     def n_replicas(self) -> int:
@@ -276,8 +228,6 @@ def simulate_coupled_Q(
     n_replicas: int = 1,
     save_times=None,
     measure: str = "Q",
-    law_means: Optional[np.ndarray] = None,
-    c2: float = 1.0,
 ) -> CouplingRun:
     """Simulate the coupled pair started from (xi, eta) over n_replicas.
 
@@ -286,7 +236,8 @@ def simulate_coupled_Q(
     Under ``measure="P"`` X is uncorrected, the correction is folded into Y's
     drift and the Girsanov log-weight log R = -int <gamma, dW> - 1/2 int
     |gamma|^2 is accumulated, so that reweighting by e^{log R} recovers
-    corrected-measure expectations.
+    corrected-measure expectations.  A blow-up of Y in replica i reports
+    particle R + i.
     """
     cfg = coeffs_hat.pathcfg
     if xi.config != cfg or eta.config != cfg:
@@ -302,71 +253,48 @@ def simulate_coupled_Q(
     sqrt_h = math.sqrt(h)
     decay = math.exp(-cfg.tau * h)
 
-    xb = SegmentBatch.from_segment(xi, R)
-    yb = SegmentBatch.from_segment(eta, R)
-    xn, yn = _running_norm_init(xb), _running_norm_init(yb)
-    zn = _running_norm_init(SegmentBatch(cfg, xb.ordered_values() - yb.ordered_values()))
+    batch = SegmentBatch(cfg, np.concatenate([np.repeat(xi.values[None], R, axis=0),
+                                              np.repeat(eta.values[None], R, axis=0)]))
+    zn = SegmentBatch(cfg, batch.values[:R] - batch.values[R:]).weighted_norm()
     half_g2 = np.zeros(R)
-    a_t = np.zeros(R)
     log_r = np.zeros(R)
+    saves = {"x_end": [], "y_end": [], "z_norms": [], "gamma": [], "half_g2": [], "log_r": []}
 
-    def law_at(step):
-        if law_means is None:
-            return None
-        return LawSummary(cfg, law_means[step])
-
-    saves = {"x_end": [], "y_end": [], "x_norms": [], "y_norms": [], "z_norms": [],
-             "gamma": [], "half_g2": [], "a_t": [], "log_r": []}
-
-    def snapshot(gamma):
-        saves["x_end"].append(xb.endpoint().copy())
-        saves["y_end"].append(yb.endpoint().copy())
-        saves["x_norms"].append(xn.copy())
-        saves["y_norms"].append(yn.copy())
+    def snapshot(xy):
+        x, y = xy[:R], xy[R:]
+        saves["x_end"].append(x.copy())
+        saves["y_end"].append(y.copy())
         saves["z_norms"].append(zn.copy())
-        saves["gamma"].append(gamma.copy())
+        saves["gamma"].append(kappa * _solve_sigma(_eval_sigma(coeffs_hat, x), x - y))
         saves["half_g2"].append(half_g2.copy())
-        saves["a_t"].append(a_t.copy())
         saves["log_r"].append(log_r.copy())
-
-    def gamma_of(x, y):
-        return kappa * _sigma_inv_apply(coeffs_hat, x, x - y)
 
     save_set = set(save_idx.tolist())
     if 0 in save_set:
-        snapshot(gamma_of(xb.endpoint(), yb.endpoint()))
+        snapshot(batch.endpoint())
     for step in range(n_steps):
-        x, y = xb.endpoint(), yb.endpoint()
-        law = law_at(step)
-        bx = coeffs_hat.eval_b0(x) + coeffs_hat.eval_b1(xb, law)
-        by = coeffs_hat.eval_b0(y) + coeffs_hat.eval_b1(yb, law)
-        gamma = gamma_of(x, y)
+        xy = batch.endpoint()
+        x, y = xy[:R], xy[R:]
+        sig = _eval_sigma(coeffs_hat, xy)
+        gamma = kappa * _solve_sigma(None if sig is None else sig[:R], x - y)
+        extra = np.zeros_like(xy)
         if measure == "Q":
-            bx = bx - kappa * (x - y)
+            extra[:R] = -kappa * (x - y)
         else:
-            by = by + _apply_sigma(coeffs_hat, y, gamma)
+            extra[R:] = _apply_sigma(None if sig is None else sig[R:], gamma)
         dW = sqrt_h * rng.standard_normal((R, d))
-        x_new = x + bx * h + _apply_sigma(coeffs_hat, x, dW)
-        y_new = y + by * h + _apply_sigma(coeffs_hat, y, dW)
-        _check_endpoint(x_new, step + 1)
-        _check_endpoint(y_new, step + 1)
+        new = _euler_step(coeffs_hat, batch, xy, None, sig, np.concatenate([dW, dW]),
+                          step + 1, extra)
         g2 = np.einsum("rj,rj->r", gamma, gamma)
         half_g2 += 0.5 * g2 * h
-        a_t += c2 * h * yn ** coeffs_hat.alpha
         if measure == "P":
             log_r += -np.einsum("rj,rj->r", gamma, dW) - 0.5 * g2 * h
-        xb.advance(x_new)
-        yb.advance(y_new)
-        _running_norm_step(xn, decay, x_new)
-        _running_norm_step(yn, decay, y_new)
-        _running_norm_step(zn, decay, x_new - y_new)
+        np.maximum(zn * decay, np.linalg.norm(new[:R] - new[R:], axis=-1), out=zn)
         if (step + 1) in save_set:
-            snapshot(gamma_of(x_new, y_new))
+            snapshot(new)
 
     degenerate = np.abs(log_r) > LOG_WEIGHT_LIMIT
     if np.any(degenerate):
-        import warnings
-
         warnings.warn(
             f"{int(degenerate.sum())} of {R} Girsanov log-weights exceed "
             f"{LOG_WEIGHT_LIMIT} in magnitude",
@@ -379,16 +307,11 @@ def simulate_coupled_Q(
         times=times,
         x_end=np.array(saves["x_end"]),
         y_end=np.array(saves["y_end"]),
-        x_norms=np.array(saves["x_norms"]),
-        y_norms=np.array(saves["y_norms"]),
         z_norms=np.array(saves["z_norms"]),
         gamma_traj=np.array(saves["gamma"]),
         half_int_gamma_sq=np.array(saves["half_g2"]),
-        A_t=np.array(saves["a_t"]),
         log_R=np.array(saves["log_r"]),
         degenerate=degenerate,
-        x_final=xb,
-        y_final=yb,
     )
 
 
@@ -404,175 +327,3 @@ def girsanov_weight_P(run: CouplingRun):
     mean = float(w.mean())
     stderr = float(w.std(ddof=1) / math.sqrt(len(w))) if len(w) > 1 else float("nan")
     return log_r, mean, stderr
-
-
-@dataclass
-class DistCouplingRun:
-    """Two-layer coupling: law shift (bar layer) then kappa-contraction (tilde)."""
-
-    times: np.ndarray
-    bar_zeta_traj: np.ndarray  # (n_saves, R, d)
-    int_bar_zeta_sq: np.ndarray  # (n_saves, R)
-    log_R_bar: np.ndarray  # (n_saves, R)
-    w2_traj: np.ndarray  # (n_saves,) measured W2 between the frozen clouds
-    bound_ratio: np.ndarray  # (n_saves,) max |bar zeta| / (c1 K1 W2), <= 1 expected
-    tilde: CouplingRun
-
-    @property
-    def log_R_combined(self) -> np.ndarray:
-        return self.log_R_bar + self.tilde.log_R
-
-    @property
-    def int_tilde_zeta_sq(self) -> np.ndarray:
-        return 2.0 * self.tilde.half_int_gamma_sq
-
-
-def simulate_law_shift(
-    coeffs: CoefficientSet,
-    mu_res: SimulationResult,
-    nu_res: SimulationResult,
-    xi: PathSegment,
-    eta: PathSegment,
-    kappa: float,
-    T: float,
-    seed: int = 0,
-    stream: int = 0,
-    n_replicas: int = 1,
-    save_times=None,
-    c1: Optional[float] = None,
-) -> DistCouplingRun:
-    """Couple the equations driven by the frozen law trajectories mu and nu.
-
-    The bar layer simulates X under the mu-law dynamics and records the shift
-    bar zeta_s = sigma^{-1}(X(s)) [b(X_s, mu_s) - b(X_s, nu_s)] together with
-    its Girsanov weight; the tilde layer is the kappa-corrected pair under the
-    nu-law trajectory.  |bar zeta_s| <= c1 K1 W2(mu_s, nu_s) is checked at
-    save times against the W2 measured from the stored clouds.
-    """
-    from .wasserstein import wk_full
-
-    cfg = coeffs.pathcfg
-    save_idx, times = _save_steps(cfg, T, save_times)
-    n_steps = int(round(T / cfg.h))
-    rng = philox_rng(seed, stream)
-    h, d, R = cfg.h, cfg.d, int(n_replicas)
-    sqrt_h = math.sqrt(h)
-    if c1 is None:
-        c1 = coeffs.K  # ellipticity bound on |sigma^{-1}|
-
-    xb = SegmentBatch.from_segment(xi, R)
-    int_bar_sq = np.zeros(R)
-    log_r_bar = np.zeros(R)
-    saves = {"bar": [], "int": [], "log": []}
-
-    def bar_zeta_of(batch, law_index):
-        x = batch.endpoint()
-        law_mu = LawSummary(cfg, mu_res.law_means[law_index])
-        law_nu = LawSummary(cfg, nu_res.law_means[law_index])
-        shift = coeffs.eval_b1(batch, law_mu) - coeffs.eval_b1(batch, law_nu)
-        return _sigma_inv_apply(coeffs, x, shift)
-
-    def snapshot(law_index):
-        saves["bar"].append(bar_zeta_of(xb, law_index))
-        saves["int"].append(int_bar_sq.copy())
-        saves["log"].append(log_r_bar.copy())
-
-    save_set = set(save_idx.tolist())
-    if 0 in save_set:
-        snapshot(0)
-    for step in range(n_steps):
-        x = xb.endpoint()
-        law_mu = LawSummary(cfg, mu_res.law_means[step])
-        drift = coeffs.eval_b0(x) + coeffs.eval_b1(xb, law_mu)
-        bz = bar_zeta_of(xb, step)
-        dW = sqrt_h * rng.standard_normal((R, d))
-        new = x + drift * h + _apply_sigma(coeffs, x, dW)
-        _check_endpoint(new, step + 1)
-        bz2 = np.einsum("rj,rj->r", bz, bz)
-        int_bar_sq += bz2 * h
-        log_r_bar += -np.einsum("rj,rj->r", bz, dW) - 0.5 * bz2 * h
-        xb.advance(new)
-        if (step + 1) in save_set:
-            snapshot(step + 1)
-
-    tilde = simulate_coupled_Q(
-        coeffs,
-        xi,
-        eta,
-        kappa,
-        T,
-        seed=seed,
-        stream=stream + 1,
-        n_replicas=R,
-        save_times=save_times,
-        measure="Q",
-        law_means=nu_res.law_means,
-    )
-
-    bar_traj = np.array(saves["bar"])
-    w2 = np.empty(len(times))
-    ratio = np.empty(len(times))
-    for i, t in enumerate(times):
-        try:
-            a = mu_res.cloud_at(t)
-            b = nu_res.cloud_at(t)
-        except ConfigurationError:
-            w2[i] = np.nan
-            ratio[i] = np.nan
-            continue
-        w2[i] = wk_full(a, b, k=2)
-        bound = c1 * coeffs.K1 * w2[i]
-        worst = float(np.max(np.linalg.norm(bar_traj[i], axis=-1)))
-        ratio[i] = worst / bound if bound > 0 else (0.0 if worst == 0 else np.inf)
-
-    return DistCouplingRun(
-        times=times,
-        bar_zeta_traj=bar_traj,
-        int_bar_zeta_sq=np.array(saves["int"]),
-        log_R_bar=np.array(saves["log"]),
-        w2_traj=w2,
-        bound_ratio=ratio,
-        tilde=tilde,
-    )
-
-
-def exp_moment_A(run: CouplingRun, beta: float):
-    """Monte Carlo estimate of E[e^{beta A(t)}] at each save time.
-
-    Returns (estimates, stderrs); warns when the effective sample size of the
-    exponential weights drops below 10 at the final time.
-    """
-    w = np.exp(np.clip(beta * run.A_t, -LOG_WEIGHT_LIMIT, LOG_WEIGHT_LIMIT))
-    est = w.mean(axis=1)
-    n = run.n_replicas
-    stderr = w.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.full(len(est), np.nan)
-    wf = w[-1]
-    ess = wf.sum() ** 2 / (wf**2).sum()
-    if ess < 10:
-        import warnings
-
-        warnings.warn(
-            f"exponential-moment estimate dominated by few replicas (ESS = {ess:.2f})",
-            UnreliableMomentWarning,
-        )
-    return est, stderr
-
-
-def dump_statistics_csv(path, times, stats: dict) -> None:
-    """CSV with columns (t, replica, statistic_name, value).
-
-    ``stats`` maps statistic names to arrays of shape (n_saves,) or
-    (n_saves, R).
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "replica", "statistic_name", "value"])
-        for name, arr in stats.items():
-            arr = np.asarray(arr)
-            if arr.ndim == 1:
-                for t, v in zip(times, arr):
-                    writer.writerow([repr(float(t)), "", name, repr(float(v))])
-            else:
-                for i, t in enumerate(times):
-                    for r in range(arr.shape[1]):
-                        writer.writerow([repr(float(t)), r, name, repr(float(arr[i, r]))])

@@ -366,18 +366,13 @@ def transformed_coeffs(zmap: ZvonkinMap, coeffs: CoefficientSet) -> CoefficientS
     L = zmap.grid.L
 
     # The simulators evaluate drift and diffusion at the same endpoint array
-    # within a step; memoize the inverse on array identity (two slots: the
-    # coupled integrator alternates between both copies).
-    inv_cache = []
+    # within a step; memoize the last inverse on array identity.
+    last = [None, None]
 
     def inv_extended(y):
-        for key, val in inv_cache:
-            if key is y:
-                return val
-        val = np.clip(theta_inv(zmap, y, extend=True), -L, L)
-        inv_cache.append((y, val))
-        del inv_cache[:-2]
-        return val
+        if last[0] is not y:
+            last[:] = y, np.clip(theta_inv(zmap, y, extend=True), -L, L)
+        return last[1]
 
     def b0_hat(y):
         return lam * zmap.u_at(inv_extended(y))

@@ -262,7 +262,7 @@ def test_criterion_7_asymptotic_log_harnack(capsys):
         })
         report = run_alh(config)
         ok = ok and report.verdict == PASS
-        details.append(f"{name} [{report.verdict}] c = {report.fitted_c:.3g}")
+        details.append(f"{name} [{report.verdict}] c = {report.records['fitted_c']:.3g}")
 
     # consistency of the frozen-law machinery with plain path simulation
     # when the law coefficient vanishes (K1 = 0)

@@ -1,8 +1,14 @@
+import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pathcouple
 from pathcouple.cli import cli_main
 from pathcouple.errors import ConfigurationError
 from pathcouple.experiments import (
@@ -156,6 +162,15 @@ class TestCli:
     def test_bare_invocation_usage(self, capsys):
         assert cli_main([]) == 1
 
+    def test_python_m_entry_point(self):
+        src = str(Path(pathcouple.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-m", "pathcouple"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage: pathcouple")
+
     def test_unknown_subcommand(self):
         assert cli_main(["frobnicate", "--config", "x"]) == 1
 
@@ -178,7 +193,13 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["report", "--output", str(tmp_path / "out")]) == 0
         assert f"[{PASS}] coupling-decay" in capsys.readouterr().out
-        assert (tmp_path / "out" / "coupling-decay_decay.csv").exists()
+        with open(tmp_path / "out" / "coupling-decay_decay.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["t", "p", "mean_znorm_p", "stderr"]
+        assert rows
+        for row in rows:
+            for cell in row:
+                float(cell)  # raises on a cell such as "np.float64(0.5)"
 
     def test_report_missing_summary(self, tmp_path):
         assert cli_main(["report", "--output", str(tmp_path)]) == 1

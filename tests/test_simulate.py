@@ -10,6 +10,7 @@ from pathcouple.coefficients import (
     get_coefficients,
 )
 from pathcouple.errors import BlowUpError, ConfigurationError
+from pathcouple.experiments import parse_config
 from pathcouple.pathspace import (
     ParticleCloud,
     PathSegment,
@@ -17,18 +18,25 @@ from pathcouple.pathspace import (
     SegmentBatch,
 )
 from pathcouple.simulate import (
-    exp_moment_A,
     girsanov_weight_P,
     philox_rng,
     simulate_coupled_Q,
-    simulate_law_shift,
     simulate_mckean,
     simulate_paths,
-    step_euler,
 )
 
 CFG = PathSpaceConfig(d=1, tau=1.0, h=0.01, T_mem=1.0)
 ZERO = get_coefficients("zero", CFG)
+DINI_FAST = """
+path.tau = 1.0
+path.T_mem = 1.0
+coefficients.name = dini_sqrt
+sim.h = 0.05
+sim.T = 2.0
+sim.N_replicas = 64
+sim.kappa = 4.0
+sim.tau0 = 0.5
+"""
 
 
 def ou_coeffs(cfg=CFG):
@@ -42,23 +50,6 @@ def ou_coeffs(cfg=CFG):
         b0=lambda x: -x,
         b0_bound=math.inf,
     )
-
-
-class TestStepEuler:
-    def test_zero_dynamics_repeats_endpoint(self):
-        seg = PathSegment.constant(CFG, [0.7])
-        out = step_euler(seg, np.zeros(1), np.zeros((1, 1)), CFG.h, np.zeros(1))
-        assert out.endpoint()[0] == pytest.approx(0.7)
-
-    def test_pure_drift(self):
-        seg = PathSegment.zero(CFG)
-        out = step_euler(seg, np.array([2.0]), np.zeros((1, 1)), CFG.h, np.zeros(1))
-        assert out.endpoint()[0] == pytest.approx(2.0 * CFG.h)
-
-    def test_blow_up(self):
-        seg = PathSegment.zero(CFG)
-        with pytest.raises(BlowUpError):
-            step_euler(seg, np.array([np.inf]), np.zeros((1, 1)), CFG.h, np.zeros(1))
 
 
 class TestPathSimulation:
@@ -105,8 +96,6 @@ class TestPathSimulation:
         coeffs = get_coefficients("linear", CFG)
         seg = PathSegment.constant(CFG, [1.0])
         T, R = 1.0, 2000
-        oracle = simulate_paths(coeffs, SegmentBatch.from_segment(seg, 1), T,
-                                seed=0, law_means=np.ones((int(T / CFG.h) + 1, 1)))
         # noiseless: rerun with sigma = 0
         import dataclasses
 
@@ -183,7 +172,6 @@ class TestCoupling:
         coeffs = get_coefficients("sublinear", CFG)
         run = simulate_coupled_Q(coeffs, self.XI, self.ETA, 4.0, 1.0, seed=2, n_replicas=8)
         assert np.all(np.diff(run.half_int_gamma_sq, axis=0) >= -1e-15)
-        assert np.all(np.diff(run.A_t, axis=0) >= -1e-15)
 
     def test_rate_increases_with_kappa(self):
         rates = []
@@ -205,6 +193,24 @@ class TestCoupling:
                                  n_replicas=16, measure="P")
         z = run.x_end - run.y_end
         assert np.ptp(z[-1]) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda: get_coefficients("linear", CFG),
+        lambda: parse_config(DINI_FAST).effective_coefficients()[0],
+    ], ids=["linear", "dini_sqrt_hat"])
+    def test_kappa_zero_rows_match_simulate_paths(self, make):
+        # Uncoupled, each half of the stacked pair is the plain path simulator
+        # driven by the same increments.
+        coeffs = make()
+        cfg = coeffs.pathcfg
+        xi, eta = PathSegment.constant(cfg, [0.5]), PathSegment.constant(cfg, [-0.5])
+        R, T = 8, 1.0
+        run = simulate_coupled_Q(coeffs, xi, eta, 0.0, T, seed=3, stream=2, n_replicas=R)
+        for seg, ends in ((xi, run.x_end), (eta, run.y_end)):
+            res = simulate_paths(coeffs, SegmentBatch.from_segment(seg, R), T,
+                                 seed=3, stream=2)
+            np.testing.assert_array_equal(run.times, res.times)
+            np.testing.assert_allclose(ends, res.endpoints, rtol=1e-12, atol=0)
 
 
 class TestGirsanov:
@@ -242,66 +248,6 @@ class TestGirsanov:
         run = simulate_coupled_Q(ZERO, self.XI, self.ETA, 4.0, 1.0, seed=4, n_replicas=4)
         with pytest.raises(ConfigurationError):
             girsanov_weight_P(run)
-
-
-class TestLawShift:
-    def test_same_law_gives_zero_shift(self):
-        coeffs = get_coefficients("linear", CFG)
-        init = ParticleCloud.point_mass(PathSegment.constant(CFG, [0.5]), 16)
-        res = simulate_mckean(coeffs, init, 1.0, seed=0, save_times=[0.0, 0.5, 1.0])
-        run = simulate_law_shift(
-            coeffs, res, res, PathSegment.constant(CFG, [0.5]),
-            PathSegment.zero(CFG), 4.0, 1.0, seed=1, n_replicas=4,
-            save_times=[0.0, 0.5, 1.0],
-        )
-        assert np.max(np.abs(run.bar_zeta_traj)) == 0.0
-        assert np.max(run.int_bar_zeta_sq) == 0.0
-
-    def test_no_law_dependence_gives_zero_shift(self):
-        coeffs = get_coefficients("sublinear", CFG)  # K1 = 0
-        a = ParticleCloud.point_mass(PathSegment.constant(CFG, [1.0]), 16)
-        b = ParticleCloud.point_mass(PathSegment.constant(CFG, [-1.0]), 16)
-        res_a = simulate_mckean(coeffs, a, 1.0, seed=2, save_times=[0.0, 1.0])
-        res_b = simulate_mckean(coeffs, b, 1.0, seed=3, save_times=[0.0, 1.0])
-        run = simulate_law_shift(
-            coeffs, res_a, res_b, PathSegment.zero(CFG), PathSegment.zero(CFG),
-            4.0, 1.0, seed=4, n_replicas=4, save_times=[0.0, 1.0],
-        )
-        assert np.max(np.abs(run.bar_zeta_traj)) == 0.0
-
-    def test_shift_bounded_by_w2(self):
-        coeffs = get_coefficients("linear", CFG)
-        a = ParticleCloud.point_mass(PathSegment.constant(CFG, [0.75]), 32)
-        b = ParticleCloud.point_mass(PathSegment.constant(CFG, [-0.75]), 32)
-        saves = [0.0, 0.5, 1.0]
-        res_a = simulate_mckean(coeffs, a, 1.0, seed=5, save_times=saves)
-        res_b = simulate_mckean(coeffs, b, 1.0, seed=6, save_times=saves)
-        run = simulate_law_shift(
-            coeffs, res_a, res_b, PathSegment.constant(CFG, [0.75]),
-            PathSegment.constant(CFG, [-0.75]), 4.0, 1.0, seed=7,
-            n_replicas=8, save_times=saves, c1=1.0,
-        )
-        ok = np.isfinite(run.bound_ratio)
-        assert np.all(run.bound_ratio[ok] <= 1.0 + 1e-9)
-        assert run.tilde.measure == "Q"
-
-
-class TestExpMoment:
-    def test_beta_zero_is_one(self):
-        run = simulate_coupled_Q(ZERO, PathSegment.constant(CFG, [0.5]),
-                                 PathSegment.zero(CFG), 4.0, 1.0, seed=0, n_replicas=16)
-        est, _ = exp_moment_A(run, 0.0)
-        np.testing.assert_allclose(est, 1.0)
-
-    def test_alpha_zero_deterministic(self):
-        # alpha = 0: A(t) = t exactly, so E[e^{beta A}] = e^{beta t}
-        run = simulate_coupled_Q(ZERO, PathSegment.constant(CFG, [0.5]),
-                                 PathSegment.zero(CFG), 4.0, 1.0, seed=1,
-                                 n_replicas=16, c2=1.0)
-        assert ZERO.alpha == 0.0
-        est, _ = exp_moment_A(run, 2.0)
-        # left-endpoint quadrature of a constant integrand is exact
-        np.testing.assert_allclose(est[-1], math.exp(2.0), rtol=1e-12)
 
 
 def test_philox_streams_independent():

@@ -294,3 +294,20 @@ class TestPerConfigMap:
         after_entropy = run_decay(config).records["box_escape_fraction"]
         assert alone > 0
         assert after_entropy == alone
+
+    def test_one_inverse_per_step_and_save(self, monkeypatch):
+        # Drift and diffusion share one inverse of the stacked 2R endpoints
+        # per step; each of the 33 saves inverts the R X-endpoints for gamma.
+        config = parse_config(DINI_FAST + "experiment.separation = 30.0\n")
+        config.effective_coefficients()  # the lambda sweep, outside the count
+        points = []
+        original = zvonkin.theta_inv
+
+        def counting(zmap, y, *args, **kwargs):
+            points.append(np.asarray(y).shape[0])
+            return original(zmap, y, *args, **kwargs)
+
+        monkeypatch.setattr(zvonkin, "theta_inv", counting)
+        run_decay(config)
+        R, n_steps, n_saves = 64, 40, 33
+        assert sum(points) == 2 * R * n_steps + R * n_saves == 7232
