@@ -5,6 +5,10 @@ the max over truncation levels.  Because the cost is entrywise nondecreasing
 in the truncation level, the optimal-transport value is nondecreasing too, so
 the max over levels is attained at N = T_mem; `wk_full` exploits that and a
 full level scan is kept for oracle tests.
+
+Every transport problem is solved exactly, at any size: uniform clouds of
+equal size by assignment, all others by a sparse linear program.  The
+entropic `sinkhorn` solver runs only when called directly.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import ConfigurationError, InvalidCloudError
@@ -26,9 +31,6 @@ __all__ = [
     "wk_full",
     "wk_truncated",
 ]
-
-EXACT_SIZE_CAP = 4096  # N*M above this falls back to the entropic solver
-
 
 @dataclass(frozen=True)
 class OTPlan:
@@ -66,8 +68,12 @@ def pairwise_truncated_norm(a: ParticleCloud, b: ParticleCloud, N: float) -> np.
     chunk = max(1, int(2**22 // max(1, len(a) * len(b))))
     for k0 in range(0, va.shape[1], chunk):
         k1 = min(k0 + chunk, va.shape[1])
-        diff = va[:, None, k0:k1, :] - vb[None, :, k0:k1, :]
-        mags = np.linalg.norm(diff, axis=-1) * w[None, None, k0:k1]
+        if cfg.d == 1:
+            mags = va[:, None, k0:k1, 0] - vb[None, :, k0:k1, 0]
+            np.abs(mags, out=mags)
+        else:
+            mags = np.linalg.norm(va[:, None, k0:k1, :] - vb[None, :, k0:k1, :], axis=-1)
+        mags *= w[k0:k1]
         np.maximum(out, mags.max(axis=-1), out=out)
     return out
 
@@ -101,49 +107,32 @@ def sinkhorn(
     return OTPlan(cost, plan, objective, solver="sinkhorn", duality_gap=abs(objective - dual))
 
 
-def _exact_plan(cost: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> OTPlan:
+def ot_plan(a: ParticleCloud, b: ParticleCloud, k: float, N: float) -> OTPlan:
+    """Exact optimal coupling for the k-th power of the truncated seminorm cost."""
+    if k < 1:
+        raise ConfigurationError(f"only k >= 1 is supported, got k={k}")
+    _check_pair(a, b)
+    cost = pairwise_truncated_norm(a, b, N) ** k
+    wa, wb = a.weights, b.weights
     n, m = cost.shape
-    uniform = n == m and np.allclose(wa, 1.0 / n) and np.allclose(wb, 1.0 / m)
-    if uniform:
+    # Exact equality: the uniform plan would miss near-uniform marginals.
+    if n == m and np.all(wa == 1.0 / n) and np.all(wb == 1.0 / m):
         rows, cols = linear_sum_assignment(cost)
         plan = np.zeros_like(cost)
         plan[rows, cols] = 1.0 / n
         return OTPlan(cost, plan, float((plan * cost).sum()), solver="assignment")
-    # General weights: exact LP (network-simplex equivalent via HiGHS).
-    A_rows = []
-    for i in range(n):
-        row = np.zeros((n, m))
-        row[i, :] = 1.0
-        A_rows.append(row.ravel())
-    for j in range(m):
-        col = np.zeros((n, m))
-        col[:, j] = 1.0
-        A_rows.append(col.ravel())
-    A_eq = np.asarray(A_rows)[:-1]  # drop one redundant constraint
+    # General weights: exact LP (network-simplex equivalent via HiGHS) over the
+    # row-major plan, with row and column sums as sparse equality constraints.
+    A_eq = sp.vstack([
+        sp.kron(sp.eye(n), np.ones((1, m))),
+        sp.kron(np.ones((1, n)), sp.eye(m)),
+    ], format="csr")[:-1]  # drop one redundant constraint
     b_eq = np.concatenate([wa, wb])[:-1]
     res = linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
         raise InvalidCloudError(f"exact OT solve failed: {res.message}")
     plan = res.x.reshape(n, m)
     return OTPlan(cost, plan, float((plan * cost).sum()), solver="linprog")
-
-
-def ot_plan(
-    a: ParticleCloud,
-    b: ParticleCloud,
-    k: float,
-    N: float,
-    reg: float = 1e-2,
-) -> OTPlan:
-    """Optimal coupling for the k-th power of the truncated seminorm cost."""
-    if k < 1:
-        raise ConfigurationError(f"only k >= 1 is supported, got k={k}")
-    _check_pair(a, b)
-    cost = pairwise_truncated_norm(a, b, N) ** k
-    if len(a) * len(b) <= EXACT_SIZE_CAP:
-        return _exact_plan(cost, a.weights, b.weights)
-    scale = max(cost.max(), 1e-300)
-    return sinkhorn(cost, a.weights, b.weights, reg=reg * scale)
 
 
 def wk_truncated(a: ParticleCloud, b: ParticleCloud, k: float, N: float) -> float:

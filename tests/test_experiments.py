@@ -162,14 +162,25 @@ class TestCli:
     def test_bare_invocation_usage(self, capsys):
         assert cli_main([]) == 1
 
-    def test_python_m_entry_point(self):
+    @staticmethod
+    def _run_python(*args):
         src = str(Path(pathcouple.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        proc = subprocess.run([sys.executable, "-m", "pathcouple"],
+        return subprocess.run([sys.executable, *args],
                               capture_output=True, text=True, env=env, timeout=60)
+
+    def test_python_m_entry_point(self):
+        proc = self._run_python("-m", "pathcouple")
         assert proc.returncode == 1
         assert proc.stderr.startswith("usage: pathcouple")
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        # Set-up time: importing scipy.signal would add ~0.6 s to every run.
+        proc = self._run_python(
+            "-c", "import sys, pathcouple.cli; print('scipy.signal' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_unknown_subcommand(self):
         assert cli_main(["frobnicate", "--config", "x"]) == 1

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from pathcouple.errors import ConfigurationError, InvalidCloudError
-from pathcouple.pathspace import ParticleCloud, PathSegment, PathSpaceConfig
+from pathcouple.pathspace import ParticleCloud, PathSegment, PathSpaceConfig, weighted_norm
 from pathcouple.wasserstein import (
     cloud_moment,
     ot_plan,
@@ -101,8 +102,6 @@ class TestPlans:
         y = PathSegment(CFG, rng.standard_normal((CFG.n_points, 1)))
         a = ParticleCloud.point_mass(x, 3)
         b = ParticleCloud.point_mass(y, 3)
-        from pathcouple.pathspace import weighted_norm
-
         assert wk_full(a, b, k=2) == pytest.approx(weighted_norm(x - y), abs=1e-10)
 
     def test_config_mismatch(self):
@@ -112,6 +111,66 @@ class TestPlans:
         b = random_cloud(rng, 3, cfg=other)
         with pytest.raises(InvalidCloudError):
             wk_full(a, b, k=2)
+
+
+class TestExactAtScale:
+    """Problems above N*M = 4096 are solved exactly too."""
+
+    def test_identity_80_particles(self):
+        a = random_cloud(np.random.default_rng(13), 80)
+        assert wk_full(a, a, k=2) == pytest.approx(0.0, abs=1e-12)
+
+    def test_point_mass_distance_80_particles(self):
+        rng = np.random.default_rng(14)
+        x = PathSegment(CFG, rng.standard_normal((CFG.n_points, 1)))
+        y = PathSegment(CFG, rng.standard_normal((CFG.n_points, 1)))
+        a = ParticleCloud.point_mass(x, 80)
+        b = ParticleCloud.point_mass(y, 80)
+        assert wk_full(a, b, k=2) == pytest.approx(weighted_norm(x - y), abs=1e-12)
+
+    def test_unequal_sizes_match_blown_up_assignment(self):
+        # 60 vs 90 uniform particles: the LP must equal the assignment between
+        # the clouds blown up to 180 particles (each a_i 3 times, each b_j twice).
+        rng = np.random.default_rng(15)
+        a, b = random_cloud(rng, 60), random_cloud(rng, 90)
+        plan = ot_plan(a, b, k=2, N=CFG.T_mem)
+        assert plan.solver == "linprog"
+        cost = np.repeat(np.repeat(plan.cost_matrix, 3, axis=0), 2, axis=1)
+        rows, cols = linear_sum_assignment(cost)
+        want = math.sqrt(cost[rows, cols].sum() / 180)
+        assert wk_truncated(a, b, 2, CFG.T_mem) == pytest.approx(want, abs=1e-10)
+
+    def test_near_uniform_weights_use_the_lp(self):
+        # Weights 1e-6 relative off uniform must not take the assignment path,
+        # whose uniform plan would miss the marginals by ~1e-7.
+        rng = np.random.default_rng(16)
+        w = np.full(8, 1 / 8) * (1 + 1e-6 * np.tile([1.0, -1.0], 4))
+        a = ParticleCloud(CFG, random_cloud(rng, 8).values, w)
+        b = random_cloud(rng, 8)
+        plan = ot_plan(a, b, k=2, N=CFG.T_mem)
+        assert plan.solver == "linprog"
+        assert plan.marginal_error(a.weights, b.weights) < 1e-12
+
+
+class TestCostMatrix:
+    """`pairwise_truncated_norm` against one-shot broadcasts, bit for bit."""
+
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_d1_equals_abs_broadcast(self, n):
+        cfg = PathSpaceConfig(d=1, tau=1.0, h=0.02, T_mem=2.0)
+        rng = np.random.default_rng(17)
+        a, b = random_cloud(rng, n, cfg), random_cloud(rng, n, cfg)
+        diff = a.values[:, None, :, 0] - b.values[None, :, :, 0]
+        want = (np.abs(diff) * cfg.weights).max(axis=-1)
+        assert np.array_equal(pairwise_truncated_norm(a, b, cfg.T_mem), want)
+
+    def test_d2_equals_norm_broadcast(self):
+        cfg = PathSpaceConfig(d=2, tau=1.0, h=0.1, T_mem=1.0)
+        rng = np.random.default_rng(18)
+        a, b = random_cloud(rng, 12, cfg), random_cloud(rng, 9, cfg)
+        diff = a.values[:, None] - b.values[None, :]
+        want = (np.linalg.norm(diff, axis=-1) * cfg.weights).max(axis=-1)
+        assert np.array_equal(pairwise_truncated_norm(a, b, cfg.T_mem), want)
 
 
 class TestSinkhorn:
