@@ -365,14 +365,17 @@ class ValidationReport:
         return {k: v for k, v in self.ratios.items() if v > 1.0 + self.tol}
 
 
-def _random_segment_values(rng, pathcfg: PathSpaceConfig, n: int, scale: float = 1.0):
-    """Smooth random histories: discrete OU paths on the grid."""
-    n1 = pathcfg.n_points
-    out = np.empty((n, n1, pathcfg.d))
-    out[:, 0] = rng.standard_normal((n, pathcfg.d))
+def _random_segment_values(rng, pathcfg: PathSpaceConfig, sizes, scale: float = 1.0):
+    """Smooth random histories: discrete OU paths on the grid, one block per count
+    in ``sizes`` (an int is one block); each block draws its starts, then its noise."""
+    n1, d = pathcfg.n_points, pathcfg.d
+    draws = [(rng.standard_normal((n, d)), rng.standard_normal((n, n1 - 1, d)))
+             for n in np.atleast_1d(sizes)]
+    out = np.empty((sum(len(a) for a, _ in draws), n1, d))
+    out[:, 0] = np.concatenate([a for a, _ in draws])
+    noise = np.concatenate([z for _, z in draws])
     decay = 1.0 - pathcfg.h
     amp = math.sqrt(2 * pathcfg.h)
-    noise = rng.standard_normal((n, n1 - 1, pathcfg.d))
     for i in range(1, n1):
         out[:, i] = decay * out[:, i - 1] + amp * noise[:, i - 1]
     return scale * out
@@ -434,11 +437,10 @@ def validate_H(coeffs: CoefficientSet, sample_budget: int, rng_seed: int) -> Val
         cloud_n = 16
         worst_lip = 0.0
         worst_flat = 0.0
-        for _ in range(n_pairs):
-            xi = PathSegment(cfg, _random_segment_values(rng, cfg, 1)[0])
-            eta = PathSegment(cfg, _random_segment_values(rng, cfg, 1)[0])
-            mu = ParticleCloud(cfg, _random_segment_values(rng, cfg, cloud_n))
-            nu = ParticleCloud(cfg, _random_segment_values(rng, cfg, cloud_n))
+        paths = _random_segment_values(rng, cfg, [1, 1, cloud_n, cloud_n] * n_pairs)
+        for p in paths.reshape(n_pairs, 2 + 2 * cloud_n, cfg.n_points, d):  # xi, eta, mu, nu
+            xi, eta = PathSegment(cfg, p[0]), PathSegment(cfg, p[1])
+            mu, nu = ParticleCloud(cfg, p[2 : 2 + cloud_n]), ParticleCloud(cfg, p[2 + cloud_n :])
             w2 = wk_full(mu, nu, k=2) if coeffs.K1 > 0 else 0.0
             from .pathspace import weighted_norm
 

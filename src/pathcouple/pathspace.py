@@ -280,10 +280,15 @@ class SegmentBatch:
     values has shape (R, n_points, d); `head` is the slot holding s = 0.
     Unlike PathSegment this type is mutated in place, so it is never shared
     across threads; snapshots are taken for anything that escapes a simulation.
+
+    `advance` is the only writer of `values`, so each history integral
+    S = h sum_i e^{r s_i} x(s_i) is summed over the window once, at its first
+    `exp_weighted_integral(r)`, and then kept by `advance` in O(R d) as
+    S' = e^{-r h} (S - h e^{-r T_mem} x_oldest) + h x_new.  New batches start without.
     """
 
     def __init__(self, config: PathSpaceConfig, values):
-        vals = np.array(values, dtype=float)
+        vals = np.array(values, dtype=float, order="C")
         if vals.ndim == 2:
             vals = vals[:, :, None]
         if vals.ndim != 3 or vals.shape[1:] != (config.n_points, config.d):
@@ -293,6 +298,7 @@ class SegmentBatch:
         self.config = config
         self.values = vals
         self.head = config.n_steps  # ordered layout on construction
+        self._integrals = {}  # rate -> [S, e^{-rate h}, h e^{-rate T_mem}]
 
     @classmethod
     def from_segment(cls, seg: PathSegment, n: int) -> "SegmentBatch":
@@ -320,6 +326,8 @@ class SegmentBatch:
     def advance(self, new_values: np.ndarray) -> None:
         n1 = self.config.n_points
         self.head = (self.head + 1) % n1
+        for S, decay, tail in self._integrals.values():  # read x_oldest before the write
+            S[:] = decay * (S - tail * self.values[:, self.head, :]) + self.config.h * new_values
         self.values[:, self.head, :] = new_values
 
     def weighted_norm(self) -> np.ndarray:
@@ -329,8 +337,12 @@ class SegmentBatch:
         return np.max(w[None, :] * mags, axis=-1)
 
     def exp_weighted_integral(self, rate: float) -> np.ndarray:
-        w = np.exp(rate * self.config.s_grid)[self._order().argsort()]
-        return self.config.h * np.einsum("j,rjd->rd", w, self.values)
+        if rate not in self._integrals:
+            cfg = self.config
+            w = np.exp(rate * cfg.s_grid)[self._order().argsort()]
+            self._integrals[rate] = [cfg.h * np.einsum("j,rjd->rd", w, self.values),
+                                     np.exp(-rate * cfg.h), cfg.h * np.exp(-rate * cfg.T_mem)]
+        return self._integrals[rate][0].copy()
 
     def map_values(self, fn) -> "SegmentBatch":
         """New batch with fn applied to the flattened (M, d) value array."""

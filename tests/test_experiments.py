@@ -222,3 +222,18 @@ class TestCli:
         assert cli_main(["decay", "--config", str(p), "--output", str(out_b)]) == 0
         for name in ("summary.txt", "coupling-decay_decay.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_alh_repeats_byte_for_byte_in_one_interpreter(self, tmp_path):
+        # Running history integrals live in each simulation's own batch, so a
+        # second run in the same process must not see the first one's state.
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "builtin_linear.cfg"
+        p = tmp_path / "small.cfg"
+        p.write_text(shipped.read_text() + "sim.N_replicas = 64\nsim.T = 2.0\n")
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        for out in (out_a, out_b):
+            assert cli_main(["alh", "--config", str(p), "--output", str(out)]) == 0
+        names = sorted(f.name for f in out_a.iterdir())
+        assert "summary.txt" in names and any(n.endswith(".csv") for n in names)
+        assert names == sorted(f.name for f in out_b.iterdir())
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name

@@ -177,6 +177,65 @@ class TestSegmentBatch:
             advance(seg, [0.5, -0.5]).exp_weighted_integral(2.0),
         )
 
+    @staticmethod
+    def _summed_integral(batch, rate):
+        cfg = batch.config
+        w = np.exp(rate * cfg.s_grid)
+        return cfg.h * np.einsum("j,rjd->rd", w, batch.ordered_values())
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_running_integral_after_ring_wraps(self, d):
+        cfg = PathSpaceConfig(d=d, tau=1.0, h=0.05, T_mem=2.0)
+        rng = np.random.default_rng(10 + d)
+        batch = SegmentBatch(cfg, rng.standard_normal((3, cfg.n_points, d)))
+        rates = (2.0, 0.5)
+        for rate in rates:
+            batch.exp_weighted_integral(rate)  # start the running sums
+        for _ in range(10 * cfg.n_points + 7):
+            batch.advance(rng.standard_normal((3, d)))
+        for rate in rates:
+            np.testing.assert_allclose(batch.exp_weighted_integral(rate),
+                                       self._summed_integral(batch, rate), rtol=0, atol=1e-13)
+
+    def test_first_call_after_advancing(self):
+        rng = np.random.default_rng(11)
+        batch = SegmentBatch(CFG, rng.standard_normal((2, CFG.n_points, CFG.d)))
+        for _ in range(5):
+            batch.advance(rng.standard_normal((2, CFG.d)))
+        assert batch.head != CFG.n_steps
+        np.testing.assert_allclose(batch.exp_weighted_integral(2.0),
+                                   self._summed_integral(batch, 2.0), rtol=0, atol=1e-13)
+        batch.advance(rng.standard_normal((2, CFG.d)))
+        np.testing.assert_allclose(batch.exp_weighted_integral(2.0),
+                                   self._summed_integral(batch, 2.0), rtol=0, atol=1e-13)
+
+    def test_returned_integral_is_a_copy(self):
+        rng = np.random.default_rng(12)
+        batch = SegmentBatch(CFG, rng.standard_normal((2, CFG.n_points, CFG.d)))
+        first = batch.exp_weighted_integral(2.0)
+        expected = first.copy()
+        first[:] = 1e6
+        np.testing.assert_array_equal(batch.exp_weighted_integral(2.0), expected)
+        batch.exp_weighted_integral(2.0)[:] = -1e6
+        batch.advance(np.zeros((2, CFG.d)))
+        np.testing.assert_allclose(batch.exp_weighted_integral(2.0),
+                                   self._summed_integral(batch, 2.0), rtol=0, atol=1e-13)
+
+    def test_map_values_starts_fresh(self):
+        rng = np.random.default_rng(13)
+        batch = SegmentBatch(CFG, rng.standard_normal((2, CFG.n_points, CFG.d)))
+        batch.exp_weighted_integral(2.0)
+        for _ in range(CFG.n_points + 2):
+            batch.advance(rng.standard_normal((2, CFG.d)))
+        doubled = batch.map_values(lambda v: 2 * v)
+        np.testing.assert_allclose(doubled.exp_weighted_integral(2.0),
+                                   self._summed_integral(doubled, 2.0), rtol=0, atol=1e-13)
+        doubled.advance(np.ones((2, CFG.d)))
+        np.testing.assert_allclose(doubled.exp_weighted_integral(2.0),
+                                   self._summed_integral(doubled, 2.0), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(batch.exp_weighted_integral(2.0),
+                                   self._summed_integral(batch, 2.0), rtol=0, atol=1e-13)
+
     def test_map_values_preserves_head(self):
         rng = np.random.default_rng(8)
         batch = SegmentBatch.from_segment(random_segment(rng), 2)

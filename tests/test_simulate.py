@@ -18,6 +18,7 @@ from pathcouple.pathspace import (
     SegmentBatch,
 )
 from pathcouple.simulate import (
+    BLOWUP_LIMIT,
     girsanov_weight_P,
     philox_rng,
     simulate_coupled_Q,
@@ -135,6 +136,17 @@ class TestPathSimulation:
             simulate_paths(bad, batch, 1.0, seed=6)
         assert err.value.step is not None
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2 * BLOWUP_LIMIT],
+                             ids=["nan", "+inf", "-inf", "twice_limit"])
+    def test_blow_up_reports_row_past_the_first(self, bad):
+        # Particle 2 starts at a non-finite or too-large endpoint, so the first
+        # Euler step leaves it there while the other rows stay bounded.
+        values = np.zeros((4, CFG.n_points, 1))
+        values[2, -1] = bad
+        with pytest.raises(BlowUpError) as err:
+            simulate_paths(ZERO, SegmentBatch(CFG, values), 1.0, seed=6, save_times=[1.0])
+        assert (err.value.step, err.value.particle) == (1, 2)
+
     def test_mismatched_config(self):
         other = PathSpaceConfig(d=1, tau=0.5, h=0.01, T_mem=1.0)
         batch = SegmentBatch.from_segment(PathSegment.zero(other), 2)
@@ -210,7 +222,7 @@ class TestCoupling:
             res = simulate_paths(coeffs, SegmentBatch.from_segment(seg, R), T,
                                  seed=3, stream=2)
             np.testing.assert_array_equal(run.times, res.times)
-            np.testing.assert_allclose(ends, res.endpoints, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(ends, res.endpoints)
 
 
 class TestGirsanov:
