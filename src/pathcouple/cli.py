@@ -28,6 +28,7 @@ from .experiments import (
     INCONCLUSIVE,
     PASS,
     Report,
+    fit_decay_prefactor,
     parse_config,
     run_alh,
     run_decay,
@@ -61,7 +62,7 @@ def _run_validate(config) -> Report:
     if result.passed:
         report.add_check("declared hypothesis constants", PASS)
     else:
-        for name in result.failures:
+        for name in result.failures():
             report.add_check(f"hypothesis ratio {name}", FAIL,
                              f"ratio {result.ratios[name]:.4g} > 1")
     return report
@@ -94,7 +95,12 @@ def _run_zvonkin(config) -> Report:
     return report
 
 
-def _dispatch(name: str, config) -> Report:
+def _dispatch(name: str, config, done: dict) -> Report:
+    """Run one experiment; ``done`` holds the reports already run on ``config``.
+
+    The run_* names are looked up on this module at call time, so wrappers
+    installed on them from outside see every call.
+    """
     if name == "validate":
         return _run_validate(config)
     if name == "zvonkin":
@@ -108,7 +114,13 @@ def _dispatch(name: str, config) -> Report:
     if name == "growth":
         return run_w2_growth(config)
     if name == "gradient":
-        return run_gradient_estimate(config)
+        # Reuse the entropy and decay constants an earlier pass already fitted.
+        known = {}
+        if "entropy" in done:
+            known["entropy_constant"] = done["entropy"].records["entropy_constant"]
+        if "decay" in done:
+            known["decay_prefactor"] = fit_decay_prefactor(config, done["decay"])
+        return run_gradient_estimate(config, **known)
     raise ConfigurationError(f"unknown experiment {name!r}")
 
 
@@ -180,10 +192,10 @@ def cli_main(argv=None) -> int:
         return 1
 
     names = list(_EXPERIMENTS) if args.command == "all" else [args.command]
-    reports = []
+    done = {}
     try:
         for name in names:
-            reports.append(_dispatch(name, config))
+            done[name] = _dispatch(name, config, done)
     except _CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
@@ -194,6 +206,7 @@ def cli_main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    reports = list(done.values())
     out_dir = Path(args.output or config.output_dir)
     _write_outputs(reports, out_dir)
     for report in reports:

@@ -15,7 +15,7 @@ validate_H; the report records the sampled certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
     "DiniModulus",
     "ValidationReport",
     "dini_integral",
-    "eval_drift",
     "get_coefficients",
     "grid_decay_constant",
     "make_dini_log",
@@ -161,7 +160,6 @@ class CoefficientSet:
     b1: Optional[Callable] = None
     sigma: Optional[Callable] = None
     sigma_identity: bool = True
-    meta: dict = field(default_factory=dict)
 
     @property
     def d(self) -> int:
@@ -194,17 +192,6 @@ class CoefficientSet:
         return out
 
 
-def eval_drift(coeffs: CoefficientSet, seg, law=None) -> np.ndarray:
-    """Full drift b0(xi(0)) + b1(xi, mu) for a segment or segment batch."""
-    if seg.config.d != coeffs.d:
-        raise ConfigurationError(
-            f"segment dimension {seg.config.d} != coefficient dimension {coeffs.d}"
-        )
-    if law is not None and law.config != seg.config:
-        raise ConfigurationError("segment and law use different path-space configs")
-    return coeffs.eval_b0(seg.endpoint()) + coeffs.eval_b1(seg, law)
-
-
 # ---------------------------------------------------------------------------
 # Builtin gallery
 
@@ -235,7 +222,6 @@ def make_linear(pathcfg: PathSpaceConfig, B: float = 0.5, K1: float = 0.25) -> C
         alpha=1.0,
         phi=DiniModulus("power", C=1.0, beta=1.0),
         b1=b1,
-        meta={"B": B},
     )
 
 
@@ -260,7 +246,6 @@ def make_sublinear(pathcfg: PathSpaceConfig, B: float = 0.5, K1: float = 0.0) ->
         alpha=0.5,
         phi=DiniModulus("power", C=1.0, beta=1.0),
         b1=b1,
-        meta={"B": B},
     )
 
 
@@ -350,11 +335,7 @@ class ValidationReport:
     above 1 (beyond rounding slack) is a violation.
     """
 
-    name: str
-    sample_budget: int
-    rng_seed: int
     ratios: dict
-    notes: dict
     tol: float = 1e-9
 
     @property
@@ -399,7 +380,6 @@ def validate_H(coeffs: CoefficientSet, sample_budget: int, rng_seed: int) -> Val
     cfg = coeffs.pathcfg
     d = cfg.d
     ratios: dict = {}
-    notes: dict = {}
 
     # (H1): ellipticity and boundedness of a = sigma sigma^T.
     x = rng.normal(scale=2.0, size=(sample_budget, d))
@@ -407,8 +387,7 @@ def validate_H(coeffs: CoefficientSet, sample_budget: int, rng_seed: int) -> Val
     a = sig @ np.swapaxes(sig, -1, -2)
     dets = np.linalg.det(a)
     if np.any(np.abs(dets) < 1e-14):
-        ratios["H1_ellipticity"] = math.inf
-        notes["H1_ellipticity"] = "a not invertible at a sampled point"
+        ratios["H1_ellipticity"] = math.inf  # a not invertible at a sampled point
     else:
         ratios["H1_ellipticity"] = float(np.max(_opnorm(a) + _opnorm(np.linalg.inv(a))) / coeffs.K)
 
@@ -457,10 +436,4 @@ def validate_H(coeffs: CoefficientSet, sample_budget: int, rng_seed: int) -> Val
         ratios["H2_lipschitz"] = float(worst_lip)
         ratios["H2_flat_growth"] = float(worst_flat)
 
-    return ValidationReport(
-        name=coeffs.name,
-        sample_budget=sample_budget,
-        rng_seed=rng_seed,
-        ratios=ratios,
-        notes=notes,
-    )
+    return ValidationReport(ratios=ratios)

@@ -36,6 +36,7 @@ __all__ = [
     "ExperimentConfig",
     "Report",
     "TestFunction",
+    "fit_decay_prefactor",
     "fit_line",
     "parse_config",
     "run_alh",
@@ -103,6 +104,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"delta={self.delta} must lie in (0, 1)")
         if self.N_particles < 1 or self.N_replicas < 1:
             raise ConfigurationError("particle and replica counts must be positive")
+        if not self.separation > 0:
+            raise ConfigurationError(f"separation={self.separation} must be positive")
 
     def coefficients(self) -> CoefficientSet:
         return get_coefficients(self.coefficients_name, self.pathcfg)
@@ -336,14 +339,11 @@ def _require_kappa(config: ExperimentConfig) -> None:
 # Coupling decay
 
 
-def run_decay(config: ExperimentConfig, pair=None, ps=(1, 2, 4)) -> Report:
+def run_decay(config: ExperimentConfig, ps=(1, 2, 4)) -> Report:
     """Fit the decay rate of log E_Q ||X_t - Y_t||_tau^p against -p tau0."""
     _require_kappa(config)
     coeffs, zmap = config.effective_coefficients()
-    if pair is None:
-        xi, eta = _pair_segments(config, config.separation / 2, -config.separation / 2)
-    else:
-        xi, eta = pair
+    xi, eta = _pair_segments(config, config.separation / 2, -config.separation / 2)
     n_saves = 32
     save_times = np.round(np.linspace(0, config.T, n_saves + 1) / config.pathcfg.h) * config.pathcfg.h
     run = simulate_coupled_Q(
@@ -357,10 +357,6 @@ def run_decay(config: ExperimentConfig, pair=None, ps=(1, 2, 4)) -> Report:
         report.records["zvonkin_lambda"] = zmap.lam
         report.records["box_escape_fraction"] = zmap.escape_fraction
     rows = []
-    if np.max(run.z_norms) == 0.0:
-        report.add_check("identical initial segments", PASS, "degenerate pass: Z == 0")
-        report.records["degenerate"] = True
-        return report
     mask = run.times >= config.T / 4
     for p in ps:
         zp = run.z_norms**p
@@ -380,6 +376,15 @@ def run_decay(config: ExperimentConfig, pair=None, ps=(1, 2, 4)) -> Report:
     return report
 
 
+def fit_decay_prefactor(config: ExperimentConfig, decay: Report) -> float:
+    """Prefactor c of Gamma_t = c e^{-tau0 t}, from the p=1 rows of a decay
+    report, normalized by the initial distance."""
+    rows = [r for r in decay.tables["decay"][1] if r[1] == 1]
+    ts = np.array([r[0] for r in rows])
+    ms = np.array([r[2] for r in rows])
+    return float(np.max(ms * np.exp(config.tau0 * ts)) / config.separation)
+
+
 # ---------------------------------------------------------------------------
 # Relative entropy
 
@@ -392,7 +397,7 @@ def _entropy_pairs(config: ExperimentConfig):
     ]
 
 
-def run_entropy(config: ExperimentConfig, pairs=None) -> Report:
+def run_entropy(config: ExperimentConfig) -> Report:
     """Boundedness in t of H(t) = E_Q[1/2 int |gamma|^2] and the entropy fit.
 
     Fits the smallest c with H(T) <= c e^{delta ||eta||^{2 alpha}} ||xi-eta||^2
@@ -402,13 +407,12 @@ def run_entropy(config: ExperimentConfig, pairs=None) -> Report:
     coeffs, _ = config.effective_coefficients()
     report = Report("relative-entropy", records=_base_records(config))
     report.records["coefficients"] = coeffs.name
-    pairs = _entropy_pairs(config) if pairs is None else pairs
     save_times = np.round(
         np.linspace(0, config.T, 33) / config.pathcfg.h) * config.pathcfg.h
     c_fit = 0.0
     rows = []
     R = max(config.N_replicas // 8, 64)
-    for i, (a, b) in enumerate(pairs):
+    for i, (a, b) in enumerate(_entropy_pairs(config)):
         xi, eta = _pair_segments(config, a, b)
         run = simulate_coupled_Q(
             coeffs, xi, eta, config.kappa, config.T,
@@ -463,8 +467,7 @@ def _simulate_from(config, coeffs, init, t_grid, stream, law_mode):
 
 
 def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None,
-            pairs=None, t_grid=(1.0, 2.0, 4.0, 8.0), law_mode: bool = False,
-            n_train: Optional[int] = None) -> Report:
+            t_grid=(1.0, 2.0, 4.0, 8.0), law_mode: bool = False) -> Report:
     """Check the asymptotic log-Harnack shape
 
         P_t log f(eta) <= log P_t f(xi) + c dist^2 + c e^{-tau0 t} Lip(f) dist
@@ -485,8 +488,8 @@ def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None,
     raw = config.coefficients()
     eps = config.epsilon(raw.alpha)
 
-    pairs = _alh_pairs(config) if pairs is None else pairs
-    n_train = len(pairs) // 2 if n_train is None else n_train
+    pairs = _alh_pairs(config)
+    n_train = len(pairs) // 2
     R = config.N_replicas if not law_mode else config.N_particles
 
     # D[i, j]: defect at pair i, time t_grid[j]; se_D the combined stderr.
@@ -683,13 +686,7 @@ def run_gradient_estimate(
     if entropy_constant is None:
         entropy_constant = run_entropy(config).records["entropy_constant"]
     if decay_prefactor is None:
-        dec = run_decay(config, ps=(1,))
-        sep = config.separation
-        # Prefactor of the p=1 decay curve normalized by the initial distance.
-        rows = dec.tables["decay"][1]
-        ts = np.array([r[0] for r in rows])
-        ms = np.array([r[2] for r in rows])
-        decay_prefactor = float(np.max(ms * np.exp(config.tau0 * ts)) / sep)
+        decay_prefactor = fit_decay_prefactor(config, run_decay(config, ps=(1,)))
     report.records["entropy_constant"] = entropy_constant
     report.records["decay_prefactor"] = decay_prefactor
 

@@ -9,7 +9,6 @@ results.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +23,6 @@ __all__ = [
     "advance",
     "check_history_inequality",
     "flat_extension",
-    "segment_from_csv",
-    "segment_to_csv",
     "truncated_norm",
     "truncation_bound",
     "weighted_norm",
@@ -126,11 +123,6 @@ class PathSegment:
     def constant(cls, config: PathSpaceConfig, x) -> "PathSegment":
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return cls(config, np.tile(x, (config.n_points, 1)))
-
-    @classmethod
-    def from_function(cls, config: PathSpaceConfig, f) -> "PathSegment":
-        vals = np.stack([np.atleast_1d(f(s)) for s in config.s_grid])
-        return cls(config, vals)
 
     def endpoint(self) -> np.ndarray:
         return self.values[-1]
@@ -357,36 +349,3 @@ class SegmentBatch:
 
     def segment(self, i: int) -> PathSegment:
         return PathSegment(self.config, self.values[i][self._order()])
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def segment_to_csv(seg: PathSegment, path) -> None:
-    """Write a segment as CSV: header s,x1,...,xd; rows from s=-T_mem to s=0."""
-    cfg = seg.config
-    ndec = max(0, int(np.ceil(-np.log10(cfg.h))) + 1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s"] + [f"x{j + 1}" for j in range(cfg.d)])
-        for s, row in zip(cfg.s_grid, seg.values):
-            writer.writerow([f"{s:.{ndec}f}"] + [repr(float(v)) for v in row])
-
-
-def segment_from_csv(path, tau: float) -> PathSegment:
-    """Read a segment written by segment_to_csv; tau is not stored in the file."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        d = len(header) - 1
-        s_vals, rows = [], []
-        for rec in reader:
-            s_vals.append(float(rec[0]))
-            rows.append([float(v) for v in rec[1:]])
-    s_vals = np.asarray(s_vals)
-    if len(s_vals) < 2:
-        raise InvalidSegmentError("need at least two grid rows")
-    h = float(-s_vals[0] / (len(s_vals) - 1))
-    cfg = PathSpaceConfig(d=d, tau=tau, h=h, T_mem=float(-s_vals[0]))
-    return PathSegment(cfg, np.asarray(rows))

@@ -204,8 +204,6 @@ def simulate_mckean(
 class CouplingRun:
     """Coupled pair with drift correction -kappa (X(t) - Y(t)) on X."""
 
-    coeffs_name: str
-    kappa: float
     measure: str  # "Q" (corrected dynamics) or "P" (correction in the weight)
     times: np.ndarray  # (n_saves,)
     x_end: np.ndarray  # (n_saves, R, d)
@@ -214,7 +212,6 @@ class CouplingRun:
     gamma_traj: np.ndarray  # (n_saves, R, d)
     half_int_gamma_sq: np.ndarray  # (n_saves, R), nondecreasing in t
     log_R: np.ndarray  # (n_saves, R); identically 0 under Q
-    degenerate: np.ndarray  # (R,) bool, |log R| overflow flags
 
     @property
     def n_replicas(self) -> int:
@@ -305,8 +302,6 @@ def simulate_coupled_Q(
             DegenerateWeightWarning,
         )
     return CouplingRun(
-        coeffs_name=coeffs_hat.name,
-        kappa=float(kappa),
         measure=measure,
         times=times,
         x_end=np.array(saves["x_end"]),
@@ -315,7 +310,6 @@ def simulate_coupled_Q(
         gamma_traj=np.array(saves["gamma"]),
         half_int_gamma_sq=np.array(saves["half_g2"]),
         log_R=np.array(saves["log_r"]),
-        degenerate=degenerate,
     )
 
 

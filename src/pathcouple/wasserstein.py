@@ -3,12 +3,10 @@
 Ground cost is the truncated weighted path seminorm; the full distance takes
 the max over truncation levels.  Because the cost is entrywise nondecreasing
 in the truncation level, the optimal-transport value is nondecreasing too, so
-the max over levels is attained at N = T_mem; `wk_full` exploits that and a
-full level scan is kept for oracle tests.
+the max over levels is attained at N = T_mem; `wk_full` exploits that.
 
 Every transport problem is solved exactly, at any size: uniform clouds of
-equal size by assignment, all others by a sparse linear program.  The
-entropic `sinkhorn` solver runs only when called directly.
+equal size by assignment, all others by a sparse linear program.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ __all__ = [
     "cloud_moment",
     "ot_plan",
     "pairwise_truncated_norm",
-    "sinkhorn",
     "wk_full",
     "wk_truncated",
 ]
@@ -41,11 +38,6 @@ class OTPlan:
     objective: float
     solver: str
     duality_gap: float = 0.0
-
-    def marginal_error(self, wa: np.ndarray, wb: np.ndarray) -> float:
-        ra = np.abs(self.plan.sum(axis=1) - wa).max()
-        rb = np.abs(self.plan.sum(axis=0) - wb).max()
-        return float(max(ra, rb))
 
 
 def _check_pair(a: ParticleCloud, b: ParticleCloud) -> None:
@@ -76,35 +68,6 @@ def pairwise_truncated_norm(a: ParticleCloud, b: ParticleCloud, N: float) -> np.
         mags *= w[k0:k1]
         np.maximum(out, mags.max(axis=-1), out=out)
     return out
-
-
-def sinkhorn(
-    cost: np.ndarray,
-    wa: np.ndarray,
-    wb: np.ndarray,
-    reg: float,
-    n_iter: int = 2000,
-    tol: float = 1e-10,
-) -> OTPlan:
-    """Log-domain Sinkhorn for the entropically regularized problem."""
-    f = np.zeros(len(wa))
-    g = np.zeros(len(wb))
-    log_wa, log_wb = np.log(wa), np.log(wb)
-    for _ in range(n_iter):
-        mf = (-cost + g[None, :]) / reg
-        f_new = -reg * (np.logaddexp.reduce(mf, axis=1) - log_wa)
-        mg = (-cost + f_new[:, None]) / reg
-        g_new = -reg * (np.logaddexp.reduce(mg, axis=0) - log_wb)
-        if max(np.abs(f_new - f).max(), np.abs(g_new - g).max()) < tol:
-            f, g = f_new, g_new
-            break
-        f, g = f_new, g_new
-    plan = np.exp((f[:, None] + g[None, :] - cost) / reg + log_wa[:, None] + log_wb[None, :])
-    # Rescale rows so marginals hold exactly, then report the residual as gap.
-    plan *= (wa / np.maximum(plan.sum(axis=1), 1e-300))[:, None]
-    objective = float((plan * cost).sum())
-    dual = float(f @ wa + g @ wb)
-    return OTPlan(cost, plan, objective, solver="sinkhorn", duality_gap=abs(objective - dual))
 
 
 def ot_plan(a: ParticleCloud, b: ParticleCloud, k: float, N: float) -> OTPlan:
@@ -141,22 +104,13 @@ def wk_truncated(a: ParticleCloud, b: ParticleCloud, k: float, N: float) -> floa
     return float(max(plan.objective, 0.0) ** (1.0 / max(k, 1.0)))
 
 
-def wk_full(
-    a: ParticleCloud,
-    b: ParticleCloud,
-    k: float,
-    full_scan: bool = False,
-) -> float:
+def wk_full(a: ParticleCloud, b: ParticleCloud, k: float) -> float:
     """max over truncation levels N in {h, 2h, ..., T_mem} of wk_truncated.
 
     The per-level values are nondecreasing in N (the cost matrix is), so the
-    default evaluates the top level only; full_scan enumerates every level.
+    top level alone gives the maximum.
     """
-    cfg = a.config
-    if not full_scan:
-        return wk_truncated(a, b, k, cfg.T_mem)
-    levels = cfg.h * np.arange(1, cfg.n_steps + 1)
-    return max(wk_truncated(a, b, k, N) for N in levels)
+    return wk_truncated(a, b, k, a.config.T_mem)
 
 
 def cloud_moment(a: ParticleCloud, k: float) -> float:

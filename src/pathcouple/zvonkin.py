@@ -8,8 +8,6 @@ contain the region the simulation visits; callers report the escaping mass.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,7 +30,6 @@ __all__ = [
     "EllipticGrid",
     "ZvonkinMap",
     "default_lambda_grid",
-    "export_map_csv",
     "path_lipschitz_certificate",
     "select_lambda",
     "solve_resolvent",
@@ -404,7 +401,6 @@ def transformed_coeffs(zmap: ZvonkinMap, coeffs: CoefficientSet) -> CoefficientS
         b1=b1_hat,
         sigma=sigma_hat,
         sigma_identity=False,
-        meta={**coeffs.meta, "zvonkin_lambda": lam, "base": coeffs.name},
     )
 
 
@@ -432,30 +428,3 @@ def path_lipschitz_certificate(
         if denom > 1e-12:
             worst = max(worst, float(np.linalg.norm(bx - by)) / denom)
     return worst
-
-
-def export_map_csv(zmap: ZvonkinMap, path) -> None:
-    """CSV of (x grid, u, grad u) with a JSON metadata header line."""
-    meta = {
-        "lambda": zmap.lam,
-        "u_inf": zmap.u_inf,
-        "grad_inf": zmap.grad_inf,
-        "hess_inf": zmap.hess_inf,
-        "residual": zmap.residual,
-        "L": zmap.grid.L,
-        "dx": zmap.grid.dx,
-        "dimension": zmap.grid.dimension,
-    }
-    nodes = zmap.grid.nodes()
-    u = zmap.u.reshape(len(nodes), -1)
-    g = zmap.grad_u.reshape(len(nodes), -1)
-    with open(path, "w", newline="") as fh:
-        fh.write("# " + json.dumps(meta) + "\n")
-        writer = csv.writer(fh)
-        dim = zmap.grid.dimension
-        header = [f"x{i + 1}" for i in range(dim)]
-        header += [f"u{i + 1}" for i in range(u.shape[1])]
-        header += [f"du{i + 1}" for i in range(g.shape[1])]
-        writer.writerow(header)
-        for p, uu, gg in zip(nodes, u, g):
-            writer.writerow([repr(float(v)) for v in (*p, *uu, *gg)])

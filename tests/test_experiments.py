@@ -194,9 +194,59 @@ class TestCli:
         assert f"[{PASS}]" in capsys.readouterr().out
         assert (tmp_path / "out" / "summary.txt").exists()
 
+    def test_validate_failure_is_reported(self, tmp_path, capsys, monkeypatch):
+        from pathcouple import coefficients
+
+        failing = coefficients.ValidationReport(ratios={"H2_lipschitz": 1.5})
+        monkeypatch.setattr(coefficients, "validate_H", lambda *args, **kwargs: failing)
+        assert cli_main(["validate", "--config", str(self._cfg_file(tmp_path))]) == 3
+        assert "  FAIL: hypothesis ratio H2_lipschitz (ratio 1.5 > 1)" in capsys.readouterr().out
+
     def test_config_error_exit_1(self, tmp_path):
         p = self._cfg_file(tmp_path, extra="sim.kappa = 0.8\n")
         assert cli_main(["decay", "--config", str(p)]) == 1
+
+    @pytest.mark.parametrize("separation", ["0", "-1"])
+    def test_nonpositive_separation_exit_1(self, tmp_path, capsys, separation):
+        p = self._cfg_file(tmp_path, extra=f"experiment.separation = {separation}\n")
+        assert cli_main(["gradient", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: separation=")
+        assert "Traceback" not in err
+
+    @staticmethod
+    def _summary_block(out: Path, name: str) -> list:
+        """Lines of one report in summary.txt, from its header to the next."""
+        lines = (out / "summary.txt").read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.endswith(f"] {name}"))
+        end = next((i for i in range(start + 1, len(lines)) if lines[i].startswith("[")),
+                   len(lines))
+        return lines[start:end]
+
+    def test_all_fits_entropy_and_decay_once(self, tmp_path, monkeypatch):
+        # `all` hands its entropy and decay reports to `gradient` instead of
+        # rerunning them; the numbers must match a standalone `gradient`.
+        from pathcouple import cli, experiments
+
+        calls = {"run_decay": 0, "run_entropy": 0}
+        for fn in calls:
+            def counted(*args, _fn=fn, _original=getattr(experiments, fn), **kwargs):
+                calls[_fn] += 1
+                return _original(*args, **kwargs)
+
+            for module in (experiments, cli):
+                monkeypatch.setattr(module, fn, counted)
+        p = self._cfg_file(tmp_path)
+        out_all, out_grad = tmp_path / "all", tmp_path / "gradient"
+        assert cli_main(["all", "--config", str(p), "--output", str(out_all)]) == 0
+        assert calls == {"run_decay": 1, "run_entropy": 1}
+        monkeypatch.undo()
+        assert cli_main(["gradient", "--config", str(p), "--output", str(out_grad)]) == 0
+        block = self._summary_block(out_all, "gradient-estimate")
+        assert block[0] == f"[{PASS}] gradient-estimate"
+        assert block == self._summary_block(out_grad, "gradient-estimate")
+        csv_name = "gradient-estimate_gradient.csv"
+        assert (out_all / csv_name).read_bytes() == (out_grad / csv_name).read_bytes()
 
     def test_decay_and_report(self, tmp_path, capsys):
         p = self._cfg_file(tmp_path)

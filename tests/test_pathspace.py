@@ -12,8 +12,6 @@ from pathcouple.pathspace import (
     advance,
     check_history_inequality,
     flat_extension,
-    segment_from_csv,
-    segment_to_csv,
     truncated_norm,
     truncation_bound,
     weighted_norm,
@@ -85,7 +83,7 @@ class TestNorm:
 
 class TestSegment:
     def test_endpoint(self):
-        seg = PathSegment.from_function(CFG, lambda s: np.stack([s, 2 * s], axis=-1))
+        seg = PathSegment(CFG, np.stack([CFG.s_grid, 2 * CFG.s_grid], axis=-1))
         np.testing.assert_allclose(seg.endpoint(), [0.0, 0.0])
 
     def test_advance_shifts(self):
@@ -245,13 +243,3 @@ class TestSegmentBatch:
         np.testing.assert_allclose(
             doubled.ordered_values(), 2 * batch.ordered_values()
         )
-
-
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    seg = random_segment(rng)
-    path = tmp_path / "seg.csv"
-    segment_to_csv(seg, path)
-    back = segment_from_csv(path, tau=CFG.tau)
-    np.testing.assert_allclose(back.values, seg.values, atol=1e-12)
-    assert back.config == seg.config

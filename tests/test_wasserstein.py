@@ -11,7 +11,6 @@ from pathcouple.wasserstein import (
     cloud_moment,
     ot_plan,
     pairwise_truncated_norm,
-    sinkhorn,
     wk_full,
     wk_truncated,
 )
@@ -34,6 +33,12 @@ def brute_force_wk(a, b, k, N):
     return best ** (1.0 / max(k, 1.0))
 
 
+def marginal_error(plan, wa, wb):
+    """Largest deviation of the plan's row and column sums from the weights."""
+    return max(np.abs(plan.plan.sum(axis=1) - wa).max(),
+               np.abs(plan.plan.sum(axis=0) - wb).max())
+
+
 class TestOracle:
     def test_permutation_minimum(self):
         rng = np.random.default_rng(0)
@@ -48,10 +53,11 @@ class TestOracle:
     def test_full_scan_equals_top_level(self):
         # cost monotone in the truncation level => sup over levels at T_mem
         rng = np.random.default_rng(1)
+        levels = CFG.h * np.arange(1, CFG.n_steps + 1)
         for _ in range(10):
             a, b = random_cloud(rng, 6), random_cloud(rng, 6)
             assert wk_full(a, b, k=2) == pytest.approx(
-                wk_full(a, b, k=2, full_scan=True), abs=1e-10
+                max(wk_truncated(a, b, 2, N) for N in levels), abs=1e-10
             )
 
 
@@ -87,7 +93,7 @@ class TestPlans:
         rng = np.random.default_rng(6)
         a, b = random_cloud(rng, 6), random_cloud(rng, 9)
         plan = ot_plan(a, b, k=2, N=CFG.T_mem)
-        assert plan.marginal_error(a.weights, b.weights) < 1e-8
+        assert marginal_error(plan, a.weights, b.weights) < 1e-8
 
     def test_k_below_one_rejected(self):
         rng = np.random.default_rng(7)
@@ -149,7 +155,7 @@ class TestExactAtScale:
         b = random_cloud(rng, 8)
         plan = ot_plan(a, b, k=2, N=CFG.T_mem)
         assert plan.solver == "linprog"
-        assert plan.marginal_error(a.weights, b.weights) < 1e-12
+        assert marginal_error(plan, a.weights, b.weights) < 1e-12
 
 
 class TestCostMatrix:
@@ -171,28 +177,6 @@ class TestCostMatrix:
         diff = a.values[:, None] - b.values[None, :]
         want = (np.linalg.norm(diff, axis=-1) * cfg.weights).max(axis=-1)
         assert np.array_equal(pairwise_truncated_norm(a, b, cfg.T_mem), want)
-
-
-class TestSinkhorn:
-    def test_upper_bound_and_gap(self):
-        rng = np.random.default_rng(10)
-        a, b = random_cloud(rng, 8), random_cloud(rng, 8)
-        cost = pairwise_truncated_norm(a, b, CFG.T_mem) ** 2
-        exact = ot_plan(a, b, k=2, N=CFG.T_mem).objective
-        plan = sinkhorn(cost, a.weights, b.weights, reg=1e-3)
-        assert plan.objective >= exact - 1e-9
-        assert plan.duality_gap >= -1e-9
-
-    def test_gap_shrinks_with_reg(self):
-        rng = np.random.default_rng(11)
-        a, b = random_cloud(rng, 8), random_cloud(rng, 8)
-        cost = pairwise_truncated_norm(a, b, CFG.T_mem) ** 2
-        exact = ot_plan(a, b, k=2, N=CFG.T_mem).objective
-        errs = [
-            sinkhorn(cost, a.weights, b.weights, reg=reg).objective - exact
-            for reg in (1e-1, 1e-3)
-        ]
-        assert errs[1] <= errs[0] + 1e-12
 
 
 def test_cloud_moment():

@@ -26,7 +26,6 @@ from pathcouple.zvonkin import (
     EllipticGrid,
     ZvonkinMap,
     default_lambda_grid,
-    export_map_csv,
     path_lipschitz_certificate,
     select_lambda,
     solve_resolvent,
@@ -246,18 +245,6 @@ class TestTransformedCoeffs:
         hat.eval_b0(np.array([[4.0], [7.0]]))  # one point outside the box
         assert zmap.escape_count >= 1
         assert 0.0 < zmap.escape_fraction <= 1.0
-
-
-def test_export_csv(tmp_path):
-    coeffs = get_coefficients("dini_sqrt", CFG)
-    zmap = solve_resolvent(coeffs, EllipticGrid(1, 5.0, 0.1), 8.0)
-    path = tmp_path / "map.csv"
-    export_map_csv(zmap, path)
-    text = path.read_text().splitlines()
-    assert text[0].startswith("# {")
-    assert "lambda" in text[0]
-    assert text[1] == "x1,u1,du1"
-    assert len(text) == 2 + zmap.grid.n_axis
 
 
 DINI_FAST = """
