@@ -102,8 +102,8 @@ class ExperimentConfig:
             )
         if not 0 < self.delta < 1:
             raise ConfigurationError(f"delta={self.delta} must lie in (0, 1)")
-        if self.N_particles < 1 or self.N_replicas < 1:
-            raise ConfigurationError("particle and replica counts must be positive")
+        if self.N_particles < 1 or self.N_replicas < 2:
+            raise ConfigurationError("need N_particles >= 1 and N_replicas >= 2 (standard errors)")
         if not self.separation > 0:
             raise ConfigurationError(f"separation={self.separation} must be positive")
 

@@ -261,23 +261,25 @@ def simulate_coupled_Q(
     log_r = np.zeros(R)
     saves = {"x_end": [], "y_end": [], "z_norms": [], "gamma": [], "half_g2": [], "log_r": []}
 
-    def snapshot(xy):
-        x, y = xy[:R], xy[R:]
-        saves["x_end"].append(x.copy())
-        saves["y_end"].append(y.copy())
+    def snapshot(xy, gamma):
+        saves["x_end"].append(xy[:R].copy())
+        saves["y_end"].append(xy[R:].copy())
         saves["z_norms"].append(zn.copy())
-        saves["gamma"].append(kappa * _solve_sigma(_eval_sigma(coeffs_hat, x), x - y))
+        saves["gamma"].append(gamma)
         saves["half_g2"].append(half_g2.copy())
         saves["log_r"].append(log_r.copy())
 
     save_set = set(save_idx.tolist())
-    if 0 in save_set:
-        snapshot(batch.endpoint())
-    for step in range(n_steps):
+    # sigma and gamma at the top of step k serve the save at k; pass n_steps only saves.
+    for step in range(n_steps + 1):
         xy = batch.endpoint()
         x, y = xy[:R], xy[R:]
         sig = _eval_sigma(coeffs_hat, xy)
         gamma = kappa * _solve_sigma(None if sig is None else sig[:R], x - y)
+        if step in save_set:
+            snapshot(xy, gamma)
+        if step == n_steps:
+            break
         extra = np.zeros_like(xy)
         if measure == "Q":
             extra[:R] = -kappa * (x - y)
@@ -291,8 +293,6 @@ def simulate_coupled_Q(
         if measure == "P":
             log_r += -np.einsum("rj,rj->r", gamma, dW) - 0.5 * g2 * h
         np.maximum(zn * decay, np.linalg.norm(new[:R] - new[R:], axis=-1), out=zn)
-        if (step + 1) in save_set:
-            snapshot(new)
 
     degenerate = np.abs(log_r) > LOG_WEIGHT_LIMIT
     if np.any(degenerate):

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.sparse import lil_matrix
+from scipy.sparse import diags, identity, kron
 from scipy.sparse.linalg import spsolve
 
 from .coefficients import CoefficientSet
@@ -88,7 +88,7 @@ class ZvonkinMap:
     grad_inf: float
     hess_inf: float
     residual: float
-    sweep: list = field(default_factory=list)  # (lambda, ||u|| + ||grad u||) pairs
+    sweep: list = field(default_factory=list)  # (lambda, ||u|| + ||grad u||) pairs tried
     eval_count: int = 0  # extended-evaluation bookkeeping: how much simulated
     escape_count: int = 0  # mass leaves the box (u is constant outside it)
 
@@ -100,26 +100,38 @@ class ZvonkinMap:
     def escape_fraction(self) -> float:
         return self.escape_count / self.eval_count if self.eval_count else 0.0
 
-    def _clip_counted(self, x: np.ndarray) -> np.ndarray:
+    def _check_points(self, x: np.ndarray, extend: bool) -> None:
+        """Reject non-finite points; outside the box, raise or, with ``extend``, count escapes."""
+        if not np.isfinite(x).all():
+            raise OutOfDomainError("non-finite point: Theta is defined on finite points only")
         L = self.grid.L
-        self.eval_count += max(x.size // max(x.shape[-1], 1), 1)
-        self.escape_count += int(np.count_nonzero(np.any(np.abs(x) > L, axis=-1)))
-        return np.clip(x, -L, L)
+        if extend:
+            self.eval_count += max(x.size // max(x.shape[-1], 1), 1)
+            self.escape_count += int(np.count_nonzero(np.any(np.abs(x) > L, axis=-1)))
+        elif np.any(np.abs(x) > L + 1e-12):
+            worst = float(np.max(np.abs(x)))
+            raise OutOfDomainError(f"point with |coordinate| = {worst} outside box L = {L}")
 
     def _interp_values(self, table: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation of a per-node table at points x (..., dim)."""
-        g = self.grid
-        if g.dimension == 1:
-            q = x[..., 0]
-            flat = table.reshape(g.n_axis, -1)
-            out = np.stack([np.interp(q, g.axis, flat[:, j]) for j in range(flat.shape[1])], axis=-1)
-            return out.reshape(x.shape[:-1] + table.shape[1:])
-        from scipy.interpolate import RegularGridInterpolator
+        """Multilinear interpolation of a per-node table at points x (..., dim).
 
-        tab = table.reshape(g.n_axis, g.n_axis, -1)
-        itp = RegularGridInterpolator((g.axis, g.axis), tab, method="linear")
-        out = itp(x.reshape(-1, 2))
-        return out.reshape(x.shape[:-1] + table.shape[1:])
+        Clamping the fractional node index to [0, n - 1] gives the flat far field.
+        """
+        g = self.grid
+        s = np.clip((x + g.L) / g.dx, 0, g.n_axis - 1)
+        j = np.minimum(s.astype(np.intp), g.n_axis - 2)
+        flat = table.reshape(g.n_axis**g.dimension, -1)
+        return self._lerp(flat, j, s - j).reshape(x.shape[:-1] + table.shape[1:])
+
+    def _lerp(self, flat, j, t, axis=0, base=0):
+        """Lerp flat node rows at cell indices j, fractions t, axis by axis from ``axis``."""
+        n, dim = self.grid.n_axis, self.grid.dimension
+        if axis == dim:
+            return flat[base]
+        stride = n ** (dim - 1 - axis)
+        lo = self._lerp(flat, j, t, axis + 1, base + j[..., axis] * stride)
+        hi = self._lerp(flat, j, t, axis + 1, base + (j[..., axis] + 1) * stride)
+        return lo + t[..., axis, None] * (hi - lo)
 
     @cached_property
     def _theta_nodes(self) -> np.ndarray:
@@ -132,11 +144,6 @@ class ZvonkinMap:
                 f"{steps.min():.3e}); it has no inverse"
             )
         return nodes
-
-    def _require_in_box(self, x: np.ndarray) -> None:
-        if np.any(np.abs(x) > self.grid.L + 1e-12):
-            worst = float(np.max(np.abs(x)))
-            raise OutOfDomainError(f"point with |coordinate| = {worst} outside box L = {self.grid.L}")
 
     def u_at(self, x: np.ndarray) -> np.ndarray:
         return self._interp_values(self.u, x)
@@ -197,45 +204,31 @@ def _solve_1d(coeffs: CoefficientSet, grid: EllipticGrid, lam: float):
 
 
 def _solve_2d(coeffs: CoefficientSet, grid: EllipticGrid, lam: float):
-    ax = grid.axis
     n = grid.n_axis
     dx = grid.dx
     pts = grid.nodes()
-    b0 = coeffs.eval_b0(pts)  # (n*n, d)
+    b0 = coeffs.eval_b0(pts)  # (n*n, 2)
     a = _diffusion_on_axis(coeffs, pts)  # (n*n, 2, 2)
 
-    def idx(i, j):
-        return i * n + j
-
-    A = lil_matrix((n * n, n * n))
-    rhs = np.zeros((n * n, coeffs.d))
-    for i in range(n):
-        for j in range(n):
-            p = idx(i, j)
-            if i in (0, n - 1) or j in (0, n - 1):
-                A[p, p] = 1.0
-                rhs[p] = b0[p] / lam
-                continue
-            a11, a12, a22 = a[p, 0, 0], a[p, 0, 1], a[p, 1, 1]
-            bx, by = b0[p, 0], b0[p, 1] if coeffs.d > 1 else 0.0
-            A[p, p] = -a11 / dx**2 - a22 / dx**2 - lam
-            A[p, idx(i + 1, j)] = a11 / (2 * dx**2) + bx / (2 * dx)
-            A[p, idx(i - 1, j)] = a11 / (2 * dx**2) - bx / (2 * dx)
-            A[p, idx(i, j + 1)] = a22 / (2 * dx**2) + by / (2 * dx)
-            A[p, idx(i, j - 1)] = a22 / (2 * dx**2) - by / (2 * dx)
-            c = a12 / (4 * dx**2)
-            A[p, idx(i + 1, j + 1)] = A[p, idx(i + 1, j + 1)] + c
-            A[p, idx(i - 1, j - 1)] = A[p, idx(i - 1, j - 1)] + c
-            A[p, idx(i + 1, j - 1)] = A[p, idx(i + 1, j - 1)] - c
-            A[p, idx(i - 1, j + 1)] = A[p, idx(i - 1, j + 1)] - c
-            rhs[p] = -b0[p]
-    A = A.tocsr()
-    u = np.column_stack([spsolve(A, rhs[:, k]) for k in range(coeffs.d)])
-
-    interior = np.ones(n * n, dtype=bool)
+    # Row i*n + j is node (i, j): x-derivatives act on the first Kronecker factor.
+    eye = identity(n)
+    d1 = diags([-1.0, 1.0], [-1, 1], shape=(n, n)) / (2 * dx)
+    d2 = diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / dx**2
+    op = (
+        diags(b0[:, 0]) @ kron(d1, eye)
+        + diags(b0[:, 1]) @ kron(eye, d1)
+        + diags(a[:, 0, 0] / 2) @ kron(d2, eye)
+        + diags(a[:, 1, 1] / 2) @ kron(eye, d2)
+        + diags(a[:, 0, 1]) @ kron(d1, d1)
+        - lam * identity(n * n)
+    )
     mask = np.zeros((n, n), dtype=bool)
     mask[1:-1, 1:-1] = True
     interior = mask.ravel()
+    # Dirichlet far field of the constant-extension problem on the boundary rows.
+    A = (diags(interior.astype(float)) @ op + diags((~interior).astype(float))).tocsc()
+    rhs = np.where(interior[:, None], -b0, b0 / lam)
+    u = spsolve(A, rhs)
     residual = float(np.max(np.abs((A @ u - rhs)[interior])))
 
     u_grid = u.reshape(n, n, coeffs.d)
@@ -285,30 +278,27 @@ def solve_resolvent(coeffs: CoefficientSet, grid: EllipticGrid, lam: float) -> Z
 
 
 def select_lambda(coeffs: CoefficientSet, grid: EllipticGrid, lambda_grid) -> ZvonkinMap:
-    """Smallest lambda in the sweep with ||u|| + ||grad u|| <= 1/2."""
+    """Smallest lambda of an ascending sweep with ||u|| + ||grad u|| <= 1/2; stops there."""
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     if lambda_grid.size == 0:
         raise ConfigurationError("lambda_grid is empty")
     sweep = []
-    chosen = None
     for lam in lambda_grid:
         zmap = solve_resolvent(coeffs, grid, lam)
         sweep.append((float(lam), zmap.smallness))
-        if chosen is None and zmap.smallness <= 0.5:
-            chosen = zmap
-    if chosen is None:
-        raise LambdaExhaustedError(
-            f"no lambda in [{lambda_grid[0]:.3g}, {lambda_grid[-1]:.3g}] reaches "
-            f"||u|| + ||grad u|| <= 1/2 (best {min(s for _, s in sweep):.3g})"
-        )
-    chosen.sweep = sweep
-    return chosen
+        if zmap.smallness <= 0.5:
+            zmap.sweep = sweep
+            return zmap
+    raise LambdaExhaustedError(
+        f"no lambda in [{lambda_grid[0]:.3g}, {lambda_grid[-1]:.3g}] reaches "
+        f"||u|| + ||grad u|| <= 1/2 (best {min(s for _, s in sweep):.3g})"
+    )
 
 
 def theta(zmap: ZvonkinMap, x) -> np.ndarray:
     """Theta(x) = x + u(x) with multilinear interpolation of u."""
     x = np.asarray(x, dtype=float)
-    zmap._require_in_box(x)
+    zmap._check_points(x, extend=False)
     return x + zmap.u_at(x)
 
 
@@ -324,20 +314,16 @@ def theta_inv(zmap: ZvonkinMap, y, max_iter: int = 200, extend: bool = False) ->
 
     With ``extend=True`` points outside the box use the constant extension of
     u (flat far field) instead of raising, and the escaped mass is counted.
+    Non-finite points raise OutOfDomainError in either mode.
     """
     y = np.asarray(y, dtype=float)
-    if extend:
-        zmap._clip_counted(y)
-    else:
-        zmap._require_in_box(y)
+    zmap._check_points(y, extend)
     if zmap.grid.dimension == 1:
         return y - np.interp(y, zmap._theta_nodes, zmap.u[:, 0])
-    L = zmap.grid.L
     x = y.copy()
     delta = math.inf
     for _ in range(max_iter):
-        # Clip iterates to the box: u is constant outside by construction.
-        x_new = y - zmap.u_at(np.clip(x, -L, L))
+        x_new = y - zmap.u_at(x)  # u_at is flat outside the box
         delta = np.max(np.abs(x_new - x))
         x = x_new
         if delta < PICARD_TOL:

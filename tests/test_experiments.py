@@ -214,6 +214,15 @@ class TestCli:
         assert err.startswith("configuration error: separation=")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["decay", "gradient"])
+    def test_single_replica_exit_1(self, tmp_path, capsys, command):
+        # Standard errors use ddof = 1: one replica would report NaN.
+        p = self._cfg_file(tmp_path, extra="sim.N_replicas = 1\n")
+        assert cli_main([command, "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "N_replicas >= 2" in err
+        assert "Traceback" not in err
+
     @staticmethod
     def _summary_block(out: Path, name: str) -> list:
         """Lines of one report in summary.txt, from its header to the next."""

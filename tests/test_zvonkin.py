@@ -101,6 +101,55 @@ class TestSolve:
         with pytest.raises(SolverFailureError, match="did not converge"):
             theta_inv(zmap, theta(zmap, x), max_iter=1)
 
+    def test_2d_kronecker_operator_matches_stencil_loop(self):
+        # Cross term a12 != 0 and both drift components nonzero, so every
+        # Kronecker block of the operator is exercised.
+        cfg2 = PathSpaceConfig(d=2, tau=1.0, h=0.05, T_mem=2.0)
+        coeffs = CoefficientSet(
+            name="skew", pathcfg=cfg2, K=2.0, K1=0.0, alpha=0.0, phi=DiniModulus("power"),
+            b0=lambda x: np.stack([np.sin(2 * x[..., 0]) * np.cos(x[..., 1]),
+                                   0.5 * np.cos(x[..., 0] + x[..., 1])], axis=-1),
+            b0_bound=1.2,
+            sigma=lambda x: np.stack([
+                np.stack([1 + 0.2 * np.sin(x[..., 0]), np.full(x.shape[:-1], 0.3)], axis=-1),
+                np.stack([0.1 * np.cos(x[..., 1]), np.ones(x.shape[:-1])], axis=-1),
+            ], axis=-2),
+            sigma_identity=False,
+        )
+        grid, lam = EllipticGrid(2, 1.0, 0.1), 3.0
+        n, dx = grid.n_axis, grid.dx
+        b0 = coeffs.eval_b0(grid.nodes())
+        sig = coeffs.eval_sigma(grid.nodes())
+        a = sig @ np.swapaxes(sig, -1, -2)
+        assert np.abs(a[:, 0, 1]).min() > 0.05 and np.abs(b0).max(axis=0).min() > 0.1
+
+        # Reference: the node-by-node stencil, node (i, j) at row i*n + j.
+        A = np.zeros((n * n, n * n))
+        rhs = np.zeros((n * n, 2))
+        for i in range(n):
+            for j in range(n):
+                p = i * n + j
+                if i in (0, n - 1) or j in (0, n - 1):
+                    A[p, p] = 1.0
+                    rhs[p] = b0[p] / lam
+                    continue
+                a11, a12, a22 = a[p, 0, 0], a[p, 0, 1], a[p, 1, 1]
+                bx, by = b0[p]
+                A[p, p] = -a11 / dx**2 - a22 / dx**2 - lam
+                A[p, p + n] = a11 / (2 * dx**2) + bx / (2 * dx)
+                A[p, p - n] = a11 / (2 * dx**2) - bx / (2 * dx)
+                A[p, p + 1] = a22 / (2 * dx**2) + by / (2 * dx)
+                A[p, p - 1] = a22 / (2 * dx**2) - by / (2 * dx)
+                c = a12 / (4 * dx**2)
+                A[p, p + n + 1] += c
+                A[p, p - n - 1] += c
+                A[p, p + n - 1] -= c
+                A[p, p - n + 1] -= c
+                rhs[p] = -b0[p]
+        zmap = solve_resolvent(coeffs, grid, lam)
+        assert np.abs(zmap.u).max() > 0.05
+        np.testing.assert_allclose(zmap.u, np.linalg.solve(A, rhs), rtol=0, atol=1e-12)
+
     def test_1d_grad_inf_is_spectral_norm(self):
         zmap = solve_resolvent(get_coefficients("dini_log", CFG), GRID, 8.0)
         expected = np.linalg.norm(zmap.grad_u, ord=2, axis=(-2, -1)).max()
@@ -128,7 +177,26 @@ class TestSelectLambda:
         lams = np.array([0.5, 1.0, 1.9, 2.5, 4.0])
         zmap = select_lambda(coeffs, GRID, lams)
         assert zmap.lam == pytest.approx(2.5)
-        assert len(zmap.sweep) == len(lams)
+        # the sweep stops at its answer: 4.0 is never solved
+        assert [lam for lam, _ in zmap.sweep] == [0.5, 1.0, 1.9, 2.5]
+
+    def test_sweep_stops_at_answer(self, monkeypatch):
+        coeffs = get_coefficients("dini_sqrt", CFG)
+        lams = default_lambda_grid(coeffs)
+        calls = []
+        original = zvonkin.solve_resolvent
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(zvonkin, "solve_resolvent", counting)
+        zmap = select_lambda(coeffs, GRID, lams)
+        k = int(np.flatnonzero(lams == zmap.lam)[0])
+        assert 0 < k < len(lams) - 1
+        assert len(calls) == k + 1
+        assert [lam for lam, _ in zmap.sweep] == lams[: k + 1].tolist()
+        np.testing.assert_array_equal(zmap.u, original(coeffs, GRID, lams[k]).u)
 
     def test_zero_drift_takes_smallest(self):
         zmap = select_lambda(get_coefficients("zero", CFG), GRID, [0.5, 1.0])
@@ -151,6 +219,47 @@ class TestSelectLambda:
         assert coarse.lam == fine.lam
         assert coarse.u_inf == pytest.approx(fine.u_inf, rel=0.02)
         assert coarse.grad_inf == pytest.approx(fine.grad_inf, rel=0.02)
+
+
+class TestInterpolation:
+    @staticmethod
+    def _points(L, dim, rng):
+        """Nodes, the box faces, just inside them, random interior and far-field points."""
+        axis = EllipticGrid(1, L, 0.25).axis
+        edge = np.array([-L, L, -L + 1e-12, L - 1e-12, -L - 1e-3, L + 1e-3, -3 * L, 3 * L])
+        coords = np.concatenate([axis, edge, rng.uniform(-L, L, 200),
+                                 rng.uniform(-2 * L, 2 * L, 50)])
+        return np.stack([rng.permutation(coords) for _ in range(dim)], axis=-1)
+
+    def test_1d_matches_np_interp_per_column(self):
+        grid = EllipticGrid(1, 2.0, 0.25)
+        rng = np.random.default_rng(3)
+        table = rng.normal(size=(grid.n_axis, 2, 3))
+        zmap = ZvonkinMap(grid=grid, lam=1.0, u=table[:, :, 0], grad_u=table, u_inf=0.0,
+                          grad_inf=0.0, hess_inf=0.0, residual=0.0)
+        x = self._points(grid.L, 1, rng)
+        flat = table.reshape(grid.n_axis, -1)
+        expected = np.stack([np.interp(x[:, 0], grid.axis, col) for col in flat.T], axis=-1)
+        got = zmap.grad_u_at(x)
+        assert got.shape == (len(x), 2, 3)
+        np.testing.assert_allclose(got.reshape(len(x), -1), expected, rtol=0, atol=1e-14)
+
+    def test_2d_matches_regular_grid_interpolator(self):
+        from scipy.interpolate import RegularGridInterpolator
+
+        grid = EllipticGrid(2, 2.0, 0.25)
+        n = grid.n_axis
+        rng = np.random.default_rng(4)
+        table = rng.normal(size=(n * n, 2, 2))
+        zmap = ZvonkinMap(grid=grid, lam=1.0, u=table[:, :, 0], grad_u=table, u_inf=0.0,
+                          grad_inf=0.0, hess_inf=0.0, residual=0.0)
+        x = self._points(grid.L, 2, rng)
+        itp = RegularGridInterpolator((grid.axis, grid.axis), table.reshape(n, n, 4))
+        expected = itp(np.clip(x, -grid.L, grid.L))  # flat far field beyond the box
+        got = zmap.grad_u_at(x)
+        assert got.shape == (len(x), 2, 2)
+        np.testing.assert_allclose(got.reshape(len(x), 4), expected, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(zmap.u_at(x), expected[:, [0, 2]], rtol=0, atol=1e-14)
 
 
 class TestTheta:
@@ -206,6 +315,16 @@ class TestTheta:
             theta(zmap, np.array([[6.0]]))
         with pytest.raises(OutOfDomainError):
             theta_inv(zmap, np.array([[-5.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        zmap = solve_resolvent(get_coefficients("dini_sqrt", CFG), GRID, 4.0)
+        y = np.array([[0.5], [bad]])
+        with pytest.raises(OutOfDomainError, match="non-finite"):
+            theta(zmap, y)
+        for extend in (False, True):
+            with pytest.raises(OutOfDomainError, match="non-finite"):
+                theta_inv(zmap, y, extend=extend)
 
 
 class TestTransformedCoeffs:
@@ -283,8 +402,8 @@ class TestPerConfigMap:
         assert after_entropy == alone
 
     def test_one_inverse_per_step_and_save(self, monkeypatch):
-        # Drift and diffusion share one inverse of the stacked 2R endpoints
-        # per step; each of the 33 saves inverts the R X-endpoints for gamma.
+        # Drift, diffusion and gamma share one inverse of the stacked 2R
+        # endpoints per step; one more inverse serves the final save.
         config = parse_config(DINI_FAST + "experiment.separation = 30.0\n")
         config.effective_coefficients()  # the lambda sweep, outside the count
         points = []
@@ -296,5 +415,6 @@ class TestPerConfigMap:
 
         monkeypatch.setattr(zvonkin, "theta_inv", counting)
         run_decay(config)
-        R, n_steps, n_saves = 64, 40, 33
-        assert sum(points) == 2 * R * n_steps + R * n_saves == 7232
+        R, n_steps = 64, 40
+        assert len(points) == n_steps + 1
+        assert sum(points) == 2 * R * (n_steps + 1) == 5248
