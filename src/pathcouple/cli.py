@@ -1,4 +1,4 @@
-"""Command-line harness: run experiments from a config file, emit reports.
+"""Command-line shell over experiments.py: parse argv, dispatch, write outputs.
 
 Exit codes: 0 all checks pass, 1 configuration/validation error, 2 numerical
 failure (blow-up, solver failure), 3 at least one check failed, 4 all checks
@@ -24,17 +24,17 @@ from .errors import (
     SolverFailureError,
 )
 from .experiments import (
-    FAIL,
-    INCONCLUSIVE,
-    PASS,
-    Report,
+    EXIT_CODES,
     fit_decay_prefactor,
     parse_config,
     run_alh,
     run_decay,
     run_entropy,
     run_gradient_estimate,
+    run_validate,
     run_w2_growth,
+    run_zvonkin,
+    worst_verdict,
 )
 
 __all__ = ["cli_main", "main"]
@@ -48,71 +48,17 @@ _NUMERICAL_ERRORS = (
 )
 _CONFIG_ERRORS = (ConfigurationError, InvalidCoefficientError, NotDiniError)
 
-_EXPERIMENTS = ("validate", "zvonkin", "decay", "entropy", "alh", "growth", "gradient")
+
+def _runners() -> dict:
+    """Experiment name -> run function, in `all` order.  Built at call time from
+    this module's globals, so wrappers installed on them from outside see every call."""
+    return {"validate": run_validate, "zvonkin": run_zvonkin, "decay": run_decay,
+            "entropy": run_entropy, "alh": run_alh, "growth": run_w2_growth,
+            "gradient": run_gradient_estimate}
 
 
-def _run_validate(config) -> Report:
-    from .coefficients import validate_H
-
-    coeffs = config.coefficients()
-    result = validate_H(coeffs, sample_budget=64, rng_seed=config.seed)
-    report = Report("hypothesis-validation")
-    report.records.update(result.ratios)
-    report.records["coefficients"] = coeffs.name
-    if result.passed:
-        report.add_check("declared hypothesis constants", PASS)
-    else:
-        for name in result.failures():
-            report.add_check(f"hypothesis ratio {name}", FAIL,
-                             f"ratio {result.ratios[name]:.4g} > 1")
-    return report
-
-
-def _run_zvonkin(config) -> Report:
-    report = Report("zvonkin-transform")
-    coeffs = config.coefficients()
-    if coeffs.b0 is None:
-        report.add_check("transform", PASS, "no irregular drift: transform is trivial")
-        return report
-    coeffs_hat, zmap = config.effective_coefficients()
-    report.records.update(
-        {
-            "lambda": zmap.lam,
-            "u_inf": zmap.u_inf,
-            "grad_inf": zmap.grad_inf,
-            "hess_inf": zmap.hess_inf,
-            "residual": zmap.residual,
-            "coefficients": coeffs.name,
-        }
-    )
-    report.add_check("smallness ||u|| + ||grad u|| <= 1/2",
-                     PASS if zmap.smallness <= 0.5 else FAIL,
-                     f"{zmap.smallness:.4g}")
-    bound = coeffs.b0_bound / zmap.lam + 10 * zmap.grid.dx**2
-    report.add_check("resolvent maximum principle",
-                     PASS if zmap.u_inf <= bound else FAIL,
-                     f"||u|| = {zmap.u_inf:.4g} vs {bound:.4g}")
-    return report
-
-
-def _dispatch(name: str, config, done: dict) -> Report:
-    """Run one experiment; ``done`` holds the reports already run on ``config``.
-
-    The run_* names are looked up on this module at call time, so wrappers
-    installed on them from outside see every call.
-    """
-    if name == "validate":
-        return _run_validate(config)
-    if name == "zvonkin":
-        return _run_zvonkin(config)
-    if name == "decay":
-        return run_decay(config)
-    if name == "entropy":
-        return run_entropy(config)
-    if name == "alh":
-        return run_alh(config)
-    if name == "growth":
-        return run_w2_growth(config)
+def _dispatch(name: str, config, done: dict):
+    """Run one experiment; ``done`` holds the reports already run on ``config``."""
     if name == "gradient":
         # Reuse the entropy and decay constants an earlier pass already fitted.
         known = {}
@@ -121,7 +67,7 @@ def _dispatch(name: str, config, done: dict) -> Report:
         if "decay" in done:
             known["decay_prefactor"] = fit_decay_prefactor(config, done["decay"])
         return run_gradient_estimate(config, **known)
-    raise ConfigurationError(f"unknown experiment {name!r}")
+    return _runners()[name](config)
 
 
 def _write_outputs(reports, out_dir: Path) -> None:
@@ -139,15 +85,6 @@ def _write_outputs(reports, out_dir: Path) -> None:
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n")
 
 
-def _exit_code(reports) -> int:
-    verdicts = [r.verdict for r in reports]
-    if FAIL in verdicts:
-        return 3
-    if INCONCLUSIVE in verdicts:
-        return 4
-    return 0
-
-
 def cli_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pathcouple",
@@ -155,7 +92,7 @@ def cli_main(argv=None) -> int:
         "with exponentially weighted memory.",
     )
     sub = parser.add_subparsers(dest="command")
-    for name in (*_EXPERIMENTS, "all", "report"):
+    for name in (*_runners(), "all", "report"):
         p = sub.add_parser(name)
         if name == "report":
             p.add_argument("--output", default=None, help="report directory to summarize")
@@ -179,21 +116,14 @@ def cli_main(argv=None) -> int:
             return 1
         text = summary.read_text()
         print(text, end="")
-        if f"[{FAIL}]" in text or f"  {FAIL}:" in text:
-            return 3
-        if f"[{INCONCLUSIVE}]" in text:
-            return 4
-        return 0
+        # Each report opens with a "[VERDICT] name" header line.
+        return EXIT_CODES[worst_verdict(line[1:].partition("]")[0]
+                                        for line in text.splitlines() if line.startswith("["))]
 
-    try:
-        config = parse_config(args.config)
-    except _CONFIG_ERRORS as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-
-    names = list(_EXPERIMENTS) if args.command == "all" else [args.command]
+    names = list(_runners()) if args.command == "all" else [args.command]
     done = {}
     try:
+        config = parse_config(args.config)
         for name in names:
             done[name] = _dispatch(name, config, done)
     except _CONFIG_ERRORS as exc:
@@ -211,7 +141,7 @@ def cli_main(argv=None) -> int:
     _write_outputs(reports, out_dir)
     for report in reports:
         print("\n".join(report.lines()))
-    return _exit_code(reports)
+    return EXIT_CODES[worst_verdict(r.verdict for r in reports)]
 
 
 def main() -> None:

@@ -1,10 +1,10 @@
-"""Experiment harness: wires the simulators into checkable inequalities.
+"""Experiment harness: every experiment, the config schema and the verdict rule.
 
-Each run_* function executes one verifiable statement (coupling decay,
-relative-entropy boundedness, asymptotic log-Harnack, Wasserstein growth,
-gradient estimate), fits the empirical constants the statements assert to
-exist, and returns a Report with PASS/FAIL/INCONCLUSIVE checks plus every
-quantity needed to reproduce the verdict.
+Each run_<name>(config) executes one audit (validate, zvonkin) or one
+verifiable statement (coupling decay, relative-entropy boundedness,
+asymptotic log-Harnack, Wasserstein growth, gradient estimate), fits the
+empirical constants the statement asserts to exist, and returns a Report with
+PASS/FAIL/INCONCLUSIVE checks plus every quantity needed to reproduce it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .coefficients import CoefficientSet, get_coefficients
 from .errors import ConfigurationError
 from .laws import comonotone_pair, exp_norm_moment
 from .pathspace import (
-    ParticleCloud,
     PathSegment,
     PathSpaceConfig,
     SegmentBatch,
@@ -33,6 +32,7 @@ from .simulate import simulate_coupled_Q, simulate_mckean, simulate_paths
 from .wasserstein import wk_full
 
 __all__ = [
+    "EXIT_CODES",
     "ExperimentConfig",
     "Report",
     "TestFunction",
@@ -43,38 +43,46 @@ __all__ = [
     "run_decay",
     "run_entropy",
     "run_gradient_estimate",
+    "run_validate",
     "run_w2_growth",
+    "run_zvonkin",
     "smallest_envelope_c0",
+    "worst_verdict",
 ]
 
 PASS, FAIL, INCONCLUSIVE = "PASS", "FAIL", "INCONCLUSIVE"
+EXIT_CODES = {PASS: 0, FAIL: 3, INCONCLUSIVE: 4}
+
+
+def worst_verdict(verdicts) -> str:
+    """FAIL if any verdict fails, else INCONCLUSIVE if any is, else PASS."""
+    verdicts = set(verdicts)
+    return FAIL if FAIL in verdicts else INCONCLUSIVE if INCONCLUSIVE in verdicts else PASS
 
 
 # ---------------------------------------------------------------------------
 # Configuration
 
 
-_DEFAULTS = {
-    "path.d": 1,
-    "path.tau": 1.0,
-    "path.T_mem": 10.0,
-    "coefficients.name": "linear",
-    "sim.h": 0.01,
-    "sim.T": 8.0,
-    "sim.N_particles": 256,
-    "sim.N_replicas": 4096,
-    "sim.kappa": 4.0,
-    "sim.seed": 0,
-    "sim.tau0": 0.5,
-    "sim.epsilon_alpha": None,  # None -> rule eps(0)=0, eps(alpha>0)=1
-    "experiment.delta": 0.5,
-    "experiment.separation": 1.0,
-    "testfn.amplitude": 1.0,
-    "output.dir": ".",
+# Dotted config key -> (ExperimentConfig or PathSpaceConfig field, type, default).
+_KEYS = {
+    "path.d": ("d", int, 1),
+    "path.tau": ("tau", float, 1.0),
+    "path.T_mem": ("T_mem", float, 10.0),
+    "sim.h": ("h", float, 0.01),
+    "coefficients.name": ("coefficients_name", str, "linear"),
+    "sim.T": ("T", float, 8.0),
+    "sim.N_particles": ("N_particles", int, 256),
+    "sim.N_replicas": ("N_replicas", int, 4096),
+    "sim.kappa": ("kappa", float, 4.0),
+    "sim.seed": ("seed", int, 0),
+    "sim.tau0": ("tau0", float, 0.5),
+    "experiment.delta": ("delta", float, 0.5),
+    "experiment.separation": ("separation", float, 1.0),
+    "testfn.amplitude": ("testfn_amplitude", float, 1.0),
+    "output.dir": ("output_dir", str, "."),
 }
-
-_INT_KEYS = {"path.d", "sim.N_particles", "sim.N_replicas", "sim.seed"}
-_STR_KEYS = {"coefficients.name", "output.dir"}
+_PATH_FIELDS = ("d", "tau", "h", "T_mem")
 
 
 @dataclass(frozen=True)
@@ -89,7 +97,6 @@ class ExperimentConfig:
     kappa: float
     seed: int
     tau0: float
-    epsilon_alpha: Optional[float]
     delta: float
     separation: float
     testfn_amplitude: float
@@ -109,11 +116,6 @@ class ExperimentConfig:
 
     def coefficients(self) -> CoefficientSet:
         return get_coefficients(self.coefficients_name, self.pathcfg)
-
-    def epsilon(self, alpha: float) -> float:
-        if self.epsilon_alpha is not None:
-            return self.epsilon_alpha
-        return 0.0 if alpha == 0 else 1.0
 
     @cached_property
     def _zvonkin_map(self):
@@ -145,7 +147,8 @@ class ExperimentConfig:
 def parse_config(source) -> ExperimentConfig:
     """Parse a flat key=value config (dotted sections, '#' comments).
 
-    ``source`` is a path or a text blob containing at least one '='.
+    ``source`` is a path or a text blob containing at least one '='.  Values
+    that fail to convert to their key's type or are not finite are rejected.
     """
     text = str(source)
     if "=" not in text:
@@ -153,7 +156,7 @@ def parse_config(source) -> ExperimentConfig:
         if not p.exists():
             raise ConfigurationError(f"config file not found: {text}")
         text = p.read_text()
-    values = dict(_DEFAULTS)
+    values = {name: default for name, _, default in _KEYS.values()}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -162,35 +165,19 @@ def parse_config(source) -> ExperimentConfig:
             raise ConfigurationError(f"config line {lineno} is not key=value: {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in values:
+        if key not in _KEYS:
             raise ConfigurationError(f"unknown config key {key!r} (line {lineno})")
-        if key in _STR_KEYS:
-            values[key] = val
-        elif key in _INT_KEYS:
-            values[key] = int(val)
-        else:
-            values[key] = float(val)
-    pathcfg = PathSpaceConfig(
-        d=values["path.d"],
-        tau=values["path.tau"],
-        h=values["sim.h"],
-        T_mem=values["path.T_mem"],
-    )
-    return ExperimentConfig(
-        pathcfg=pathcfg,
-        coefficients_name=values["coefficients.name"],
-        T=values["sim.T"],
-        N_particles=values["sim.N_particles"],
-        N_replicas=values["sim.N_replicas"],
-        kappa=values["sim.kappa"],
-        seed=values["sim.seed"],
-        tau0=values["sim.tau0"],
-        epsilon_alpha=values["sim.epsilon_alpha"],
-        delta=values["experiment.delta"],
-        separation=values["experiment.separation"],
-        testfn_amplitude=values["testfn.amplitude"],
-        output_dir=values["output.dir"],
-    )
+        name, kind, _ = _KEYS[key]
+        try:
+            value = kind(val)
+        except ValueError:
+            value = math.nan
+        if kind is not str and not math.isfinite(value):
+            raise ConfigurationError(
+                f"{key} = {val!r} is not a finite {kind.__name__} (line {lineno})")
+        values[name] = value
+    pathcfg = PathSpaceConfig(**{name: values.pop(name) for name in _PATH_FIELDS})
+    return ExperimentConfig(pathcfg=pathcfg, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +258,7 @@ class Report:
 
     @property
     def verdict(self) -> str:
-        verdicts = [v for _, v, _ in self.checks]
-        if FAIL in verdicts:
-            return FAIL
-        if INCONCLUSIVE in verdicts:
-            return INCONCLUSIVE
-        return PASS
+        return worst_verdict(v for _, v, _ in self.checks)
 
     def lines(self) -> list:
         out = [f"[{self.verdict}] {self.name}"]
@@ -287,9 +269,10 @@ class Report:
         return out
 
 
-def _base_records(config: ExperimentConfig) -> dict:
+def _new_report(name: str, config: ExperimentConfig, coeffs: CoefficientSet) -> Report:
+    """A report holding the records every simulation experiment shares."""
     cfg = config.pathcfg
-    return {
+    return Report(name, records={
         "h": cfg.h,
         "truncation_bound": truncation_bound(cfg),
         "N_replicas": config.N_replicas,
@@ -297,7 +280,8 @@ def _base_records(config: ExperimentConfig) -> dict:
         "seed": config.seed,
         "kappa": config.kappa,
         "tau0": config.tau0,
-    }
+        "coefficients": coeffs.name,
+    })
 
 
 def fit_line(x, y):
@@ -335,39 +319,99 @@ def _require_kappa(config: ExperimentConfig) -> None:
         )
 
 
+def _save_grid(config: ExperimentConfig, n: int) -> np.ndarray:
+    """n + 1 equally spaced save times on [0, T], rounded to the Euler grid."""
+    h = config.pathcfg.h
+    return np.round(np.linspace(0, config.T, n + 1) / h) * h
+
+
+def _times_within(t_grid, config: ExperimentConfig) -> np.ndarray:
+    return np.array([t for t in t_grid if t <= config.T + 1e-9])
+
+
+def _check_rate(report: Report, label: str, t, y, target: float):
+    """Check the fitted slope of log y against t is at most target + 2 stderr."""
+    rate, _, se = fit_line(t, np.log(y))
+    report.add_check(label, PASS if rate <= target + 2 * se else FAIL,
+                     f"rate {rate:.4f} +- {se:.4f} vs target {target:.4f}")
+    return rate, se
+
+
+# ---------------------------------------------------------------------------
+# Hypotheses and the drift transform
+
+
+def run_validate(config: ExperimentConfig) -> Report:
+    """Sampled ratios of the coefficients against their declared constants."""
+    from .coefficients import validate_H
+
+    coeffs = config.coefficients()
+    result = validate_H(coeffs, sample_budget=64, rng_seed=config.seed)
+    report = Report("hypothesis-validation")
+    report.records.update(result.ratios)
+    report.records["coefficients"] = coeffs.name
+    if result.passed:
+        report.add_check("declared hypothesis constants", PASS)
+    else:
+        for name in result.failures():
+            report.add_check(f"hypothesis ratio {name}", FAIL,
+                             f"ratio {result.ratios[name]:.4g} > 1")
+    return report
+
+
+def run_zvonkin(config: ExperimentConfig) -> Report:
+    """Smallness and the resolvent maximum principle of the chosen Zvonkin map."""
+    report = Report("zvonkin-transform")
+    coeffs = config.coefficients()
+    if coeffs.b0 is None:
+        report.add_check("transform", PASS, "no irregular drift: transform is trivial")
+        return report
+    _, zmap = config.effective_coefficients()
+    report.records.update(
+        {
+            "lambda": zmap.lam,
+            "u_inf": zmap.u_inf,
+            "grad_inf": zmap.grad_inf,
+            "hess_inf": zmap.hess_inf,
+            "residual": zmap.residual,
+            "coefficients": coeffs.name,
+        }
+    )
+    report.add_check("smallness ||u|| + ||grad u|| <= 1/2",
+                     PASS if zmap.smallness <= 0.5 else FAIL,
+                     f"{zmap.smallness:.4g}")
+    bound = coeffs.b0_bound / zmap.lam + 10 * zmap.grid.dx**2
+    report.add_check("resolvent maximum principle",
+                     PASS if zmap.u_inf <= bound else FAIL,
+                     f"||u|| = {zmap.u_inf:.4g} vs {bound:.4g}")
+    return report
+
+
 # ---------------------------------------------------------------------------
 # Coupling decay
 
 
-def run_decay(config: ExperimentConfig, ps=(1, 2, 4)) -> Report:
-    """Fit the decay rate of log E_Q ||X_t - Y_t||_tau^p against -p tau0."""
+def run_decay(config: ExperimentConfig) -> Report:
+    """Fit the decay rate of log E_Q ||X_t - Y_t||_tau^p against -p tau0, p = 1, 2, 4."""
     _require_kappa(config)
     coeffs, zmap = config.effective_coefficients()
     xi, eta = _pair_segments(config, config.separation / 2, -config.separation / 2)
-    n_saves = 32
-    save_times = np.round(np.linspace(0, config.T, n_saves + 1) / config.pathcfg.h) * config.pathcfg.h
     run = simulate_coupled_Q(
         coeffs, xi, eta, config.kappa, config.T,
         seed=config.seed, stream=1, n_replicas=config.N_replicas,
-        save_times=save_times,
+        save_times=_save_grid(config, 32),
     )
-    report = Report("coupling-decay", records=_base_records(config))
-    report.records["coefficients"] = coeffs.name
+    report = _new_report("coupling-decay", config, coeffs)
     if zmap is not None:
         report.records["zvonkin_lambda"] = zmap.lam
         report.records["box_escape_fraction"] = zmap.escape_fraction
     rows = []
     mask = run.times >= config.T / 4
-    for p in ps:
+    for p in (1, 2, 4):
         zp = run.z_norms**p
         m = zp.mean(axis=1)
-        rate, _, se = fit_line(run.times[mask], np.log(m[mask]))
-        target = -p * config.tau0
-        verdict = PASS if rate <= target + 2 * se else FAIL
-        report.add_check(
-            f"decay rate p={p}", verdict,
-            f"rate {rate:.4f} +- {se:.4f} vs target {target:.4f}",
-        )
+        rate, se = _check_rate(report, f"decay rate p={p}", run.times[mask], m[mask],
+                               -p * config.tau0)
         report.records[f"rate_p{p}"] = rate
         report.records[f"rate_stderr_p{p}"] = se
         for t, mm, ss in zip(run.times, m, zp.std(axis=1, ddof=1) / math.sqrt(run.n_replicas)):
@@ -405,10 +449,8 @@ def run_entropy(config: ExperimentConfig) -> Report:
     """
     _require_kappa(config)
     coeffs, _ = config.effective_coefficients()
-    report = Report("relative-entropy", records=_base_records(config))
-    report.records["coefficients"] = coeffs.name
-    save_times = np.round(
-        np.linspace(0, config.T, 33) / config.pathcfg.h) * config.pathcfg.h
+    report = _new_report("relative-entropy", config, coeffs)
+    save_times = _save_grid(config, 32)
     c_fit = 0.0
     rows = []
     R = max(config.N_replicas // 8, 64)
@@ -456,18 +498,10 @@ def _alh_pairs(config: ExperimentConfig):
     return pairs
 
 
-def _simulate_from(config, coeffs, init, t_grid, stream, law_mode):
-    cfg = config.pathcfg
-    if law_mode:
-        return simulate_mckean(coeffs, init, max(t_grid), seed=config.seed,
-                               stream=stream, save_times=t_grid)
-    batch = SegmentBatch.from_cloud(init)
-    return simulate_paths(coeffs, batch, max(t_grid), seed=config.seed,
-                          stream=stream, save_times=t_grid)
+_ALH_TIMES = (1.0, 2.0, 4.0, 8.0)
 
 
-def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None,
-            t_grid=(1.0, 2.0, 4.0, 8.0), law_mode: bool = False) -> Report:
+def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None) -> Report:
     """Check the asymptotic log-Harnack shape
 
         P_t log f(eta) <= log P_t f(xi) + c dist^2 + c e^{-tau0 t} Lip(f) dist
@@ -481,16 +515,13 @@ def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None,
         f = TestFunction.default(cfg, config.testfn_amplitude)
     if not f.certify(seed=config.seed):
         raise ConfigurationError("test-function Lipschitz certificate failed")
-    t_grid = np.array([t for t in t_grid if t <= config.T + 1e-9])
-    report = Report("asymptotic-log-harnack", records=_base_records(config))
-    report.records["coefficients"] = coeffs.name
+    t_grid = _times_within(_ALH_TIMES, config)
+    report = _new_report("asymptotic-log-harnack", config, coeffs)
     report.records["lip_logf"] = f.lip
-    raw = config.coefficients()
-    eps = config.epsilon(raw.alpha)
 
     pairs = _alh_pairs(config)
     n_train = len(pairs) // 2
-    R = config.N_replicas if not law_mode else config.N_particles
+    R = config.N_replicas
 
     # D[i, j]: defect at pair i, time t_grid[j]; se_D the combined stderr.
     D = np.zeros((len(pairs), len(t_grid)))
@@ -499,17 +530,11 @@ def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None,
     rows = []
     for i, (a, b) in enumerate(pairs):
         xi, eta = _pair_segments(config, a, b)
-        if law_mode:
-            init_x, init_y = comonotone_pair(
-                cfg, R, config.seed, stream=40 + i,
-                mean_a=xi.endpoint(), mean_b=eta.endpoint(), scale_a=0.25, scale_b=0.25)
-            dists[i] = wk_full(init_x, init_y, k=2 + eps)
-        else:
-            init_x = ParticleCloud.point_mass(xi, R)
-            init_y = ParticleCloud.point_mass(eta, R)
-            dists[i] = weighted_norm(xi - eta)
-        res_x = _simulate_from(config, coeffs, init_x, t_grid, 100 + 2 * i, law_mode)
-        res_y = _simulate_from(config, coeffs, init_y, t_grid, 101 + 2 * i, law_mode)
+        dists[i] = weighted_norm(xi - eta)
+        res_x = simulate_paths(coeffs, SegmentBatch.from_segment(xi, R), max(t_grid),
+                               seed=config.seed, stream=100 + 2 * i, save_times=t_grid)
+        res_y = simulate_paths(coeffs, SegmentBatch.from_segment(eta, R), max(t_grid),
+                               seed=config.seed, stream=101 + 2 * i, save_times=t_grid)
         for j, t in enumerate(t_grid):
             fx = f.f(res_x.cloud_at(t).values)
             ly = f.log_f(res_y.cloud_at(t).values)
@@ -548,12 +573,8 @@ def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None,
     pooled = excess.max(axis=0)
     positive = pooled > 1e-12
     if positive.sum() >= 3:
-        rate, _, se = fit_line(t_grid[positive], np.log(pooled[positive]))
-        verdict = PASS if rate <= -config.tau0 + 2 * se else FAIL
-        report.add_check(
-            "excess decay rate", verdict,
-            f"rate {rate:.4f} +- {se:.4f} vs target {-config.tau0:.4f}",
-        )
+        rate, se = _check_rate(report, "excess decay rate", t_grid[positive],
+                               pooled[positive], -config.tau0)
         report.records["excess_rate"] = rate
         report.records["excess_rate_stderr"] = se
     else:
@@ -611,16 +632,17 @@ def _growth_w2_curve(config, coeffs, n, seed_stream, save_times):
     return mu0, nu0, w2
 
 
+def _epsilon(alpha: float) -> float:
+    """Extra moment of the initial distance W_{2+eps} paying for the nonlinearity."""
+    return 0.0 if alpha == 0 else 1.0
+
+
 def run_w2_growth(config: ExperimentConfig) -> Report:
     """Exponential growth envelope for W2 between two mean-field flows."""
     coeffs = config.coefficients()
-    cfg = config.pathcfg
-    report = Report("wasserstein-growth", records=_base_records(config))
-    report.records["coefficients"] = coeffs.name
-    eps = config.epsilon(coeffs.alpha)
-    n_saves = 16
-    save_times = np.round(
-        np.linspace(0, config.T, n_saves + 1) / cfg.h) * cfg.h
+    report = _new_report("wasserstein-growth", config, coeffs)
+    eps = _epsilon(coeffs.alpha)
+    save_times = _save_grid(config, 16)
 
     n = config.N_particles
     mu0, nu0, w2 = _growth_w2_curve(config, coeffs, n, 200, save_times)
@@ -661,12 +683,14 @@ def run_w2_growth(config: ExperimentConfig) -> Report:
 # Gradient estimate
 
 
+_GRADIENT_TIMES = (1.0, 2.0, 4.0)
+
+
 def run_gradient_estimate(
     config: ExperimentConfig,
     f: Optional[TestFunction] = None,
     entropy_constant: Optional[float] = None,
     decay_prefactor: Optional[float] = None,
-    t_grid=(1.0, 2.0, 4.0),
 ) -> Report:
     """Asymptotic strong Feller check: for small ||xi - eta||,
 
@@ -680,20 +704,19 @@ def run_gradient_estimate(
     coeffs, _ = config.effective_coefficients()
     if f is None:
         f = TestFunction.default(cfg, config.testfn_amplitude)
-    report = Report("gradient-estimate", records=_base_records(config))
-    report.records["coefficients"] = coeffs.name
+    report = _new_report("gradient-estimate", config, coeffs)
 
     if entropy_constant is None:
         entropy_constant = run_entropy(config).records["entropy_constant"]
     if decay_prefactor is None:
-        decay_prefactor = fit_decay_prefactor(config, run_decay(config, ps=(1,)))
+        decay_prefactor = fit_decay_prefactor(config, run_decay(config))
     report.records["entropy_constant"] = entropy_constant
     report.records["decay_prefactor"] = decay_prefactor
 
     sep = 0.125
     xi, eta = _pair_segments(config, 0.25, 0.25 + sep)
     dist = weighted_norm(xi - eta)
-    t_grid = np.array([t for t in t_grid if t <= config.T + 1e-9])
+    t_grid = _times_within(_GRADIENT_TIMES, config)
     R = config.N_replicas
     # Common random numbers: the same stream drives both initial conditions.
     res_x = simulate_paths(coeffs, SegmentBatch.from_segment(xi, R), max(t_grid),

@@ -1,8 +1,9 @@
-"""The public names the package declares and the demos import all exist.
+"""The public names the package declares and the demos import all exist, and
+the benchmark's tracer finds every name it wraps.
 
 Nothing here runs a simulation: modules are imported and the demos are only
-parsed, so a deletion that leaves a stale ``__all__`` or breaks a demo's
-imports fails in milliseconds.
+parsed, so a deletion that leaves a stale ``__all__``, breaks a demo's
+imports or unbinds a traced name fails in milliseconds.
 """
 
 import ast
@@ -53,3 +54,16 @@ def test_demo_imports_resolve(path):
             except ModuleNotFoundError:
                 missing.append(f"{module_name}.{name}")
     assert not missing, f"{path.name} imports names that do not exist: {missing}"
+
+
+def test_benchmark_tracer_binds_every_name(monkeypatch):
+    # perfbench/tracer.py wraps names in every namespace that binds them; a
+    # refactor that unbinds or rebinds one makes instrument() raise.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    t = tracer.Tracer()
+    try:
+        tracer.instrument(t)
+    finally:
+        t.restore()
+    assert not t._patches

@@ -12,7 +12,10 @@ import pathcouple
 from pathcouple.cli import cli_main
 from pathcouple.errors import ConfigurationError
 from pathcouple.experiments import (
+    FAIL,
+    INCONCLUSIVE,
     PASS,
+    Report,
     TestFunction as WeightedTestFunction,
     fit_line,
     parse_config,
@@ -42,13 +45,6 @@ class TestParseConfig:
         assert cfg.pathcfg.tau == 1.0
         assert cfg.coefficients_name == "linear"
         assert cfg.kappa == 4.0
-        assert cfg.epsilon(0.0) == 0.0
-        assert cfg.epsilon(0.5) == 1.0
-
-    def test_epsilon_override(self):
-        cfg = parse_config("sim.epsilon_alpha = 0.25")
-        assert cfg.epsilon(0.0) == 0.25
-        assert cfg.epsilon(0.5) == 0.25
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# comment\n\nsim.kappa = 2.5  # trailing\n")
@@ -139,7 +135,7 @@ class TestFits:
 
 class TestRunDecay:
     def test_linear_fast_config_passes(self):
-        report = run_decay(parse_config(FAST), ps=(1, 2))
+        report = run_decay(parse_config(FAST))
         assert report.verdict == PASS
         assert "decay" in report.tables
         assert report.records["kappa"] == 4.0
@@ -214,6 +210,21 @@ class TestCli:
         assert err.startswith("configuration error: separation=")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("line", [
+        "sim.N_replicas = abc", "sim.N_replicas = 1.5", "sim.T = nan", "sim.kappa = nan",
+        "sim.kappa = inf", "experiment.separation = inf",
+    ])
+    def test_bad_value_exit_1(self, tmp_path, capsys, line):
+        p = self._cfg_file(tmp_path, extra=line + "\n")
+        assert cli_main(["decay", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        key, value = line.split(" = ")
+        lineno = len(p.read_text().splitlines())
+        kind = "int" if key == "sim.N_replicas" else "float"
+        assert err == (f"configuration error: {key} = {value!r} is not a finite {kind} "
+                       f"(line {lineno})\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["decay", "gradient"])
     def test_single_replica_exit_1(self, tmp_path, capsys, command):
         # Standard errors use ddof = 1: one replica would report NaN.
@@ -273,6 +284,17 @@ class TestCli:
 
     def test_report_missing_summary(self, tmp_path):
         assert cli_main(["report", "--output", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("verdict, code", [(PASS, 0), (FAIL, 3), (INCONCLUSIVE, 4)])
+    def test_report_exit_code_follows_worst_check(self, tmp_path, capsys, verdict, code):
+        passing, mixed = Report("first"), Report("second", records={"x": 1.0})
+        passing.add_check("fine", PASS)
+        mixed.add_check("fine", PASS)
+        mixed.add_check("the one that decides", verdict, "detail")
+        lines = passing.lines() + mixed.lines()
+        (tmp_path / "summary.txt").write_text("\n".join(lines) + "\n")
+        assert cli_main(["report", "--output", str(tmp_path)]) == code
+        assert capsys.readouterr().out.splitlines() == lines
 
     def test_outputs_reproducible(self, tmp_path):
         p = self._cfg_file(tmp_path)
