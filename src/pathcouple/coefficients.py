@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigurationError, InvalidCoefficientError, NotDiniError
 from .pathspace import ParticleCloud, PathSegment, PathSpaceConfig, SegmentBatch, flat_extension
@@ -28,7 +27,6 @@ __all__ = [
     "CoefficientSet",
     "DiniModulus",
     "ValidationReport",
-    "dini_integral",
     "get_coefficients",
     "grid_decay_constant",
     "make_dini_log",
@@ -46,48 +44,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiniModulus:
-    """Modulus of continuity phi from a closed-form family.
+    """Modulus of continuity phi from a closed-form Dini family.
 
-    family "power": phi(s) = C * s^beta with beta in (0, 1]
-    family "log":   phi(s) = C * (log(e + 1/s))^{-q}, phi(0) = 0
-    family "custom": phi_fn supplied directly (used for negative tests)
+    family "power": phi(s) = C * s^beta with beta in (0, 1]; Dini integral C/beta
+    family "log":   phi(s) = C * (log(e + 1/s))^{-q}, phi(0) = 0, with q > 1;
+                    for q <= 1 the Dini integral diverges like that of u^{-q}
 
-    Membership in the Dini class additionally requires the integral of
-    phi(s)/s over (0, 1] to be finite; see dini_integral.
+    Construction raises NotDiniError outside these ranges or when check_shape
+    fails, so every instance is a Dini modulus.
     """
 
     family: str
     C: float = 1.0
     beta: float = 0.5
     q: float = 2.0
-    phi_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.family == "power" and not (0 < self.beta <= 1):
-            raise ConfigurationError(f"power modulus needs beta in (0,1], got {self.beta}")
-        if self.family == "custom" and self.phi_fn is None:
-            raise ConfigurationError("custom modulus needs phi_fn")
-        if self.family not in ("power", "log", "custom"):
+        if self.family not in ("power", "log"):
             raise ConfigurationError(f"unknown modulus family {self.family!r}")
+        if self.family == "power" and not (0 < self.beta <= 1):
+            raise NotDiniError(f"power modulus needs beta in (0,1], got {self.beta}")
+        if self.family == "log" and not self.q > 1:
+            raise NotDiniError(f"log modulus needs q > 1 for a finite Dini integral, got {self.q}")
+        self.check_shape()
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         if self.family == "power":
             return self.C * s**self.beta
-        if self.family == "log":
-            with np.errstate(divide="ignore", over="ignore"):
-                out = self.C * np.log(math.e + 1.0 / np.where(s > 0, s, 1.0)) ** (-self.q)
-            return np.where(s > 0, out, 0.0)
-        return self.phi_fn(s)
-
-    def at_exp_neg(self, u):
-        """phi(e^{-u}) evaluated stably for large u (e^{-u} may underflow)."""
-        u = np.asarray(u, dtype=float)
-        if self.family == "power":
-            return self.C * np.exp(-self.beta * u)
-        if self.family == "log":
-            return self.C * np.logaddexp(1.0, u) ** (-self.q)
-        return self.phi_fn(np.exp(-u))
+        with np.errstate(divide="ignore", over="ignore"):
+            out = self.C * np.log(math.e + 1.0 / np.where(s > 0, s, 1.0)) ** (-self.q)
+        return np.where(s > 0, out, 0.0)
 
     def check_shape(self, n_grid: int = 400) -> None:
         """Sampled check: phi(0)=0, nondecreasing and midpoint-concave."""
@@ -100,45 +87,6 @@ class DiniModulus:
         mid = self((s[:-1] + s[1:]) / 2)
         if np.any(mid + 1e-12 < (v[:-1] + v[1:]) / 2):
             raise NotDiniError("phi is not midpoint-concave on the sampled grid")
-
-
-def dini_integral(phi: DiniModulus, rel_tol: float = 1e-9, cap: float = 1e6) -> float:
-    """Value of the Dini integral of phi(s)/s over (0, 1].
-
-    Uses the substitution u = log(1/s), so the integrand phi(e^{-u}) is
-    integrated over [0, inf); partial integrals over a doubling sequence of
-    horizons must settle down or a NotDiniError is raised.
-    """
-    phi.check_shape()
-
-    def integrand(u):
-        return phi.at_exp_neg(u)
-
-    # Quadrupling windows in u; the tail beyond the last window is estimated
-    # by geometric extrapolation of the window integrals.  A ratio that does
-    # not drop below 1 signals a divergent (non-Dini) integral.
-    total = 0.0
-    lo = 0.0
-    prev_part = None
-    prev_est = None
-    for k in range(18):
-        hi = 10.0 * 4.0**k
-        part, _ = quad(integrand, lo, hi, limit=400)
-        total += part
-        lo = hi
-        if total > cap:
-            raise NotDiniError(f"partial Dini integrals exceed {cap}; phi is not Dini")
-        if part <= 1e-13 * max(total, 1.0):
-            return float(total)
-        if prev_part is not None:
-            r = part / prev_part
-            if r < 0.98:
-                est = total + part * r / (1.0 - r)
-                if prev_est is not None and abs(est - prev_est) <= rel_tol * max(abs(est), 1.0):
-                    return float(est)
-                prev_est = est
-        prev_part = part
-    raise NotDiniError("Dini integral did not converge over the probed horizons")
 
 
 # ---------------------------------------------------------------------------

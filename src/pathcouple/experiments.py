@@ -326,6 +326,8 @@ def _save_grid(config: ExperimentConfig, n: int) -> np.ndarray:
 
 
 def _times_within(t_grid, config: ExperimentConfig) -> np.ndarray:
+    if config.T < t_grid[0] - 1e-9:
+        raise ConfigurationError(f"sim.T={config.T} is below the first check time {t_grid[0]}")
     return np.array([t for t in t_grid if t <= config.T + 1e-9])
 
 
@@ -648,7 +650,7 @@ def run_w2_growth(config: ExperimentConfig) -> Report:
     mu0, nu0, w2 = _growth_w2_curve(config, coeffs, n, 200, save_times)
     w0 = wk_full(mu0, nu0, k=2 + eps)
     for cloud, tag in ((mu0, "mu"), (nu0, "nu")):
-        est, _, flagged = exp_norm_moment(cloud, config.delta, 2 * coeffs.alpha)
+        est, flagged = exp_norm_moment(cloud, config.delta, 2 * coeffs.alpha)
         report.records[f"exp_moment_{tag}"] = est
         if flagged:
             report.add_check(f"exponential moment of {tag}", INCONCLUSIVE,

@@ -84,8 +84,8 @@ def comonotone_pair(
 def exp_norm_moment(cloud: ParticleCloud, delta: float, power: float):
     """Sample moment of e^{delta ||xi||^power} with an overflow-proximity flag.
 
-    Returns (estimate, stderr, flagged); flagged when the largest exponent is
-    within a factor 10 of floating-point overflow.
+    Returns (estimate, flagged); flagged when the largest exponent is within a
+    factor 10 of floating-point overflow.
     """
     exponents = delta * cloud.norms() ** power
     flagged = bool(np.max(exponents) > _OVERFLOW_LOG)
@@ -97,7 +97,4 @@ def exp_norm_moment(cloud: ParticleCloud, delta: float, power: float):
             UnreliableMomentWarning,
         )
     w = np.exp(np.minimum(exponents, _OVERFLOW_LOG))
-    est = float(np.sum(cloud.weights * w))
-    n = len(cloud)
-    stderr = float(w.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
-    return est, stderr, flagged
+    return float(np.sum(cloud.weights * w)), flagged

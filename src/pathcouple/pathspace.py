@@ -315,6 +315,10 @@ class SegmentBatch:
     def endpoint(self) -> np.ndarray:
         return self.values[:, self.head, :]
 
+    def mean_endpoint(self) -> np.ndarray:
+        """Mean endpoint of the equally weighted batch: its law for the builtin drifts."""
+        return self.endpoint().mean(axis=0)
+
     def advance(self, new_values: np.ndarray) -> None:
         n1 = self.config.n_points
         self.head = (self.head + 1) % n1
@@ -344,8 +348,8 @@ class SegmentBatch:
         batch.head = self.head
         return batch
 
-    def to_cloud(self, weights=None) -> ParticleCloud:
-        return ParticleCloud(self.config, self.ordered_values(), weights)
+    def to_cloud(self) -> ParticleCloud:
+        return ParticleCloud(self.config, self.ordered_values())
 
     def segment(self, i: int) -> PathSegment:
         return PathSegment(self.config, self.values[i][self._order()])

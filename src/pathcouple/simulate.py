@@ -33,7 +33,6 @@ from .pathspace import ParticleCloud, PathSegment, PathSpaceConfig, SegmentBatch
 
 __all__ = [
     "CouplingRun",
-    "LawSummary",
     "SimulationResult",
     "girsanov_weight_P",
     "philox_rng",
@@ -49,17 +48,6 @@ LOG_WEIGHT_LIMIT = 700.0
 def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator; (seed, stream) key gives independent streams."""
     return np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
-
-
-@dataclass(frozen=True)
-class LawSummary:
-    """Per-step summary of a law: enough for the builtin drift gallery."""
-
-    config: PathSpaceConfig
-    mean: np.ndarray
-
-    def mean_endpoint(self) -> np.ndarray:
-        return self.mean
 
 
 def _check_endpoint(x: np.ndarray, step: int) -> None:
@@ -151,8 +139,8 @@ def simulate_paths(
 ) -> SimulationResult:
     """Integrate a batch of paths to time T.
 
-    With ``mckean=True`` the law argument is the empirical cloud frozen per
-    step; otherwise the law argument is absent.
+    With ``mckean=True`` the law argument is the batch itself, the empirical
+    cloud frozen per step; otherwise the law argument is absent.
     """
     cfg = init.config
     if cfg != coeffs.pathcfg:
@@ -165,6 +153,7 @@ def simulate_paths(
     sqrt_h = math.sqrt(cfg.h)
 
     batch = SegmentBatch(cfg, init.ordered_values())
+    law = batch if mckean else None
     saved_clouds, saved_ends = [], []
 
     def snapshot():
@@ -176,7 +165,6 @@ def simulate_paths(
         snapshot()
     for step in range(n_steps):
         x = batch.endpoint()
-        law = LawSummary(cfg, x.mean(axis=0)) if mckean else None
         dW = sqrt_h * rng.standard_normal((init.n, cfg.d))
         _euler_step(coeffs, batch, x, law, _eval_sigma(coeffs, x), dW, step + 1)
         if (step + 1) in save_set:

@@ -37,7 +37,6 @@ class OTPlan:
     plan: np.ndarray
     objective: float
     solver: str
-    duality_gap: float = 0.0
 
 
 def _check_pair(a: ParticleCloud, b: ParticleCloud) -> None:

@@ -366,8 +366,8 @@ def transformed_coeffs(zmap: ZvonkinMap, coeffs: CoefficientSet) -> CoefficientS
     b1_hat = None
     if coeffs.b1 is not None:
         def b1_hat(seg, law):
-            x0 = inv_extended(seg.endpoint())
             seg_inv = _apply_pointwise(seg, inv_extended)
+            x0 = seg_inv.endpoint()
             base = coeffs.eval_b1(seg_inv, law)
             return np.einsum("...ij,...j->...i", grad_theta_at(x0), base)
 

@@ -6,7 +6,6 @@ import pytest
 from pathcouple.coefficients import (
     CoefficientSet,
     DiniModulus,
-    dini_integral,
     get_coefficients,
     grid_decay_constant,
     validate_H,
@@ -23,28 +22,17 @@ CFG2 = PathSpaceConfig(d=2, tau=1.0, h=0.05, T_mem=2.0)
 
 
 class TestDiniModulus:
-    def test_power_closed_forms(self):
-        # integral of s^{beta - 1} over (0, 1] is 1/beta
-        assert dini_integral(DiniModulus("power", C=1.0, beta=0.5)) == pytest.approx(2.0, rel=1e-6)
-        assert dini_integral(DiniModulus("power", C=1.0, beta=1.0)) == pytest.approx(1.0, rel=1e-6)
-        assert dini_integral(DiniModulus("power", C=3.0, beta=0.25)) == pytest.approx(12.0, rel=1e-6)
-
-    def test_log_q2_converges(self):
-        # integral of (log(e + 1/s))^{-2}/s over (0,1]; oracle frozen from an
-        # independent high-precision quadrature (mpmath, 30 digits)
-        val = dini_integral(DiniModulus("log", C=1.0, q=2.0))
-        assert val == pytest.approx(1.18988397034435, rel=1e-6)
-
     def test_log_q1_diverges(self):
+        # (log(e + 1/s))^{-1}/s is not integrable at 0: no modulus is built
         with pytest.raises(NotDiniError):
-            dini_integral(DiniModulus("log", C=1.0, q=1.0))
+            DiniModulus("log", C=1.0, q=1.0)
 
     def test_shape_check(self):
         DiniModulus("power", C=1.0, beta=0.5).check_shape()  # no raise
-        with pytest.raises(NotDiniError):  # convex modulus rejected
-            DiniModulus("custom", phi_fn=lambda s: s**2).check_shape()
         with pytest.raises(NotDiniError):  # decreasing modulus rejected
-            DiniModulus("custom", phi_fn=lambda s: 1.0 - s).check_shape()
+            DiniModulus("power", C=-1.0)
+        with pytest.raises(NotDiniError):  # log modulus not concave for large q
+            DiniModulus("log", q=4.0)
 
 
 class TestGallery:

@@ -171,10 +171,11 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr.startswith("usage: pathcouple")
 
-    def test_import_leaves_scipy_signal_unloaded(self):
-        # Set-up time: importing scipy.signal would add ~0.6 s to every run.
+    @pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate"])
+    def test_import_leaves_module_unloaded(self, module):
+        # Set-up time: each of these modules adds to every run and none is needed.
         proc = self._run_python(
-            "-c", "import sys, pathcouple.cli; print('scipy.signal' in sys.modules)")
+            "-c", f"import sys, pathcouple.cli; print({module!r} in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
@@ -224,6 +225,14 @@ class TestCli:
         assert err == (f"configuration error: {key} = {value!r} is not a finite {kind} "
                        f"(line {lineno})\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["alh", "gradient"])
+    def test_horizon_before_first_check_exit_1(self, tmp_path, capsys, command):
+        p = self._cfg_file(tmp_path, extra="sim.T = 0.5\n")
+        assert cli_main([command, "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: sim.T=0.5 is below the first check time 1.0")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["decay", "gradient"])
     def test_single_replica_exit_1(self, tmp_path, capsys, command):

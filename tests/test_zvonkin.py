@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from pathcouple.experiments import (
     run_gradient_estimate,
 )
 from pathcouple.pathspace import PathSegment, PathSpaceConfig, SegmentBatch
+from pathcouple.simulate import simulate_coupled_Q
 from pathcouple.zvonkin import (
     EllipticGrid,
     ZvonkinMap,
@@ -356,6 +358,37 @@ class TestTransformedCoeffs:
         # the transform removes the Dini singularity: finite constant, and
         # small enough that kappa = 4 leaves room below tau0 = 0.5
         assert 0.0 < c0 < 3.5
+
+    @staticmethod
+    def _dini_plus_path_term(cfg):
+        """dini_sqrt's b0 with linear's path and law term b1: the paper's combined drift."""
+        linear = get_coefficients("linear", cfg)
+        return dataclasses.replace(get_coefficients("dini_sqrt", cfg), name="dini_plus_linear",
+                                   b1=linear.b1, K=linear.K, K1=linear.K1, alpha=linear.alpha)
+
+    def test_b1_hat_is_gradient_theta_times_b1_of_inverse(self):
+        coeffs = self._dini_plus_path_term(CFG)
+        zmap = select_lambda(coeffs, GRID, default_lambda_grid(coeffs))
+        hat = transformed_coeffs(zmap, coeffs)
+        rng = np.random.default_rng(0)
+        batch = SegmentBatch(CFG, rng.uniform(-2.0, 2.0, size=(5, CFG.n_points, 1)))
+        hist = SegmentBatch(CFG, theta_inv(zmap, batch.values))
+        x0 = theta_inv(zmap, batch.endpoint())
+        want = (1.0 + zmap.grad_u_at(x0)[..., 0]) * coeffs.eval_b1(hist, None)
+        assert np.max(np.abs(hat.eval_b1(batch, None) - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_b1_hat_inverts_each_point_once_per_step(self):
+        # Per step: one inverse of the 2R endpoints (drift, diffusion, gamma)
+        # and one of the 2R histories, whose endpoints serve x0; plus the final save.
+        cfg = PathSpaceConfig(d=1, tau=1.0, h=0.05, T_mem=1.0)
+        coeffs = self._dini_plus_path_term(cfg)
+        zmap = select_lambda(coeffs, GRID, default_lambda_grid(coeffs))
+        zmap.eval_count = 0
+        hat = transformed_coeffs(zmap, coeffs)
+        xi, eta = PathSegment.constant(cfg, [0.5]), PathSegment.constant(cfg, [-0.5])
+        R, n_steps = 64, 40
+        simulate_coupled_Q(hat, xi, eta, kappa=4.0, T=2.0, seed=0, n_replicas=R)
+        assert zmap.eval_count == 2 * R * (n_steps + 1) + 2 * R * cfg.n_points * n_steps == 112_768
 
     def test_escape_counting(self):
         coeffs = get_coefficients("dini_sqrt", CFG)
