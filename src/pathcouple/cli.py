@@ -1,8 +1,9 @@
 """Command-line shell over experiments.py: parse argv, dispatch, write outputs.
 
-Exit codes: 0 all checks pass, 1 configuration/validation error, 2 numerical
-failure (blow-up, solver failure), 3 at least one check failed, 4 all checks
-ran but some were inconclusive.
+Exit codes: 0 all checks pass, 1 configuration/validation error (or, for
+`report`, a missing or malformed summary), 2 numerical failure (blow-up,
+solver failure), 3 at least one check failed, 4 all checks ran but some were
+inconclusive.
 """
 
 from __future__ import annotations
@@ -117,8 +118,13 @@ def cli_main(argv=None) -> int:
         text = summary.read_text()
         print(text, end="")
         # Each report opens with a "[VERDICT] name" header line.
-        return EXIT_CODES[worst_verdict(line[1:].partition("]")[0]
-                                        for line in text.splitlines() if line.startswith("["))]
+        verdicts = [line[1:].partition("] ")[0] for line in text.splitlines()
+                    if line.startswith("[")]
+        if not verdicts or not set(verdicts) <= EXIT_CODES.keys():
+            print(f"{summary} has no [VERDICT] name header or an unknown verdict",
+                  file=sys.stderr)
+            return 1
+        return EXIT_CODES[worst_verdict(verdicts)]
 
     names = list(_runners()) if args.command == "all" else [args.command]
     done = {}

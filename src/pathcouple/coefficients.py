@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, InvalidCoefficientError, NotDiniError
-from .pathspace import ParticleCloud, PathSegment, PathSpaceConfig, SegmentBatch, flat_extension
+from .pathspace import ParticleCloud, PathSegment, PathSpaceConfig, flat_extension, weighted_norm
 
 __all__ = [
     "CoefficientSet",
@@ -76,11 +76,11 @@ class DiniModulus:
             out = self.C * np.log(math.e + 1.0 / np.where(s > 0, s, 1.0)) ** (-self.q)
         return np.where(s > 0, out, 0.0)
 
-    def check_shape(self, n_grid: int = 400) -> None:
-        """Sampled check: phi(0)=0, nondecreasing and midpoint-concave."""
+    def check_shape(self) -> None:
+        """Sampled check on 400 points: phi(0)=0, nondecreasing and midpoint-concave."""
         if self(0.0) != 0.0:
             raise NotDiniError("phi(0) != 0")
-        s = np.geomspace(1e-9, 1.0, n_grid)
+        s = np.geomspace(1e-9, 1.0, 400)
         v = self(s)
         if np.any(np.diff(v) < -1e-12):
             raise NotDiniError("phi is not nondecreasing on the sampled grid")
@@ -95,7 +95,7 @@ class DiniModulus:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Drift/diffusion triple with declared hypothesis constants."""
+    """Drift/diffusion triple with declared hypothesis constants; sigma None is the identity."""
 
     name: str
     pathcfg: PathSpaceConfig
@@ -107,7 +107,6 @@ class CoefficientSet:
     b0: Optional[Callable] = None
     b1: Optional[Callable] = None
     sigma: Optional[Callable] = None
-    sigma_identity: bool = True
 
     @property
     def d(self) -> int:
@@ -131,7 +130,7 @@ class CoefficientSet:
         return out
 
     def eval_sigma(self, x: np.ndarray) -> np.ndarray:
-        if self.sigma_identity:
+        if self.sigma is None:
             eye = np.eye(self.d)
             return np.broadcast_to(eye, x.shape + (self.d,)).copy()
         out = self.sigma(x)
@@ -153,9 +152,10 @@ def _mean_endpoint(law) -> np.ndarray:
     return law.mean_endpoint() if law is not None else 0.0
 
 
-def make_linear(pathcfg: PathSpaceConfig, B: float = 0.5, K1: float = 0.25) -> CoefficientSet:
+def make_linear(pathcfg: PathSpaceConfig) -> CoefficientSet:
     """Linear-Gaussian baseline: b0 = 0, b1 linear in an exponentially
     weighted history integral and in the law's mean endpoint, sigma = I."""
+    B, K1 = 0.5, 0.25
     gc1 = grid_decay_constant(pathcfg, pathcfg.tau)
     gc2 = grid_decay_constant(pathcfg, 2 * pathcfg.tau)
 
@@ -178,8 +178,9 @@ def _soft_sqrt(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt(1.0 + np.abs(x))
 
 
-def make_sublinear(pathcfg: PathSpaceConfig, B: float = 0.5, K1: float = 0.0) -> CoefficientSet:
+def make_sublinear(pathcfg: PathSpaceConfig) -> CoefficientSet:
     """Half-power growth in the history integral (alpha = 1/2 configuration)."""
+    B, K1 = 0.5, 0.0
     gc1 = grid_decay_constant(pathcfg, pathcfg.tau)
     d = pathcfg.d
 
@@ -203,8 +204,9 @@ def _unit_first_axis(d: int) -> np.ndarray:
     return e1
 
 
-def make_dini_sqrt(pathcfg: PathSpaceConfig, amp: float = 1.0) -> CoefficientSet:
-    """Dini-but-not-Lipschitz drift b0(x) = amp * min(sqrt(|x|), 1) e1."""
+def make_dini_sqrt(pathcfg: PathSpaceConfig) -> CoefficientSet:
+    """Dini-but-not-Lipschitz drift b0(x) = amp * min(sqrt(|x|), 1) e1, amp = 1."""
+    amp = 1.0
     e1 = _unit_first_axis(pathcfg.d)
 
     def b0(x):
@@ -223,8 +225,9 @@ def make_dini_sqrt(pathcfg: PathSpaceConfig, amp: float = 1.0) -> CoefficientSet
     )
 
 
-def make_dini_log(pathcfg: PathSpaceConfig, amp: float = 1.0) -> CoefficientSet:
-    """Log-modulus drift: Dini continuous but not Hoelder of any order."""
+def make_dini_log(pathcfg: PathSpaceConfig) -> CoefficientSet:
+    """Log-modulus drift amp * psi(|x|) e1, amp = 1: Dini but not Hoelder of any order."""
+    amp = 1.0
     e1 = _unit_first_axis(pathcfg.d)
     psi = DiniModulus("log", C=1.0, q=2.0)
 
@@ -265,10 +268,10 @@ _GALLERY = {
 }
 
 
-def get_coefficients(name: str, pathcfg: PathSpaceConfig, **kwargs) -> CoefficientSet:
+def get_coefficients(name: str, pathcfg: PathSpaceConfig) -> CoefficientSet:
     if name not in _GALLERY:
         raise ConfigurationError(f"unknown coefficient set {name!r}; have {sorted(_GALLERY)}")
-    return _GALLERY[name](pathcfg, **kwargs)
+    return _GALLERY[name](pathcfg)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +287,7 @@ class ValidationReport:
     """
 
     ratios: dict
-    tol: float = 1e-9
+    tol = 1e-9  # rounding slack on every ratio; a class constant, not a field
 
     @property
     def passed(self) -> bool:
@@ -292,22 +295,6 @@ class ValidationReport:
 
     def failures(self) -> dict:
         return {k: v for k, v in self.ratios.items() if v > 1.0 + self.tol}
-
-
-def _random_segment_values(rng, pathcfg: PathSpaceConfig, sizes, scale: float = 1.0):
-    """Smooth random histories: discrete OU paths on the grid, one block per count
-    in ``sizes`` (an int is one block); each block draws its starts, then its noise."""
-    n1, d = pathcfg.n_points, pathcfg.d
-    draws = [(rng.standard_normal((n, d)), rng.standard_normal((n, n1 - 1, d)))
-             for n in np.atleast_1d(sizes)]
-    out = np.empty((sum(len(a) for a, _ in draws), n1, d))
-    out[:, 0] = np.concatenate([a for a, _ in draws])
-    noise = np.concatenate([z for _, z in draws])
-    decay = 1.0 - pathcfg.h
-    amp = math.sqrt(2 * pathcfg.h)
-    for i in range(1, n1):
-        out[:, i] = decay * out[:, i - 1] + amp * noise[:, i - 1]
-    return scale * out
 
 
 def _opnorm(mats: np.ndarray) -> np.ndarray:
@@ -320,6 +307,7 @@ def validate_H(coeffs: CoefficientSet, sample_budget: int, rng_seed: int) -> Val
     The check is statistical, not symbolic: the worst observed/allowed ratio
     per hypothesis is reported, with pass meaning ratio <= 1 + 1e-9.
     """
+    from .laws import _ou_histories  # lazy: laws imports simulate, which imports this module
     from .wasserstein import cloud_moment, wk_full
 
     if sample_budget < 1:
@@ -350,7 +338,7 @@ def validate_H(coeffs: CoefficientSet, sample_budget: int, rng_seed: int) -> Val
         ratios["H3_b0_dini"] = float(
             np.max(np.linalg.norm(bx[keep] - by[keep], axis=-1) / np.maximum(allowed, 1e-300))
         )
-    if not coeffs.sigma_identity:
+    if coeffs.sigma is not None:
         ds = np.linalg.norm(coeffs.eval_sigma(x) - coeffs.eval_sigma(y), axis=(-2, -1))
         dist = np.linalg.norm(x - y, axis=-1)
         keep = dist > 1e-12
@@ -364,13 +352,12 @@ def validate_H(coeffs: CoefficientSet, sample_budget: int, rng_seed: int) -> Val
         cloud_n = 16
         worst_lip = 0.0
         worst_flat = 0.0
-        paths = _random_segment_values(rng, cfg, [1, 1, cloud_n, cloud_n] * n_pairs)
+        normals = rng.standard_normal((n_pairs * (2 + 2 * cloud_n), cfg.n_points, d))
+        paths = _ou_histories(cfg, normals, 0.0, math.sqrt(2.0), 1.0)  # stationary std 1
         for p in paths.reshape(n_pairs, 2 + 2 * cloud_n, cfg.n_points, d):  # xi, eta, mu, nu
             xi, eta = PathSegment(cfg, p[0]), PathSegment(cfg, p[1])
             mu, nu = ParticleCloud(cfg, p[2 : 2 + cloud_n]), ParticleCloud(cfg, p[2 + cloud_n :])
             w2 = wk_full(mu, nu, k=2) if coeffs.K1 > 0 else 0.0
-            from .pathspace import weighted_norm
-
             diff = np.linalg.norm(coeffs.eval_b1(xi, mu) - coeffs.eval_b1(eta, nu))
             allowed = coeffs.K * weighted_norm(xi - eta) + coeffs.K1 * w2
             worst_lip = max(worst_lip, diff / max(allowed, 1e-300))

@@ -14,7 +14,7 @@ class ConfigurationError(PathcoupleError):
 
 
 class InvalidCloudError(PathcoupleError):
-    """Particle cloud with mismatched grids or bad weights."""
+    """Particle cloud with a bad shape, non-finite entries or mismatched grids."""
 
 
 class InvalidCoefficientError(PathcoupleError):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, get_coefficients
 from .errors import ConfigurationError
-from .laws import comonotone_pair, exp_norm_moment
+from .laws import _ou_histories, comonotone_pair, exp_norm_moment
 from .pathspace import (
     PathSegment,
     PathSpaceConfig,
@@ -28,7 +28,7 @@ from .pathspace import (
     truncation_bound,
     weighted_norm,
 )
-from .simulate import simulate_coupled_Q, simulate_mckean, simulate_paths
+from .simulate import philox_rng, simulate_coupled_Q, simulate_mckean, simulate_paths
 from .wasserstein import wk_full
 
 __all__ = [
@@ -87,7 +87,9 @@ _PATH_FIELDS = ("d", "tau", "h", "T_mem")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat experiment configuration; see parse_config for the file format."""
+    """Flat experiment configuration; see parse_config for the file format.
+
+    One file serves every experiment, so it must be valid for all of them."""
 
     pathcfg: PathSpaceConfig
     coefficients_name: str
@@ -113,6 +115,11 @@ class ExperimentConfig:
             raise ConfigurationError("need N_particles >= 1 and N_replicas >= 2 (standard errors)")
         if not self.separation > 0:
             raise ConfigurationError(f"separation={self.separation} must be positive")
+        if self.kappa <= self.pathcfg.tau:
+            raise ConfigurationError(f"kappa={self.kappa} must exceed tau={self.pathcfg.tau}")
+        first = min(_ALH_TIMES[0], _GRADIENT_TIMES[0])
+        if self.T < first - 1e-9:
+            raise ConfigurationError(f"sim.T={self.T} is below the first check time {first}")
 
     def coefficients(self) -> CoefficientSet:
         return get_coefficients(self.coefficients_name, self.pathcfg)
@@ -226,11 +233,9 @@ class TestFunction:
 
     def certify(self, n_samples: int = 200, seed: int = 0) -> bool:
         """Sampled difference quotients of log f against the declared lip."""
-        from .coefficients import _random_segment_values
-        from .simulate import philox_rng
-
         rng = philox_rng(seed, 900)
-        vals = _random_segment_values(rng, self.cfg, 2 * n_samples)
+        normals = rng.standard_normal((2 * n_samples, self.cfg.n_points, self.cfg.d))
+        vals = _ou_histories(self.cfg, normals, 0.0, math.sqrt(2.0), 1.0)  # stationary std 1
         a, b = vals[:n_samples], vals[n_samples:]
         num = np.abs(self.log_f(a) - self.log_f(b))
         seg_norm = np.max(
@@ -312,13 +317,6 @@ def _pair_segments(config: ExperimentConfig, a: float, b: float):
     )
 
 
-def _require_kappa(config: ExperimentConfig) -> None:
-    if config.kappa <= config.pathcfg.tau:
-        raise ConfigurationError(
-            f"kappa={config.kappa} must exceed tau={config.pathcfg.tau}"
-        )
-
-
 def _save_grid(config: ExperimentConfig, n: int) -> np.ndarray:
     """n + 1 equally spaced save times on [0, T], rounded to the Euler grid."""
     h = config.pathcfg.h
@@ -326,8 +324,7 @@ def _save_grid(config: ExperimentConfig, n: int) -> np.ndarray:
 
 
 def _times_within(t_grid, config: ExperimentConfig) -> np.ndarray:
-    if config.T < t_grid[0] - 1e-9:
-        raise ConfigurationError(f"sim.T={config.T} is below the first check time {t_grid[0]}")
+    """The check times up to sim.T; the config guarantees at least the first."""
     return np.array([t for t in t_grid if t <= config.T + 1e-9])
 
 
@@ -395,7 +392,6 @@ def run_zvonkin(config: ExperimentConfig) -> Report:
 
 def run_decay(config: ExperimentConfig) -> Report:
     """Fit the decay rate of log E_Q ||X_t - Y_t||_tau^p against -p tau0, p = 1, 2, 4."""
-    _require_kappa(config)
     coeffs, zmap = config.effective_coefficients()
     xi, eta = _pair_segments(config, config.separation / 2, -config.separation / 2)
     run = simulate_coupled_Q(
@@ -449,7 +445,6 @@ def run_entropy(config: ExperimentConfig) -> Report:
     Fits the smallest c with H(T) <= c e^{delta ||eta||^{2 alpha}} ||xi-eta||^2
     over the pair grid.
     """
-    _require_kappa(config)
     coeffs, _ = config.effective_coefficients()
     report = _new_report("relative-entropy", config, coeffs)
     save_times = _save_grid(config, 32)

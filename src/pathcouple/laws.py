@@ -96,5 +96,4 @@ def exp_norm_moment(cloud: ParticleCloud, delta: float, power: float):
             "exponential norm-moment within 10x of overflow; estimate unreliable",
             UnreliableMomentWarning,
         )
-    w = np.exp(np.minimum(exponents, _OVERFLOW_LOG))
-    return float(np.sum(cloud.weights * w)), flagged
+    return float(np.mean(np.exp(np.minimum(exponents, _OVERFLOW_LOG)))), flagged

@@ -222,9 +222,9 @@ def check_history_inequality(
 
 
 class ParticleCloud:
-    """Weighted ensemble of path segments approximating a law on path space."""
+    """Equally weighted ensemble of path segments approximating a law on path space."""
 
-    def __init__(self, config: PathSpaceConfig, values, weights=None):
+    def __init__(self, config: PathSpaceConfig, values):
         vals = np.asarray(values, dtype=float)
         if vals.ndim == 2:
             vals = vals[:, :, None]
@@ -234,18 +234,8 @@ class ParticleCloud:
             )
         if not np.all(np.isfinite(vals)):
             raise InvalidCloudError("cloud contains non-finite entries")
-        n = vals.shape[0]
-        if weights is None:
-            w = np.full(n, 1.0 / n)
-        else:
-            w = np.asarray(weights, dtype=float)
-            if w.shape != (n,) or np.any(w < 0):
-                raise InvalidCloudError("weights must be nonnegative with one entry per particle")
-            if abs(w.sum() - 1.0) > 1e-12:
-                raise InvalidCloudError(f"weights sum to {w.sum()}, expected 1")
         self.config = config
         self.values = vals
-        self.weights = w
 
     @classmethod
     def point_mass(cls, seg: PathSegment, n: int = 1) -> "ParticleCloud":
@@ -258,7 +248,7 @@ class ParticleCloud:
         return self.values[:, -1, :]
 
     def mean_endpoint(self) -> np.ndarray:
-        return self.weights @ self.endpoints()
+        return self.endpoints().mean(axis=0)
 
     def norms(self) -> np.ndarray:
         """Weighted path norm of every particle."""

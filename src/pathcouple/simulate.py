@@ -64,7 +64,7 @@ def _check_endpoint(x: np.ndarray, step: int) -> None:
 
 def _eval_sigma(coeffs: CoefficientSet, x: np.ndarray):
     """sigma at a batch of points, or None for the identity diffusion."""
-    return None if coeffs.sigma_identity else coeffs.eval_sigma(x)
+    return None if coeffs.sigma is None else coeffs.eval_sigma(x)
 
 
 def _apply_sigma(sig, v: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ the max over truncation levels.  Because the cost is entrywise nondecreasing
 in the truncation level, the optimal-transport value is nondecreasing too, so
 the max over levels is attained at N = T_mem; `wk_full` exploits that.
 
-Every transport problem is solved exactly, at any size: uniform clouds of
-equal size by assignment, all others by a sparse linear program.
+Every transport problem is solved exactly, at any size.  Clouds are equally
+weighted, so their sizes pick the solver: assignment for equal sizes (an
+optimal plan is a permutation), a sparse linear program otherwise.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ class OTPlan:
 def _check_pair(a: ParticleCloud, b: ParticleCloud) -> None:
     if a.config != b.config:
         raise InvalidCloudError("clouds live on different grids")
-    for c in (a, b):
-        if abs(c.weights.sum() - 1.0) > 1e-10:
-            raise InvalidCloudError("cloud weights do not sum to 1")
 
 
 def pairwise_truncated_norm(a: ParticleCloud, b: ParticleCloud, N: float) -> np.ndarray:
@@ -75,21 +73,20 @@ def ot_plan(a: ParticleCloud, b: ParticleCloud, k: float, N: float) -> OTPlan:
         raise ConfigurationError(f"only k >= 1 is supported, got k={k}")
     _check_pair(a, b)
     cost = pairwise_truncated_norm(a, b, N) ** k
-    wa, wb = a.weights, b.weights
     n, m = cost.shape
-    # Exact equality: the uniform plan would miss near-uniform marginals.
-    if n == m and np.all(wa == 1.0 / n) and np.all(wb == 1.0 / m):
+    # Uniform clouds of equal size: some permutation is an optimal plan.
+    if n == m:
         rows, cols = linear_sum_assignment(cost)
         plan = np.zeros_like(cost)
         plan[rows, cols] = 1.0 / n
         return OTPlan(cost, plan, float((plan * cost).sum()), solver="assignment")
-    # General weights: exact LP (network-simplex equivalent via HiGHS) over the
-    # row-major plan, with row and column sums as sparse equality constraints.
+    # Unequal sizes: exact LP (network-simplex equivalent via HiGHS) over the
+    # row-major plan, with row sums 1/n and column sums 1/m as sparse equalities.
     A_eq = sp.vstack([
         sp.kron(sp.eye(n), np.ones((1, m))),
         sp.kron(np.ones((1, n)), sp.eye(m)),
     ], format="csr")[:-1]  # drop one redundant constraint
-    b_eq = np.concatenate([wa, wb])[:-1]
+    b_eq = np.concatenate([np.full(n, 1.0 / n), np.full(m, 1.0 / m)])[:-1]
     res = linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
         raise InvalidCloudError(f"exact OT solve failed: {res.message}")
@@ -113,8 +110,7 @@ def wk_full(a: ParticleCloud, b: ParticleCloud, k: float) -> float:
 
 
 def cloud_moment(a: ParticleCloud, k: float) -> float:
-    """||mu||_k = (weighted mean of ||xi||_tau^k)^(1/k) over the cloud."""
+    """||mu||_k = (mean of ||xi||_tau^k)^(1/k) over the cloud."""
     if k <= 0:
         raise ConfigurationError(f"k must be positive, got {k}")
-    norms = a.norms()
-    return float((a.weights @ norms**k) ** (1.0 / k))
+    return float(np.mean(a.norms() ** k) ** (1.0 / k))

@@ -24,7 +24,8 @@ from .errors import (
     OutOfDomainError,
     SolverFailureError,
 )
-from .pathspace import PathSegment, SegmentBatch
+from .laws import _ou_histories
+from .pathspace import PathSegment, SegmentBatch, weighted_norm
 
 __all__ = [
     "EllipticGrid",
@@ -152,10 +153,10 @@ class ZvonkinMap:
         return self._interp_values(self.grad_u, x)
 
 
-def default_lambda_grid(coeffs: CoefficientSet, n: int = 20) -> np.ndarray:
-    """Geometric sweep from twice to a thousand times the drift bound."""
+def default_lambda_grid(coeffs: CoefficientSet) -> np.ndarray:
+    """Geometric sweep of 20 values from twice to a thousand times the drift bound."""
     base = max(coeffs.b0_bound, 1e-6)
-    return np.geomspace(2 * base, 1e3 * base, n)
+    return np.geomspace(2 * base, 1e3 * base, 20)
 
 
 def _diffusion_on_axis(coeffs: CoefficientSet, points: np.ndarray) -> np.ndarray:
@@ -386,25 +387,23 @@ def transformed_coeffs(zmap: ZvonkinMap, coeffs: CoefficientSet) -> CoefficientS
         b0_bound=lam * zmap.u_inf,
         b1=b1_hat,
         sigma=sigma_hat,
-        sigma_identity=False,
     )
 
 
-def path_lipschitz_certificate(
-    coeffs: CoefficientSet, n_samples: int = 200, seed: int = 0, box: float = 2.0
-) -> float:
+def path_lipschitz_certificate(coeffs: CoefficientSet, n_samples: int = 200,
+                               seed: int = 0) -> float:
     """Sampled constant c0 in the transformed-drift regularity shape
 
-        |b(xi) - b(eta)| <= c0 ||xi - eta||_tau + c0 ||eta||_tau^alpha |xi(0) - eta(0)|.
-    """
-    from .coefficients import _random_segment_values
-    from .pathspace import weighted_norm
+        |b(xi) - b(eta)| <= c0 ||xi - eta||_tau + c0 ||eta||_tau^alpha |xi(0) - eta(0)|
 
+    over pairs of stationary OU histories (std 1) clipped to [-2, 2].
+    """
     rng = np.random.default_rng(seed)
     cfg = coeffs.pathcfg
     worst = 0.0
     for _ in range(n_samples):
-        vals = np.clip(_random_segment_values(rng, cfg, 2, scale=box / 2), -box, box)
+        normals = rng.standard_normal((2, cfg.n_points, cfg.d))
+        vals = np.clip(_ou_histories(cfg, normals, 0.0, math.sqrt(2.0), 1.0), -2.0, 2.0)
         xi, eta = PathSegment(cfg, vals[0]), PathSegment(cfg, vals[1])
         bx = coeffs.eval_b0(xi.endpoint()) + coeffs.eval_b1(xi, None)
         by = coeffs.eval_b0(eta.endpoint()) + coeffs.eval_b1(eta, None)

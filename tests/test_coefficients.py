@@ -63,7 +63,7 @@ class TestGallery:
         import dataclasses
 
         bad = dataclasses.replace(
-            coeffs, sigma=lambda x: np.zeros(x.shape + (1,)), sigma_identity=False
+            coeffs, sigma=lambda x: np.zeros(x.shape + (1,))
         )
         report = validate_H(bad, sample_budget=16, rng_seed=0)
         assert "H1_ellipticity" in report.failures()

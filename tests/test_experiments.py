@@ -234,6 +234,20 @@ class TestCli:
         assert err.startswith("configuration error: sim.T=0.5 is below the first check time 1.0")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("line", ["sim.T = 0.5", "sim.kappa = 0.8"])
+    def test_all_rejects_config_before_running(self, tmp_path, capsys, monkeypatch, line):
+        # One config serves every experiment: `all` refuses it before the first runs.
+        from pathcouple import cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a runner was called")
+
+        monkeypatch.setattr(cli, "run_validate", fail)
+        p = self._cfg_file(tmp_path, extra=line + "\n")
+        assert cli_main(["all", "--config", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["decay", "gradient"])
     def test_single_replica_exit_1(self, tmp_path, capsys, command):
         # Standard errors use ddof = 1: one replica would report NaN.
@@ -291,8 +305,13 @@ class TestCli:
             for cell in row:
                 float(cell)  # raises on a cell such as "np.float64(0.5)"
 
-    def test_report_missing_summary(self, tmp_path):
+    def test_report_missing_summary(self, tmp_path, capsys):
         assert cli_main(["report", "--output", str(tmp_path)]) == 1
+        # A summary with no "[VERDICT] name" header, or an unknown verdict, is no summary.
+        for text in ("", "[PASSED] coupling-decay\n  PASS: fine\n"):
+            (tmp_path / "summary.txt").write_text(text)
+            assert cli_main(["report", "--output", str(tmp_path)]) == 1
+            assert "no [VERDICT] name header" in capsys.readouterr().err
 
     @pytest.mark.parametrize("verdict, code", [(PASS, 0), (FAIL, 3), (INCONCLUSIVE, 4)])
     def test_report_exit_code_follows_worst_check(self, tmp_path, capsys, verdict, code):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathcouple.errors import InvalidCloudError, InvalidSegmentError
+from pathcouple.errors import InvalidSegmentError
 from pathcouple.pathspace import (
     ParticleCloud,
     PathSegment,
@@ -127,13 +127,6 @@ def test_history_inequality_random(seed, p):
 
 
 class TestParticleCloud:
-    def test_weights_validation(self):
-        vals = np.zeros((3, CFG.n_points, CFG.d))
-        with pytest.raises(InvalidCloudError):
-            ParticleCloud(CFG, vals, weights=np.array([0.5, 0.2, 0.2]))
-        with pytest.raises(InvalidCloudError):
-            ParticleCloud(CFG, vals, weights=np.array([1.5, -0.25, -0.25]))
-
     def test_point_mass(self):
         seg = PathSegment.constant(CFG, np.array([1.0, 2.0]))
         cloud = ParticleCloud.point_mass(seg, 5)

@@ -72,6 +72,18 @@ class TestPathSimulation:
         se = ends.var(ddof=1) * math.sqrt(2 / (R - 1))
         assert abs(ends.var(ddof=1) - 1.0) <= 3 * se
 
+    def test_sigma_given_is_simulated(self):
+        # A set given sigma uses it: sigma = 2I doubles every increment of the
+        # zero-drift run exactly (scaling by 2 commutes with rounding).
+        import dataclasses
+
+        doubled = dataclasses.replace(
+            ZERO, sigma=lambda x: 2.0 * np.broadcast_to(np.eye(CFG.d), x.shape + (CFG.d,)))
+        batch = SegmentBatch.from_segment(PathSegment.zero(CFG), 16)
+        base = simulate_paths(ZERO, batch, 1.0, seed=6)
+        scaled = simulate_paths(doubled, batch, 1.0, seed=6)
+        np.testing.assert_array_equal(scaled.endpoints, 2.0 * base.endpoints)
+
     def test_determinism(self):
         batch1 = SegmentBatch.from_segment(PathSegment.constant(CFG, [0.3]), 8)
         batch2 = SegmentBatch.from_segment(PathSegment.constant(CFG, [0.3]), 8)
@@ -101,7 +113,7 @@ class TestPathSimulation:
         import dataclasses
 
         noiseless = dataclasses.replace(
-            coeffs, sigma=lambda x: np.zeros(x.shape + (1,)), sigma_identity=False
+            coeffs, sigma=lambda x: np.zeros(x.shape + (1,))
         )
         det = simulate_mckean(noiseless, ParticleCloud.point_mass(seg, 2), T, seed=0)
         mean_oracle = det.endpoints[-1][0, 0]

@@ -116,7 +116,6 @@ class TestSolve:
                 np.stack([1 + 0.2 * np.sin(x[..., 0]), np.full(x.shape[:-1], 0.3)], axis=-1),
                 np.stack([0.1 * np.cos(x[..., 1]), np.ones(x.shape[:-1])], axis=-1),
             ], axis=-2),
-            sigma_identity=False,
         )
         grid, lam = EllipticGrid(2, 1.0, 0.1), 3.0
         n, dx = grid.n_axis, grid.dx
