@@ -447,18 +447,19 @@ def run_entropy(config: ExperimentConfig) -> Report:
     """
     coeffs, _ = config.effective_coefficients()
     report = _new_report("relative-entropy", config, coeffs)
-    save_times = _save_grid(config, 32)
     c_fit = 0.0
     rows = []
     R = max(config.N_replicas // 8, 64)
-    for i, (a, b) in enumerate(_entropy_pairs(config)):
-        xi, eta = _pair_segments(config, a, b)
-        run = simulate_coupled_Q(
-            coeffs, xi, eta, config.kappa, config.T,
-            seed=config.seed, stream=10 + i, n_replicas=R, save_times=save_times,
-        )
-        H = run.half_int_gamma_sq.mean(axis=1)
-        se = run.half_int_gamma_sq.std(axis=1, ddof=1) / math.sqrt(R)
+    segs = [_pair_segments(config, a, b) for a, b in _entropy_pairs(config)]
+    run = simulate_coupled_Q(
+        coeffs, [xi for xi, _ in segs], [eta for _, eta in segs], config.kappa, config.T,
+        seed=config.seed, stream=[10 + i for i in range(len(segs))],
+        n_replicas=R * len(segs), save_times=_save_grid(config, 32),
+    )
+    half_g2 = run.half_int_gamma_sq.reshape(len(run.times), len(segs), R)
+    for i, (xi, eta) in enumerate(segs):
+        H = half_g2[:, i].mean(axis=1)
+        se = half_g2[:, i].std(axis=1, ddof=1) / math.sqrt(R)
         if np.any(np.diff(H) < -1e-12):
             report.add_check(f"H nondecreasing pair {i}", FAIL)
         half = int(np.argmin(np.abs(run.times - config.T / 2)))
@@ -498,6 +499,28 @@ def _alh_pairs(config: ExperimentConfig):
 _ALH_TIMES = (1.0, 2.0, 4.0, 8.0)
 
 
+def _alh_pair(config: ExperimentConfig, coeffs: CoefficientSet, f: TestFunction,
+              xi: PathSegment, eta: PathSegment, i: int) -> list:
+    """(P_t log f(eta), log P_t f(xi), stderr of their difference) at each check time.
+
+    X from xi and Y from eta run stacked in one batch on streams 100 + 2i and
+    101 + 2i; the run is released on return, so one pair's saves live at a time.
+    """
+    t_grid = _times_within(_ALH_TIMES, config)
+    R = config.N_replicas
+    res = simulate_paths(coeffs, SegmentBatch.from_segments([xi, eta], R), max(t_grid),
+                         seed=config.seed, stream=(100 + 2 * i, 101 + 2 * i), save_times=t_grid)
+    out = []
+    for t in t_grid:
+        values = res.cloud_at(t).values
+        fx = f.f(values[:R])
+        ly = f.log_f(values[R:])
+        mean_fx = fx.mean()
+        out.append((ly.mean(), math.log(mean_fx),
+                    math.hypot(_mc_stderr(ly), _mc_stderr(fx) / mean_fx)))
+    return out
+
+
 def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None) -> Report:
     """Check the asymptotic log-Harnack shape
 
@@ -518,7 +541,6 @@ def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None) -> Repor
 
     pairs = _alh_pairs(config)
     n_train = len(pairs) // 2
-    R = config.N_replicas
 
     # D[i, j]: defect at pair i, time t_grid[j]; se_D the combined stderr.
     D = np.zeros((len(pairs), len(t_grid)))
@@ -528,20 +550,9 @@ def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None) -> Repor
     for i, (a, b) in enumerate(pairs):
         xi, eta = _pair_segments(config, a, b)
         dists[i] = weighted_norm(xi - eta)
-        res_x = simulate_paths(coeffs, SegmentBatch.from_segment(xi, R), max(t_grid),
-                               seed=config.seed, stream=100 + 2 * i, save_times=t_grid)
-        res_y = simulate_paths(coeffs, SegmentBatch.from_segment(eta, R), max(t_grid),
-                               seed=config.seed, stream=101 + 2 * i, save_times=t_grid)
-        for j, t in enumerate(t_grid):
-            fx = f.f(res_x.cloud_at(t).values)
-            ly = f.log_f(res_y.cloud_at(t).values)
-            mean_fx = fx.mean()
-            lhs, rhs0 = ly.mean(), math.log(mean_fx)
-            se_l = _mc_stderr(ly)
-            se_r = _mc_stderr(fx) / mean_fx
-            D[i, j] = lhs - rhs0
-            se_D[i, j] = math.hypot(se_l, se_r)
-            rows.append([t, i, lhs, rhs0, D[i, j], se_D[i, j], dists[i]])
+        for j, (lhs, rhs0, se) in enumerate(_alh_pair(config, coeffs, f, xi, eta, i)):
+            D[i, j], se_D[i, j] = lhs - rhs0, se
+            rows.append([t_grid[j], i, lhs, rhs0, D[i, j], se_D[i, j], dists[i]])
     report.tables["alh"] = (
         ["t", "pair", "lhs_Pt_logf", "rhs_log_Ptf", "defect", "stderr", "dist"], rows)
 
@@ -715,17 +726,16 @@ def run_gradient_estimate(
     dist = weighted_norm(xi - eta)
     t_grid = _times_within(_GRADIENT_TIMES, config)
     R = config.N_replicas
-    # Common random numbers: the same stream drives both initial conditions.
-    res_x = simulate_paths(coeffs, SegmentBatch.from_segment(xi, R), max(t_grid),
-                           seed=config.seed, stream=500, save_times=t_grid)
-    res_y = simulate_paths(coeffs, SegmentBatch.from_segment(eta, R), max(t_grid),
-                           seed=config.seed, stream=500, save_times=t_grid)
+    # Common random numbers: the same stream drives both stacked starts.
+    res = simulate_paths(coeffs, SegmentBatch.from_segments([xi, eta], R), max(t_grid),
+                         seed=config.seed, stream=(500, 500), save_times=t_grid)
     lam = entropy_constant * math.exp(
         config.delta * weighted_norm(xi) ** (2 * coeffs.alpha))
     rows = []
     for t in t_grid:
-        fx = f.f(res_x.cloud_at(t).values)
-        fy = f.f(res_y.cloud_at(t).values)
+        values = res.cloud_at(t).values
+        fx = f.f(values[:R])
+        fy = f.f(values[R:])
         diff = fx - fy
         quot = abs(diff.mean()) / dist
         quot_se = _mc_stderr(diff) / dist

@@ -269,8 +269,9 @@ class SegmentBatch:
     S' = e^{-r h} (S - h e^{-r T_mem} x_oldest) + h x_new.  New batches start without.
     """
 
-    def __init__(self, config: PathSpaceConfig, values):
-        vals = np.array(values, dtype=float, order="C")
+    def __init__(self, config: PathSpaceConfig, values, copy: bool = True):
+        # copy=False adopts a float C-ordered array the caller hands over.
+        vals = (np.array if copy else np.asarray)(values, dtype=float, order="C")
         if vals.ndim == 2:
             vals = vals[:, :, None]
         if vals.ndim != 3 or vals.shape[1:] != (config.n_points, config.d):
@@ -284,7 +285,16 @@ class SegmentBatch:
 
     @classmethod
     def from_segment(cls, seg: PathSegment, n: int) -> "SegmentBatch":
-        return cls(seg.config, np.repeat(seg.values[None], n, axis=0))
+        return cls.from_segments([seg], n)
+
+    @classmethod
+    def from_segments(cls, segments, n: int) -> "SegmentBatch":
+        """Blocks of n rows, block b starting from segments[b], in one allocation."""
+        config = segments[0].config
+        if any(seg.config != config for seg in segments):
+            raise ConfigurationError("segments live on different grids")
+        starts = np.stack([seg.values for seg in segments])
+        return cls(config, np.repeat(starts, n, axis=0), copy=False)
 
     @classmethod
     def from_cloud(cls, cloud: ParticleCloud) -> "SegmentBatch":
@@ -301,6 +311,12 @@ class SegmentBatch:
     def ordered_values(self) -> np.ndarray:
         """Copy of the buffer with the oldest sample first."""
         return self.values[:, self._order(), :]
+
+    def copy(self) -> "SegmentBatch":
+        """Independent batch in the ordered layout, made with one allocation."""
+        split = self.head + 1
+        values = np.concatenate([self.values[:, split:], self.values[:, :split]], axis=1)
+        return SegmentBatch(self.config, values, copy=False)
 
     def endpoint(self) -> np.ndarray:
         return self.values[:, self.head, :]

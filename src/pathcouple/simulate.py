@@ -5,6 +5,18 @@ equation and the drift-corrected coupled pair under the corrected measure Q
 or the reference measure P (with Girsanov log-weights).  The coupled pair is
 one batch: rows [0, R) hold X and rows [R, 2R) hold Y, driven by the same noise.
 
+Both simulators also run *blocks*: independent simulations stacked in one
+batch, each with its own start and its own Philox stream, so one Euler loop
+serves them all.  Each step, block b draws its (rows, d) normals from
+philox_rng(seed, streams[b]), exactly the draws of a separate run on that
+stream, so every block's rows equal those of that separate run.  A stream
+repeated in the list is drawn once per step and shared by its blocks.  The
+builtin coefficients act row by row; a drift that reads the whole batch (a
+McKean law, or the 2-D Picard inverse of the Zvonkin map, which stops when
+every row has converged) ties the blocks together, so McKean runs take one
+stream and 2-D transformed blocks agree with separate runs only to within
+the Picard tolerance.
+
 The running weighted norm of Z = X - Y uses the recursion
 n_t = max(e^{-tau h} n_{t-h}, |Z(t)|), the exact grid norm of the path with
 infinite memory; it dominates the windowed norm and differs from it by at
@@ -48,6 +60,29 @@ LOG_WEIGHT_LIMIT = 700.0
 def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator; (seed, stream) key gives independent streams."""
     return np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
+
+
+def _stream_list(stream) -> list[int]:
+    streams = [int(stream)] if np.ndim(stream) == 0 else [int(s) for s in stream]
+    if not streams:
+        raise ConfigurationError("need at least one stream")
+    return streams
+
+
+def _block_normals(seed: int, streams: list[int], rows: int, d: int):
+    """Per-step standard normals of stacked blocks.
+
+    Returns a function whose every call gives a (len(streams) * rows, d) array;
+    block b is the next (rows, d) draw of philox_rng(seed, streams[b]).  A
+    repeated stream is drawn once per call and its draw reused.
+    """
+    rngs = {s: philox_rng(seed, s) for s in streams}
+
+    def draw() -> np.ndarray:
+        fresh = {s: rng.standard_normal((rows, d)) for s, rng in rngs.items()}
+        return np.concatenate([fresh[s] for s in streams])
+
+    return draw
 
 
 def _check_endpoint(x: np.ndarray, step: int) -> None:
@@ -133,7 +168,7 @@ def simulate_paths(
     init: SegmentBatch,
     T: float,
     seed: int = 0,
-    stream: int = 0,
+    stream=0,
     save_times=None,
     mckean: bool = False,
 ) -> SimulationResult:
@@ -141,18 +176,28 @@ def simulate_paths(
 
     With ``mckean=True`` the law argument is the batch itself, the empirical
     cloud frozen per step; otherwise the law argument is absent.
+
+    ``stream`` is one stream or a sequence of B streams; the rows of ``init``
+    then split into B equal blocks, block b driven by streams[b].  A blow-up
+    reports the stacked row: row i of block b is particle b * (init.n // B) + i.
     """
     cfg = init.config
     if cfg != coeffs.pathcfg:
         raise ConfigurationError("initial batch and coefficients use different configs")
     if mckean and init.n < 2 and coeffs.K1 > 0:
         raise ConfigurationError("mean-field simulation needs at least 2 particles")
+    streams = _stream_list(stream)
+    if init.n % len(streams):
+        raise ConfigurationError(
+            f"{init.n} rows do not split evenly across {len(streams)} streams")
+    if mckean and len(streams) > 1:
+        raise ConfigurationError("a mean-field run takes one stream: its law would mix blocks")
     save_idx, times = _save_steps(cfg, T, save_times)
     n_steps = int(round(T / cfg.h))
-    rng = philox_rng(seed, stream)
+    normals = _block_normals(seed, streams, init.n // len(streams), cfg.d)
     sqrt_h = math.sqrt(cfg.h)
 
-    batch = SegmentBatch(cfg, init.ordered_values())
+    batch = init.copy()
     law = batch if mckean else None
     saved_clouds, saved_ends = [], []
 
@@ -165,7 +210,7 @@ def simulate_paths(
         snapshot()
     for step in range(n_steps):
         x = batch.endpoint()
-        dW = sqrt_h * rng.standard_normal((init.n, cfg.d))
+        dW = sqrt_h * normals()
         _euler_step(coeffs, batch, x, law, _eval_sigma(coeffs, x), dW, step + 1)
         if (step + 1) in save_set:
             snapshot()
@@ -194,7 +239,7 @@ class CouplingRun:
 
     measure: str  # "Q" (corrected dynamics) or "P" (correction in the weight)
     times: np.ndarray  # (n_saves,)
-    x_end: np.ndarray  # (n_saves, R, d)
+    x_end: np.ndarray  # (n_saves, R, d); R = n_replicas, pair p in rows [p R/P, (p+1) R/P)
     y_end: np.ndarray
     z_norms: np.ndarray  # (n_saves, R) running weighted norm of X - Y
     gamma_traj: np.ndarray  # (n_saves, R, d)
@@ -208,12 +253,12 @@ class CouplingRun:
 
 def simulate_coupled_Q(
     coeffs_hat: CoefficientSet,
-    xi: PathSegment,
-    eta: PathSegment,
+    xi,
+    eta,
     kappa: float,
     T: float,
     seed: int = 0,
-    stream: int = 0,
+    stream=0,
     n_replicas: int = 1,
     save_times=None,
     measure: str = "Q",
@@ -225,26 +270,40 @@ def simulate_coupled_Q(
     Under ``measure="P"`` X is uncorrected, the correction is folded into Y's
     drift and the Girsanov log-weight log R = -int <gamma, dW> - 1/2 int
     |gamma|^2 is accumulated, so that reweighting by e^{log R} recovers
-    corrected-measure expectations.  A blow-up of Y in replica i reports
-    particle R + i.
+    corrected-measure expectations.
+
+    ``xi``, ``eta`` and ``stream`` may also be equal-length sequences, one
+    entry per pair; the n_replicas X rows split evenly across the P pairs and
+    pair p runs n_replicas // P replicas on streams[p].  The batch holds X of
+    every pair, then Y of every pair, so a blow-up of X in replica i of pair p
+    reports particle p * (n_replicas // P) + i, and of Y that plus n_replicas.
     """
     cfg = coeffs_hat.pathcfg
-    if xi.config != cfg or eta.config != cfg:
+    xis = [xi] if isinstance(xi, PathSegment) else list(xi)
+    etas = [eta] if isinstance(eta, PathSegment) else list(eta)
+    streams = _stream_list(stream)
+    if not len(xis) == len(etas) == len(streams):
+        raise ConfigurationError(
+            f"need one stream per pair: {len(xis)} xi, {len(etas)} eta, {len(streams)} streams")
+    if any(seg.config != cfg for seg in xis + etas):
         raise ConfigurationError("initial segments and coefficients use different configs")
     if measure not in ("Q", "P"):
         raise ConfigurationError(f"measure must be 'Q' or 'P', got {measure!r}")
     if kappa != 0.0 and kappa <= cfg.tau:
         raise ConfigurationError(f"kappa={kappa} must exceed tau={cfg.tau} (or be 0)")
+    R = int(n_replicas)
+    if R % len(streams):
+        raise ConfigurationError(
+            f"n_replicas={R} does not split evenly across {len(streams)} pairs")
     save_idx, times = _save_steps(cfg, T, save_times)
     n_steps = int(round(T / cfg.h))
-    rng = philox_rng(seed, stream)
-    h, d, R = cfg.h, cfg.d, int(n_replicas)
+    normals = _block_normals(seed, streams, R // len(streams), cfg.d)
+    h = cfg.h
     sqrt_h = math.sqrt(h)
     decay = math.exp(-cfg.tau * h)
 
-    batch = SegmentBatch(cfg, np.concatenate([np.repeat(xi.values[None], R, axis=0),
-                                              np.repeat(eta.values[None], R, axis=0)]))
-    zn = SegmentBatch(cfg, batch.values[:R] - batch.values[R:]).weighted_norm()
+    batch = SegmentBatch.from_segments(xis + etas, R // len(streams))
+    zn = SegmentBatch(cfg, batch.values[:R] - batch.values[R:], copy=False).weighted_norm()
     half_g2 = np.zeros(R)
     log_r = np.zeros(R)
     saves = {"x_end": [], "y_end": [], "z_norms": [], "gamma": [], "half_g2": [], "log_r": []}
@@ -273,7 +332,7 @@ def simulate_coupled_Q(
             extra[:R] = -kappa * (x - y)
         else:
             extra[R:] = _apply_sigma(None if sig is None else sig[R:], gamma)
-        dW = sqrt_h * rng.standard_normal((R, d))
+        dW = sqrt_h * normals()
         new = _euler_step(coeffs_hat, batch, xy, None, sig, np.concatenate([dW, dW]),
                           step + 1, extra)
         g2 = np.einsum("rj,rj->r", gamma, gamma)

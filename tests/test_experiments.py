@@ -19,7 +19,10 @@ from pathcouple.experiments import (
     TestFunction as WeightedTestFunction,
     fit_line,
     parse_config,
+    run_alh,
     run_decay,
+    run_entropy,
+    run_gradient_estimate,
     smallest_envelope_c0,
 )
 from pathcouple.pathspace import PathSegment
@@ -147,6 +150,32 @@ class TestRunDecay:
     def test_kappa_below_tau_rejected(self):
         with pytest.raises(ConfigurationError, match="kappa"):
             run_decay(parse_config(FAST + "sim.kappa = 0.8\n"))
+
+
+class TestStackedRuns:
+    # FAST runs 40 Euler steps to sim.T = 2.0, the last alh and gradient time.
+    N_STEPS = 40
+
+    @pytest.mark.parametrize("run, loops, rows", [
+        (run_entropy, 1, 2 * 6 * 64),  # six coupled pairs of 64 replicas, one batch
+        (run_alh, 12, 2 * 64),  # one batch per pair, X and Y stacked
+        (lambda config: run_gradient_estimate(config, entropy_constant=1.0,
+                                              decay_prefactor=1.0), 1, 2 * 64),
+    ], ids=["entropy", "alh", "gradient"])
+    def test_one_euler_loop_per_stack(self, monkeypatch, run, loops, rows):
+        from pathcouple import simulate
+
+        calls = []
+        original = simulate._euler_step
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].n)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_euler_step", counting)
+        run(parse_config(FAST))
+        assert len(calls) == loops * self.N_STEPS
+        assert set(calls) == {rows}
 
 
 class TestCli:

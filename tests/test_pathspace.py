@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathcouple.errors import InvalidSegmentError
+from pathcouple.errors import ConfigurationError, InvalidSegmentError
 from pathcouple.pathspace import (
     ParticleCloud,
     PathSegment,
@@ -236,3 +236,32 @@ class TestSegmentBatch:
         np.testing.assert_allclose(
             doubled.ordered_values(), 2 * batch.ordered_values()
         )
+
+    def test_from_segments_stacks_blocks(self):
+        rng = np.random.default_rng(14)
+        segs = [random_segment(rng) for _ in range(3)]
+        batch = SegmentBatch.from_segments(segs, 2)
+        assert batch.n == 6
+        for b, seg in enumerate(segs):
+            for i in range(2):
+                np.testing.assert_array_equal(batch.segment(2 * b + i).values, seg.values)
+        other = PathSegment.zero(PathSpaceConfig(d=2, tau=0.5, h=0.05, T_mem=2.0))
+        with pytest.raises(ConfigurationError):
+            SegmentBatch.from_segments([segs[0], other], 2)
+
+    def test_copy_is_ordered_and_independent(self):
+        rng = np.random.default_rng(15)
+        batch = SegmentBatch(CFG, rng.standard_normal((2, CFG.n_points, CFG.d)))
+        for _ in range(5):
+            batch.advance(rng.standard_normal((2, CFG.d)))
+        before = batch.ordered_values()
+        twin = batch.copy()
+        assert twin.head == CFG.n_steps and twin.values.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(twin.values, before)
+        twin.advance(np.zeros((2, CFG.d)))
+        np.testing.assert_array_equal(batch.ordered_values(), before)
+
+    def test_constructor_copies_by_default(self):
+        values = np.zeros((2, CFG.n_points, CFG.d))
+        assert not np.shares_memory(SegmentBatch(CFG, values).values, values)
+        assert np.shares_memory(SegmentBatch(CFG, values, copy=False).values, values)

@@ -28,6 +28,7 @@ from pathcouple.simulate import (
 
 CFG = PathSpaceConfig(d=1, tau=1.0, h=0.01, T_mem=1.0)
 ZERO = get_coefficients("zero", CFG)
+ZERO_SEG = PathSegment.zero(CFG)
 DINI_FAST = """
 path.tau = 1.0
 path.T_mem = 1.0
@@ -235,6 +236,119 @@ class TestCoupling:
                                  seed=3, stream=2)
             np.testing.assert_array_equal(run.times, res.times)
             np.testing.assert_array_equal(ends, res.endpoints)
+
+
+def _explode_beyond_two(cfg=CFG):
+    """Zero drift inside |x| <= 2 and 1e4 x^3 outside: a row started at 5
+    leaves the blow-up limit at step 2 while rows started at 0 stay small."""
+    return CoefficientSet(
+        name="explode_beyond_two", pathcfg=cfg, K=2.0, K1=0.0, alpha=0.0,
+        phi=DiniModulus("power"),
+        b0=lambda x: np.where(np.abs(x) > 2.0, 1e4 * x**3, 0.0), b0_bound=math.inf,
+    )
+
+
+STACK_MAKERS = [
+    lambda: get_coefficients("linear", CFG),
+    lambda: ZERO,
+    lambda: parse_config(DINI_FAST).effective_coefficients()[0],
+]
+STACK_IDS = ["linear", "zero", "dini_sqrt_hat"]
+
+
+class TestStackedBlocks:
+    STARTS = (0.5, -0.25, 1.0)
+    STREAMS = (5, 7, 9)
+
+    @pytest.mark.parametrize("make", STACK_MAKERS, ids=STACK_IDS)
+    def test_paths_blocks_match_separate_runs(self, make):
+        coeffs = make()
+        cfg = coeffs.pathcfg
+        segs = [PathSegment.constant(cfg, [a]) for a in self.STARTS]
+        R, T = 8, 1.0
+        stacked = simulate_paths(coeffs, SegmentBatch.from_segments(segs, R), T,
+                                 seed=3, stream=self.STREAMS)
+        for b, (seg, stream) in enumerate(zip(segs, self.STREAMS)):
+            alone = simulate_paths(coeffs, SegmentBatch.from_segment(seg, R), T,
+                                   seed=3, stream=stream)
+            rows = slice(b * R, (b + 1) * R)
+            np.testing.assert_array_equal(stacked.times, alone.times)
+            np.testing.assert_array_equal(stacked.endpoints[:, rows], alone.endpoints)
+            for cloud, ref in zip(stacked.clouds, alone.clouds):
+                np.testing.assert_array_equal(cloud.values[rows], ref.values)
+
+    @pytest.mark.parametrize("measure", ["Q", "P"])
+    @pytest.mark.parametrize("make", STACK_MAKERS, ids=STACK_IDS)
+    def test_coupled_pairs_match_separate_runs(self, make, measure):
+        coeffs = make()
+        cfg = coeffs.pathcfg
+        xis = [PathSegment.constant(cfg, [a]) for a in self.STARTS]
+        etas = [PathSegment.constant(cfg, [a - 0.5]) for a in self.STARTS]
+        R, T = 8, 1.0
+        stacked = simulate_coupled_Q(coeffs, xis, etas, 4.0, T, seed=3, stream=self.STREAMS,
+                                     n_replicas=3 * R, measure=measure)
+        assert stacked.n_replicas == 3 * R
+        for p, (xi, eta, stream) in enumerate(zip(xis, etas, self.STREAMS)):
+            alone = simulate_coupled_Q(coeffs, xi, eta, 4.0, T, seed=3, stream=stream,
+                                       n_replicas=R, measure=measure)
+            rows = slice(p * R, (p + 1) * R)
+            np.testing.assert_array_equal(stacked.times, alone.times)
+            for name in ("x_end", "y_end", "z_norms", "gamma_traj", "half_int_gamma_sq",
+                         "log_R"):
+                np.testing.assert_array_equal(getattr(stacked, name)[:, rows],
+                                              getattr(alone, name), err_msg=name)
+
+    def test_repeated_stream_gives_identical_blocks(self):
+        coeffs = get_coefficients("linear", CFG)
+        seg = PathSegment.constant(CFG, [0.5])
+        R = 8
+        res = simulate_paths(coeffs, SegmentBatch.from_segments([seg, seg], R), 1.0,
+                             seed=4, stream=(6, 6))
+        np.testing.assert_array_equal(res.endpoints[:, :R], res.endpoints[:, R:])
+        assert np.ptp(res.endpoints[-1, :R]) > 0  # rows within a block still differ
+        run = simulate_coupled_Q(coeffs, [seg, seg], [ZERO_SEG, ZERO_SEG], 4.0, 1.0,
+                                 seed=4, stream=(6, 6), n_replicas=2 * R)
+        np.testing.assert_array_equal(run.x_end[:, :R], run.x_end[:, R:])
+        np.testing.assert_array_equal(run.y_end[:, :R], run.y_end[:, R:])
+
+    def test_uneven_rows_rejected(self):
+        batch = SegmentBatch.from_segment(PathSegment.zero(CFG), 5)
+        with pytest.raises(ConfigurationError, match="split evenly"):
+            simulate_paths(ZERO, batch, 1.0, stream=(1, 2))
+        with pytest.raises(ConfigurationError, match="split evenly"):
+            simulate_coupled_Q(ZERO, [ZERO_SEG] * 2, [ZERO_SEG] * 2, 4.0, 1.0,
+                               stream=(1, 2), n_replicas=5)
+
+    def test_mckean_takes_one_stream(self):
+        coeffs = get_coefficients("linear", CFG)
+        batch = SegmentBatch.from_segment(PathSegment.zero(CFG), 4)
+        with pytest.raises(ConfigurationError, match="one stream"):
+            simulate_paths(coeffs, batch, 1.0, stream=(1, 2), mckean=True)
+
+    def test_one_stream_per_pair(self):
+        with pytest.raises(ConfigurationError, match="one stream per pair"):
+            simulate_coupled_Q(ZERO, [ZERO_SEG] * 2, [ZERO_SEG] * 2, 4.0, 1.0,
+                               stream=3, n_replicas=4)
+
+    def test_blow_up_names_stacked_row(self):
+        # Row 2 of block 1 starts at 5; only it leaves the limit, at step 2.
+        R = 4
+        values = np.zeros((3 * R, CFG.n_points, 1))
+        values[R + 2, -1] = 5.0
+        with pytest.raises(BlowUpError) as err:
+            simulate_paths(_explode_beyond_two(), SegmentBatch(CFG, values), 1.0,
+                           seed=6, stream=(1, 2, 3))
+        assert (err.value.step, err.value.particle) == (2, 1 * R + 2)
+
+    @pytest.mark.parametrize("measure", ["Q", "P"])
+    def test_coupled_blow_up_counts_x_rows_first(self, measure):
+        # Pair 1's Y starts at 5: its first replica is row n_replicas + 1 * R.
+        R = 4
+        etas = [ZERO_SEG, PathSegment.constant(CFG, [5.0]), ZERO_SEG]
+        with pytest.raises(BlowUpError) as err:
+            simulate_coupled_Q(_explode_beyond_two(), [ZERO_SEG] * 3, etas, 4.0, 1.0,
+                               seed=6, stream=(1, 2, 3), n_replicas=3 * R, measure=measure)
+        assert (err.value.step, err.value.particle) == (2, 3 * R + 1 * R)
 
 
 class TestGirsanov:
