@@ -22,6 +22,7 @@ from .coefficients import CoefficientSet, get_coefficients
 from .errors import ConfigurationError
 from .laws import _ou_histories, comonotone_pair, exp_norm_moment
 from .pathspace import (
+    ParticleCloud,
     PathSegment,
     PathSpaceConfig,
     SegmentBatch,
@@ -209,7 +210,9 @@ class TestFunction:
         return cls(cfg, float(amplitude), np.exp(rate * cfg.s_grid))
 
     def inner(self, values: np.ndarray) -> np.ndarray:
-        return self.cfg.h * np.einsum("j,...j->...", self.profile, values[..., 0])
+        # A contiguous copy fixes the summation order, so equal values give equal bits.
+        return self.cfg.h * np.einsum("j,...j->...", self.profile,
+                                      np.ascontiguousarray(values[..., 0]))
 
     def log_f(self, values: np.ndarray) -> np.ndarray:
         return self.amplitude * np.tanh(self.inner(values))
@@ -625,19 +628,29 @@ def smallest_envelope_c0(times, w2, w0):
     return hi
 
 
-def _growth_w2_curve(config, coeffs, n, seed_stream, save_times):
+def _growth_w2_curves(config, coeffs, n, seed_streams, save_times):
+    """Initial (mu, nu) pairs and W2 curves of independent pairs of mean-field flows.
+
+    Pair p starts from `comonotone_pair` on seed_streams[p], and its mu and nu
+    flows run on streams seed_streams[p] + 1 and + 2.  Every flow is a block of
+    n rows of one stacked McKean run, so each sees only its own law.
+    """
     cfg = config.pathcfg
-    mu0, nu0 = comonotone_pair(
-        cfg, n, config.seed, stream=seed_stream,
-        mean_a=0.0, mean_b=config.separation, scale_a=1.0, scale_b=0.75,
-    )
-    res_mu = simulate_mckean(coeffs, mu0, config.T, seed=config.seed,
-                             stream=seed_stream + 1, save_times=save_times)
-    res_nu = simulate_mckean(coeffs, nu0, config.T, seed=config.seed,
-                             stream=seed_stream + 2, save_times=save_times)
-    w2 = np.array([wk_full(res_mu.cloud_at(t), res_nu.cloud_at(t), k=2)
-                   for t in save_times])
-    return mu0, nu0, w2
+    starts = [comonotone_pair(cfg, n, config.seed, stream=s, mean_a=0.0,
+                              mean_b=config.separation, scale_a=1.0, scale_b=0.75)
+              for s in seed_streams]
+    init = ParticleCloud(cfg, np.concatenate([c.values for pair in starts for c in pair]))
+    res = simulate_mckean(coeffs, init, config.T, seed=config.seed,
+                          stream=[s + k for s in seed_streams for k in (1, 2)],
+                          save_times=save_times)
+    w2 = np.zeros((len(seed_streams), len(save_times)))
+    for j, t in enumerate(save_times):
+        values = res.cloud_at(t).values
+        for p in range(len(seed_streams)):
+            mu = ParticleCloud(cfg, values[2 * p * n:(2 * p + 1) * n])
+            nu = ParticleCloud(cfg, values[(2 * p + 1) * n:(2 * p + 2) * n])
+            w2[p, j] = wk_full(mu, nu, k=2)
+    return starts, w2
 
 
 def _epsilon(alpha: float) -> float:
@@ -653,7 +666,9 @@ def run_w2_growth(config: ExperimentConfig) -> Report:
     save_times = _save_grid(config, 16)
 
     n = config.N_particles
-    mu0, nu0, w2 = _growth_w2_curve(config, coeffs, n, 200, save_times)
+    # Curve 300 is the split-half twin of curve 200; both run in one stack.
+    starts, (w2, w2_b) = _growth_w2_curves(config, coeffs, n, (200, 300), save_times)
+    mu0, nu0 = starts[0]
     w0 = wk_full(mu0, nu0, k=2 + eps)
     for cloud, tag in ((mu0, "mu"), (nu0, "nu")):
         est, flagged = exp_norm_moment(cloud, config.delta, 2 * coeffs.alpha)
@@ -662,7 +677,6 @@ def run_w2_growth(config: ExperimentConfig) -> Report:
             report.add_check(f"exponential moment of {tag}", INCONCLUSIVE,
                              "within 10x of overflow")
     # Split-half stderr proxy for the W2 estimates.
-    _, _, w2_b = _growth_w2_curve(config, coeffs, n, 300, save_times)
     se = np.abs(w2 - w2_b) / 2.0
 
     c0 = smallest_envelope_c0(save_times, np.maximum(w2 - 3 * se, 0.0), w0)
@@ -674,7 +688,7 @@ def run_w2_growth(config: ExperimentConfig) -> Report:
                      PASS if violations == 0 else FAIL,
                      f"c0 = {c0:.4g}, violations beyond 3 stderr: {violations}")
 
-    mu0d, nu0d, w2d = _growth_w2_curve(config, coeffs, 2 * n, 400, save_times)
+    [(mu0d, nu0d)], (w2d,) = _growth_w2_curves(config, coeffs, 2 * n, (400,), save_times)
     w0d = wk_full(mu0d, nu0d, k=2 + eps)
     c0d = smallest_envelope_c0(save_times, w2d, w0d)
     report.records["c0_doubled"] = c0d

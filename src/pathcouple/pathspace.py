@@ -309,21 +309,16 @@ class SegmentBatch:
         return (self.head + 1 + np.arange(n1)) % n1
 
     def ordered_values(self) -> np.ndarray:
-        """Copy of the buffer with the oldest sample first."""
-        return self.values[:, self._order(), :]
+        """C-contiguous copy of the buffer with the oldest sample first, in one allocation."""
+        split = self.head + 1
+        return np.concatenate([self.values[:, split:], self.values[:, :split]], axis=1)
 
     def copy(self) -> "SegmentBatch":
-        """Independent batch in the ordered layout, made with one allocation."""
-        split = self.head + 1
-        values = np.concatenate([self.values[:, split:], self.values[:, :split]], axis=1)
-        return SegmentBatch(self.config, values, copy=False)
+        """Independent batch in the ordered layout."""
+        return SegmentBatch(self.config, self.ordered_values(), copy=False)
 
     def endpoint(self) -> np.ndarray:
         return self.values[:, self.head, :]
-
-    def mean_endpoint(self) -> np.ndarray:
-        """Mean endpoint of the equally weighted batch: its law for the builtin drifts."""
-        return self.endpoint().mean(axis=0)
 
     def advance(self, new_values: np.ndarray) -> None:
         n1 = self.config.n_points

@@ -11,11 +11,12 @@ serves them all.  Each step, block b draws its (rows, d) normals from
 philox_rng(seed, streams[b]), exactly the draws of a separate run on that
 stream, so every block's rows equal those of that separate run.  A stream
 repeated in the list is drawn once per step and shared by its blocks.  The
-builtin coefficients act row by row; a drift that reads the whole batch (a
-McKean law, or the 2-D Picard inverse of the Zvonkin map, which stops when
-every row has converged) ties the blocks together, so McKean runs take one
-stream and 2-D transformed blocks agree with separate runs only to within
-the Picard tolerance.
+builtin coefficients act row by row.  A McKean run gives each block its own
+empirical law: the law handed to b1 returns, for every row, the mean endpoint
+of that row's block, so stacked mean-field blocks also equal separate runs.
+The 2-D Picard inverse of the Zvonkin map stops when every row of the batch
+has converged, so 2-D transformed blocks agree with separate runs only to
+within the Picard tolerance.
 
 The running weighted norm of Z = X - Y uses the recursion
 n_t = max(e^{-tau h} n_{t-h}, |Z(t)|), the exact grid norm of the path with
@@ -83,6 +84,24 @@ def _block_normals(seed: int, streams: list[int], rows: int, d: int):
         return np.concatenate([fresh[s] for s in streams])
 
     return draw
+
+
+class _BlockLaws:
+    """Law argument of stacked mean-field blocks: each block's empirical law.
+
+    `mean_endpoint` is row-aligned: row i gets the mean endpoint of its block,
+    the value a separate run of that block would see.
+    """
+
+    def __init__(self, batch: SegmentBatch, n_blocks: int):
+        self.batch = batch
+        self.n_blocks = n_blocks
+
+    def mean_endpoint(self) -> np.ndarray:
+        ep = self.batch.endpoint()
+        rows = ep.shape[0] // self.n_blocks
+        means = ep.reshape(self.n_blocks, rows, ep.shape[1]).mean(axis=1)
+        return np.repeat(means, rows, axis=0)
 
 
 def _check_endpoint(x: np.ndarray, step: int) -> None:
@@ -174,31 +193,30 @@ def simulate_paths(
 ) -> SimulationResult:
     """Integrate a batch of paths to time T.
 
-    With ``mckean=True`` the law argument is the batch itself, the empirical
-    cloud frozen per step; otherwise the law argument is absent.
+    With ``mckean=True`` the law argument is the empirical cloud of the batch,
+    frozen per step; otherwise the law argument is absent.
 
     ``stream`` is one stream or a sequence of B streams; the rows of ``init``
-    then split into B equal blocks, block b driven by streams[b].  A blow-up
+    then split into B equal blocks, block b driven by streams[b].  Under
+    ``mckean=True`` each block's law is its own empirical cloud.  A blow-up
     reports the stacked row: row i of block b is particle b * (init.n // B) + i.
     """
     cfg = init.config
     if cfg != coeffs.pathcfg:
         raise ConfigurationError("initial batch and coefficients use different configs")
-    if mckean and init.n < 2 and coeffs.K1 > 0:
-        raise ConfigurationError("mean-field simulation needs at least 2 particles")
     streams = _stream_list(stream)
     if init.n % len(streams):
         raise ConfigurationError(
             f"{init.n} rows do not split evenly across {len(streams)} streams")
-    if mckean and len(streams) > 1:
-        raise ConfigurationError("a mean-field run takes one stream: its law would mix blocks")
+    if mckean and init.n < 2 * len(streams) and coeffs.K1 > 0:
+        raise ConfigurationError("mean-field simulation needs at least 2 particles per block")
     save_idx, times = _save_steps(cfg, T, save_times)
     n_steps = int(round(T / cfg.h))
     normals = _block_normals(seed, streams, init.n // len(streams), cfg.d)
     sqrt_h = math.sqrt(cfg.h)
 
     batch = init.copy()
-    law = batch if mckean else None
+    law = _BlockLaws(batch, len(streams)) if mckean else None
     saved_clouds, saved_ends = [], []
 
     def snapshot():
@@ -223,10 +241,14 @@ def simulate_mckean(
     init: ParticleCloud,
     T: float,
     seed: int = 0,
-    stream: int = 0,
+    stream=0,
     save_times=None,
 ) -> SimulationResult:
-    """Interacting-particle approximation of the distribution-dependent SDE."""
+    """Interacting-particle approximation of the distribution-dependent SDE.
+
+    With a sequence of B streams the cloud's rows split into B equal blocks,
+    each an independent particle system with its own stream and its own law.
+    """
     batch = SegmentBatch.from_cloud(init)
     return simulate_paths(
         coeffs, batch, T, seed=seed, stream=stream, save_times=save_times, mckean=True

@@ -23,9 +23,10 @@ from pathcouple.experiments import (
     run_decay,
     run_entropy,
     run_gradient_estimate,
+    run_w2_growth,
     smallest_envelope_c0,
 )
-from pathcouple.pathspace import PathSegment
+from pathcouple.pathspace import ParticleCloud, PathSegment, SegmentBatch
 
 FAST = """
 path.tau = 1.0
@@ -105,6 +106,19 @@ class TestWeightedTestFunction:
         np.testing.assert_allclose(vals, 1.0)
         assert f.lip == 0.0
 
+    def test_inner_independent_of_memory_layout(self):
+        f = WeightedTestFunction.default(self.CFG)
+        rng = np.random.default_rng(5)
+        batch = SegmentBatch.from_cloud(
+            ParticleCloud(self.CFG, rng.standard_normal((256, self.CFG.n_points, 1))))
+        for _ in range(7):  # move the ring-buffer head off slot 0
+            batch.advance(rng.standard_normal((256, 1)))
+        ordered = batch.to_cloud().values
+        want = f.inner(np.ascontiguousarray(ordered))
+        time_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(ordered, 1, 0)), 0, 1)
+        for layout in (ordered, np.asfortranarray(ordered), time_major):
+            assert np.array_equal(f.inner(layout), want)
+
 
 class TestFits:
     def test_fit_line_exact(self):
@@ -161,7 +175,8 @@ class TestStackedRuns:
         (run_alh, 12, 2 * 64),  # one batch per pair, X and Y stacked
         (lambda config: run_gradient_estimate(config, entropy_constant=1.0,
                                               decay_prefactor=1.0), 1, 2 * 64),
-    ], ids=["entropy", "alh", "gradient"])
+        (run_w2_growth, 2, 4 * 32),  # curves 200 and 300: 4 flows of N; curve 400: 2 of 2N
+    ], ids=["entropy", "alh", "gradient", "growth"])
     def test_one_euler_loop_per_stack(self, monkeypatch, run, loops, rows):
         from pathcouple import simulate
 

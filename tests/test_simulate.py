@@ -298,6 +298,41 @@ class TestStackedBlocks:
                 np.testing.assert_array_equal(getattr(stacked, name)[:, rows],
                                               getattr(alone, name), err_msg=name)
 
+    @staticmethod
+    def _mckean_starts(cfg, shift=0.0):
+        """Three 8-particle clouds with distinct means; block 1 moved by shift."""
+        rng = np.random.default_rng(30)
+        return [ParticleCloud(cfg, mean + (shift if b == 1 else 0.0)
+                              + 0.3 * rng.standard_normal((8, cfg.n_points, cfg.d)))
+                for b, mean in enumerate((0.5, -1.0, 2.0))]
+
+    @staticmethod
+    def _stack(clouds):
+        return ParticleCloud(clouds[0].config, np.concatenate([c.values for c in clouds]))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_mckean_blocks_match_separate_runs(self, d):
+        cfg = PathSpaceConfig(d=d, tau=1.0, h=0.02, T_mem=1.0)
+        coeffs = get_coefficients("linear", cfg)
+        assert coeffs.K1 > 0  # the drift reads each block's law
+        clouds = self._mckean_starts(cfg)
+        stacked = simulate_mckean(coeffs, self._stack(clouds), 1.0, seed=3, stream=self.STREAMS)
+        for b, (cloud, stream) in enumerate(zip(clouds, self.STREAMS)):
+            alone = simulate_mckean(coeffs, cloud, 1.0, seed=3, stream=stream)
+            rows = slice(8 * b, 8 * (b + 1))
+            np.testing.assert_array_equal(stacked.endpoints[:, rows], alone.endpoints)
+            for cloud_t, ref in zip(stacked.clouds, alone.clouds):
+                np.testing.assert_array_equal(cloud_t.values[rows], ref.values)
+
+    def test_mckean_block_sees_only_its_own_law(self):
+        coeffs = get_coefficients("linear", CFG)
+        base, moved = (simulate_mckean(coeffs, self._stack(self._mckean_starts(CFG, shift)), 1.0,
+                                       seed=3, stream=self.STREAMS).endpoints
+                       for shift in (0.0, 1.5))
+        for rows in (slice(0, 8), slice(16, 24)):
+            np.testing.assert_array_equal(base[:, rows], moved[:, rows])
+        assert np.all(base[-1, 8:16] != moved[-1, 8:16])
+
     def test_repeated_stream_gives_identical_blocks(self):
         coeffs = get_coefficients("linear", CFG)
         seg = PathSegment.constant(CFG, [0.5])
@@ -319,11 +354,14 @@ class TestStackedBlocks:
             simulate_coupled_Q(ZERO, [ZERO_SEG] * 2, [ZERO_SEG] * 2, 4.0, 1.0,
                                stream=(1, 2), n_replicas=5)
 
-    def test_mckean_takes_one_stream(self):
+    def test_mckean_uneven_rows_rejected(self):
         coeffs = get_coefficients("linear", CFG)
-        batch = SegmentBatch.from_segment(PathSegment.zero(CFG), 4)
-        with pytest.raises(ConfigurationError, match="one stream"):
-            simulate_paths(coeffs, batch, 1.0, stream=(1, 2), mckean=True)
+        cloud = ParticleCloud.point_mass(PathSegment.zero(CFG), 5)
+        with pytest.raises(ConfigurationError, match="split evenly"):
+            simulate_mckean(coeffs, cloud, 1.0, stream=(1, 2))
+        with pytest.raises(ConfigurationError, match="2 particles per block"):
+            simulate_mckean(coeffs, ParticleCloud.point_mass(PathSegment.zero(CFG), 2), 1.0,
+                            stream=(1, 2))
 
     def test_one_stream_per_pair(self):
         with pytest.raises(ConfigurationError, match="one stream per pair"):

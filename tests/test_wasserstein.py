@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,24 +151,72 @@ class TestExactAtScale:
 
 
 class TestCostMatrix:
-    """`pairwise_truncated_norm` against one-shot broadcasts, bit for bit."""
+    """`pairwise_truncated_norm` against one-shot broadcasts, bit for bit.
+
+    At d = 1 the kernel is the Chebyshev distance between the weighted rows
+    w*a and w*b, so its reference weights before subtracting.
+    """
 
     @pytest.mark.parametrize("n", [16, 128])
     def test_d1_equals_abs_broadcast(self, n):
         cfg = PathSpaceConfig(d=1, tau=1.0, h=0.02, T_mem=2.0)
         rng = np.random.default_rng(17)
         a, b = random_cloud(rng, n, cfg), random_cloud(rng, n, cfg)
-        diff = a.values[:, None, :, 0] - b.values[None, :, :, 0]
-        want = (np.abs(diff) * cfg.weights).max(axis=-1)
+        wa, wb = cfg.weights * a.values[..., 0], cfg.weights * b.values[..., 0]
+        want = np.abs(wa[:, None] - wb[None]).max(axis=-1)
         assert np.array_equal(pairwise_truncated_norm(a, b, cfg.T_mem), want)
+
+    def test_d1_within_round_off_of_weight_last_form(self):
+        cfg = PathSpaceConfig(d=1, tau=1.0, h=0.02, T_mem=2.0)
+        rng = np.random.default_rng(19)
+        a, b = random_cloud(rng, 40, cfg, scale=3.0), random_cloud(rng, 30, cfg, scale=3.0)
+        old = (np.abs(a.values[:, None, :, 0] - b.values[None, :, :, 0])
+               * cfg.weights).max(axis=-1)
+        wa, wb = cfg.weights * a.values[..., 0], cfg.weights * b.values[..., 0]
+        scale = np.maximum(np.abs(wa).max(axis=1)[:, None], np.abs(wb).max(axis=1)[None])
+        got = pairwise_truncated_norm(a, b, cfg.T_mem)
+        assert np.all(np.abs(got - old) <= 4 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_diagonal_against_itself_is_zero(self, d):
+        cfg = PathSpaceConfig(d=d, tau=1.0, h=0.05, T_mem=1.0)
+        a = random_cloud(np.random.default_rng(20), 32, cfg)
+        cost = pairwise_truncated_norm(a, a, cfg.T_mem)
+        assert np.all(np.diag(cost) == 0.0)
+        assert np.all(cost[~np.eye(32, dtype=bool)] > 0)
+
+    def test_d1_allocates_no_pair_by_grid_temporary(self):
+        cfg = PathSpaceConfig(d=1, tau=1.0, h=0.02, T_mem=2.0)
+        rng = np.random.default_rng(21)
+        a, b = random_cloud(rng, 128, cfg), random_cloud(rng, 128, cfg)
+        tracemalloc.start()
+        try:
+            pairwise_truncated_norm(a, b, cfg.T_mem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The 128 x 128 result is 128 kB; a (128, 128, 101) temporary is 13 MB.
+        assert peak < 1_000_000
+
+    @staticmethod
+    def _norm_broadcast(a, b, cfg):
+        diff = a.values[:, None] - b.values[None, :]
+        return (np.linalg.norm(diff, axis=-1) * cfg.weights).max(axis=-1)
 
     def test_d2_equals_norm_broadcast(self):
         cfg = PathSpaceConfig(d=2, tau=1.0, h=0.1, T_mem=1.0)
         rng = np.random.default_rng(18)
         a, b = random_cloud(rng, 12, cfg), random_cloud(rng, 9, cfg)
-        diff = a.values[:, None] - b.values[None, :]
-        want = (np.linalg.norm(diff, axis=-1) * cfg.weights).max(axis=-1)
-        assert np.array_equal(pairwise_truncated_norm(a, b, cfg.T_mem), want)
+        assert np.array_equal(pairwise_truncated_norm(a, b, cfg.T_mem),
+                              self._norm_broadcast(a, b, cfg))
+
+    def test_d2_grid_chunks_equal_norm_broadcast(self):
+        # 160 x 140 pairs at d = 2 take 23 grid points a chunk, so 41 take two.
+        cfg = PathSpaceConfig(d=2, tau=1.0, h=0.025, T_mem=1.0)
+        rng = np.random.default_rng(22)
+        a, b = random_cloud(rng, 160, cfg), random_cloud(rng, 140, cfg)
+        assert np.array_equal(pairwise_truncated_norm(a, b, cfg.T_mem),
+                              self._norm_broadcast(a, b, cfg))
 
 
 def test_cloud_moment():
