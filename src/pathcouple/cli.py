@@ -26,7 +26,6 @@ from .errors import (
 )
 from .experiments import (
     EXIT_CODES,
-    fit_decay_prefactor,
     parse_config,
     run_alh,
     run_decay,
@@ -61,12 +60,9 @@ def _runners() -> dict:
 def _dispatch(name: str, config, done: dict):
     """Run one experiment; ``done`` holds the reports already run on ``config``."""
     if name == "gradient":
-        # Reuse the entropy and decay constants an earlier pass already fitted.
-        known = {}
-        if "entropy" in done:
-            known["entropy_constant"] = done["entropy"].records["entropy_constant"]
-        if "decay" in done:
-            known["decay_prefactor"] = fit_decay_prefactor(config, done["decay"])
+        # Reuse the constants an earlier entropy or decay pass already recorded.
+        known = {key: done[owner].records[key] for owner, key in
+                 (("entropy", "entropy_constant"), ("decay", "decay_prefactor")) if owner in done}
         return run_gradient_estimate(config, **known)
     return _runners()[name](config)
 

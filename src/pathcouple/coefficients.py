@@ -21,7 +21,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, InvalidCoefficientError, NotDiniError
+from .laws import _ou_histories
 from .pathspace import ParticleCloud, PathSegment, PathSpaceConfig, flat_extension, weighted_norm
+from .wasserstein import cloud_moment, wk_full
 
 __all__ = [
     "CoefficientSet",
@@ -307,9 +309,6 @@ def validate_H(coeffs: CoefficientSet, sample_budget: int, rng_seed: int) -> Val
     The check is statistical, not symbolic: the worst observed/allowed ratio
     per hypothesis is reported, with pass meaning ratio <= 1 + 1e-9.
     """
-    from .laws import _ou_histories  # lazy: laws imports simulate, which imports this module
-    from .wasserstein import cloud_moment, wk_full
-
     if sample_budget < 1:
         raise ConfigurationError("sample_budget must be >= 1")
     rng = np.random.default_rng(rng_seed)

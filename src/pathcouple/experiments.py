@@ -17,8 +17,9 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+from scipy.special import lambertw
 
-from .coefficients import CoefficientSet, get_coefficients
+from .coefficients import CoefficientSet, get_coefficients, validate_H
 from .errors import ConfigurationError
 from .laws import _ou_histories, comonotone_pair, exp_norm_moment
 from .pathspace import (
@@ -37,7 +38,6 @@ __all__ = [
     "ExperimentConfig",
     "Report",
     "TestFunction",
-    "fit_decay_prefactor",
     "fit_line",
     "parse_config",
     "run_alh",
@@ -121,6 +121,9 @@ class ExperimentConfig:
         first = min(_ALH_TIMES[0], _GRADIENT_TIMES[0])
         if self.T < first - 1e-9:
             raise ConfigurationError(f"sim.T={self.T} is below the first check time {first}")
+        if self.pathcfg.d > 2 and self.coefficients().b0 is not None:
+            # Raised again by the Zvonkin grid; checked here so `all` fails before any run.
+            raise ConfigurationError("elliptic solves support dimension 1 or 2 only")
 
     def coefficients(self) -> CoefficientSet:
         return get_coefficients(self.coefficients_name, self.pathcfg)
@@ -345,8 +348,6 @@ def _check_rate(report: Report, label: str, t, y, target: float):
 
 def run_validate(config: ExperimentConfig) -> Report:
     """Sampled ratios of the coefficients against their declared constants."""
-    from .coefficients import validate_H
-
     coeffs = config.coefficients()
     result = validate_H(coeffs, sample_budget=64, rng_seed=config.seed)
     report = Report("hypothesis-validation")
@@ -394,7 +395,8 @@ def run_zvonkin(config: ExperimentConfig) -> Report:
 
 
 def run_decay(config: ExperimentConfig) -> Report:
-    """Fit the decay rate of log E_Q ||X_t - Y_t||_tau^p against -p tau0, p = 1, 2, 4."""
+    """Fit the decay rate of log E_Q ||X_t - Y_t||_tau^p against -p tau0, p = 1, 2, 4, and
+    record Gamma_t's prefactor max_t E_Q ||X_t - Y_t||_tau e^{tau0 t} / separation."""
     coeffs, zmap = config.effective_coefficients()
     xi, eta = _pair_segments(config, config.separation / 2, -config.separation / 2)
     run = simulate_coupled_Q(
@@ -415,19 +417,13 @@ def run_decay(config: ExperimentConfig) -> Report:
                                -p * config.tau0)
         report.records[f"rate_p{p}"] = rate
         report.records[f"rate_stderr_p{p}"] = se
+        if p == 1:
+            report.records["decay_prefactor"] = float(
+                np.max(m * np.exp(config.tau0 * run.times)) / config.separation)
         for t, mm, ss in zip(run.times, m, zp.std(axis=1, ddof=1) / math.sqrt(run.n_replicas)):
             rows.append([t, p, mm, ss])
     report.tables["decay"] = (["t", "p", "mean_znorm_p", "stderr"], rows)
     return report
-
-
-def fit_decay_prefactor(config: ExperimentConfig, decay: Report) -> float:
-    """Prefactor c of Gamma_t = c e^{-tau0 t}, from the p=1 rows of a decay
-    report, normalized by the initial distance."""
-    rows = [r for r in decay.tables["decay"][1] if r[1] == 1]
-    ts = np.array([r[0] for r in rows])
-    ms = np.array([r[2] for r in rows])
-    return float(np.max(ms * np.exp(config.tau0 * ts)) / config.separation)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +478,6 @@ def run_entropy(config: ExperimentConfig) -> Report:
             rows.append([t, i, hh, ss])
     report.records["entropy_constant"] = c_fit
     report.tables["entropy"] = (["t", "pair", "H", "stderr"], rows)
-    report.add_check("entropy constant fitted", PASS, f"c = {c_fit:.4g}")
     return report
 
 
@@ -601,31 +596,26 @@ def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None) -> Repor
 
 
 def smallest_envelope_c0(times, w2, w0):
-    """Minimal c0 > 0 with w2(t) <= c0 e^{c0 t} w0 for all t."""
+    """Minimal c0 > 0 with w2(t) <= c0 e^{c0 t} w0 for all t.
+
+    Time t asks log c + c t >= l = log(w2(t) / w0) - 1e-12, whose least root is
+    c = W(t e^l) / t, W the principal Lambert W branch (e^l at t = 0); c0 is the
+    largest root.  An overflowing e^l leaves no finite envelope.
+    """
     times = np.asarray(times, dtype=float)
     w2 = np.asarray(w2, dtype=float)
     if w0 <= 0:
         if np.max(w2) <= 0:
             return 0.0
         raise ConfigurationError("initial distance is zero but W2(t) > 0")
-    logs = np.log(np.maximum(w2, 1e-300)) - math.log(w0)
-
-    def ok(c):
-        return bool(np.all(logs <= math.log(c) + c * times + 1e-12))
-
-    hi = 1.0
-    while not ok(hi):
-        hi *= 2.0
-        if hi > 1e9:
-            raise ConfigurationError("no finite exponential envelope found")
-    lo = 1e-9
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    with np.errstate(over="ignore"):
+        c = np.exp(np.log(np.maximum(w2, 1e-300)) - math.log(w0) - 1e-12)
+    later = times > 0
+    c[later] = lambertw(times[later] * c[later]).real / times[later]
+    c0 = float(np.max(c))
+    if not math.isfinite(c0):
+        raise ConfigurationError("no finite exponential envelope found")
+    return c0
 
 
 def _growth_w2_curves(config, coeffs, n, seed_streams, save_times):
@@ -731,7 +721,7 @@ def run_gradient_estimate(
     if entropy_constant is None:
         entropy_constant = run_entropy(config).records["entropy_constant"]
     if decay_prefactor is None:
-        decay_prefactor = fit_decay_prefactor(config, run_decay(config))
+        decay_prefactor = run_decay(config).records["decay_prefactor"]
     report.records["entropy_constant"] = entropy_constant
     report.records["decay_prefactor"] = decay_prefactor
 

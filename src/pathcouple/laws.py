@@ -1,29 +1,37 @@
-"""Initial-law generators on path space and moment diagnostics.
+"""The Philox generator, initial-law generators on path space and moment diagnostics.
 
-Clouds are i.i.d. samples of history segments.  The Gaussian generator draws
-stationary Ornstein-Uhlenbeck histories, which have an exponential envelope
-and therefore all the exponential norm-moments the growth estimates require.
-The comonotone pair shares the underlying normals between two generators,
-which is the coupling recorded for initial Wasserstein distances.
+Every random draw of the package comes from `philox_rng`, keyed by a seed
+and a stream.  Clouds are i.i.d. samples of history segments.  The Gaussian
+generator draws stationary Ornstein-Uhlenbeck histories, which have an
+exponential envelope and therefore all the exponential norm-moments the
+growth estimates require.  The comonotone pair shares the underlying normals
+between two generators, which is the coupling recorded for initial
+Wasserstein distances.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
 from .errors import UnreliableMomentWarning
 from .pathspace import ParticleCloud, PathSpaceConfig
-from .simulate import philox_rng
 
 __all__ = [
     "comonotone_pair",
     "exp_norm_moment",
     "gaussian_history_cloud",
+    "philox_rng",
 ]
 
 _OVERFLOW_LOG = math.log(np.finfo(float).max) - math.log(10.0)  # 10x safety margin
+
+
+def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """Counter-based generator; (seed, stream) key gives independent streams."""
+    return np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
 
 
 def _ou_histories(cfg: PathSpaceConfig, normals: np.ndarray, mean, scale: float, rate: float):
@@ -90,8 +98,6 @@ def exp_norm_moment(cloud: ParticleCloud, delta: float, power: float):
     exponents = delta * cloud.norms() ** power
     flagged = bool(np.max(exponents) > _OVERFLOW_LOG)
     if flagged:
-        import warnings
-
         warnings.warn(
             "exponential norm-moment within 10x of overflow; estimate unreliable",
             UnreliableMomentWarning,

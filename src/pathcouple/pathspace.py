@@ -28,6 +28,8 @@ __all__ = [
     "weighted_norm",
 ]
 
+HISTORY_RTOL = 1e-12  # rounding slack of check_history_inequality, relative to 1 + rhs
+
 
 @dataclass(frozen=True)
 class PathSpaceConfig:
@@ -182,9 +184,7 @@ def advance(seg: PathSegment, new_value) -> PathSegment:
     return PathSegment(seg.config, vals)
 
 
-def check_history_inequality(
-    seg0: PathSegment, future_values, p: float, rtol: float = 1e-12
-) -> bool:
+def check_history_inequality(seg0: PathSegment, future_values, p: float) -> bool:
     """Check the sup-splitting bound for the weighted norm along a trajectory.
 
     For every grid time t in [0, len(future)*h] it verifies
@@ -214,7 +214,7 @@ def check_history_inequality(
     windows = np.lib.stride_tricks.sliding_window_view(g, cfg.n_points)
     lhs = windows.max(axis=-1)[1 : n_fut + 1]
     rhs = norm0_p + run_max[1:]
-    return bool(np.all(lhs <= rhs + tol + rtol * (1.0 + rhs)))
+    return bool(np.all(lhs <= rhs + tol + HISTORY_RTOL * (1.0 + rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +259,12 @@ class ParticleCloud:
 class SegmentBatch:
     """Mutable ring-buffer batch of segments; the workhorse of the simulators.
 
-    values has shape (R, n_points, d); `head` is the slot holding s = 0.
-    Unlike PathSegment this type is mutated in place, so it is never shared
-    across threads; snapshots are taken for anything that escapes a simulation.
+    values has shape (R, n_points, d); `head` is the slot holding s = 0.  The
+    ring layout is private to `advance` and `endpoint`: every other reader gets
+    the window in time order, through `exp_weighted_integral`,
+    `ordered_values` or `to_cloud`.  Unlike PathSegment this type is mutated
+    in place, so it is never shared across threads; snapshots are taken for
+    anything that escapes a simulation.
 
     `advance` is the only writer of `values`, so each history integral
     S = h sum_i e^{r s_i} x(s_i) is summed over the window once, at its first
@@ -304,10 +307,6 @@ class SegmentBatch:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def _order(self) -> np.ndarray:
-        n1 = self.config.n_points
-        return (self.head + 1 + np.arange(n1)) % n1
-
     def ordered_values(self) -> np.ndarray:
         """C-contiguous copy of the buffer with the oldest sample first, in one allocation."""
         split = self.head + 1
@@ -327,30 +326,18 @@ class SegmentBatch:
             S[:] = decay * (S - tail * self.values[:, self.head, :]) + self.config.h * new_values
         self.values[:, self.head, :] = new_values
 
-    def weighted_norm(self) -> np.ndarray:
-        w = self.config.weights[self._order().argsort()]
-        # w above is the weight of each physical slot; equivalent to rolling.
-        mags = np.linalg.norm(self.values, axis=-1)
-        return np.max(w[None, :] * mags, axis=-1)
-
     def exp_weighted_integral(self, rate: float) -> np.ndarray:
         if rate not in self._integrals:
             cfg = self.config
-            w = np.exp(rate * cfg.s_grid)[self._order().argsort()]
-            self._integrals[rate] = [cfg.h * np.einsum("j,rjd->rd", w, self.values),
+            w = np.exp(rate * cfg.s_grid)
+            self._integrals[rate] = [cfg.h * np.einsum("j,rjd->rd", w, self.ordered_values()),
                                      np.exp(-rate * cfg.h), cfg.h * np.exp(-rate * cfg.T_mem)]
         return self._integrals[rate][0].copy()
 
     def map_values(self, fn) -> "SegmentBatch":
-        """New batch with fn applied to the flattened (M, d) value array."""
-        flat = self.values.reshape(-1, self.config.d)
-        out = fn(flat).reshape(self.values.shape)
-        batch = SegmentBatch(self.config, out)
-        batch.head = self.head
-        return batch
+        """New batch, in the ordered layout, with fn applied to the window flattened to (M, d)."""
+        vals = self.ordered_values()
+        return SegmentBatch(self.config, fn(vals.reshape(-1, self.config.d)).reshape(vals.shape))
 
     def to_cloud(self) -> ParticleCloud:
         return ParticleCloud(self.config, self.ordered_values())
-
-    def segment(self, i: int) -> PathSegment:
-        return PathSegment(self.config, self.values[i][self._order()])

@@ -42,6 +42,7 @@ from .errors import (
     DegenerateWeightWarning,
     SingularDiffusionError,
 )
+from .laws import philox_rng
 from .pathspace import ParticleCloud, PathSegment, PathSpaceConfig, SegmentBatch
 
 __all__ = [
@@ -56,11 +57,6 @@ __all__ = [
 
 BLOWUP_LIMIT = 1e8
 LOG_WEIGHT_LIMIT = 700.0
-
-
-def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator; (seed, stream) key gives independent streams."""
-    return np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
 
 
 def _stream_list(stream) -> list[int]:
@@ -325,7 +321,7 @@ def simulate_coupled_Q(
     decay = math.exp(-cfg.tau * h)
 
     batch = SegmentBatch.from_segments(xis + etas, R // len(streams))
-    zn = SegmentBatch(cfg, batch.values[:R] - batch.values[R:], copy=False).weighted_norm()
+    zn = ParticleCloud(cfg, batch.values[:R] - batch.values[R:]).norms()
     half_g2 = np.zeros(R)
     log_r = np.zeros(R)
     saves = {"x_end": [], "y_end": [], "z_norms": [], "gamma": [], "half_g2": [], "log_r": []}

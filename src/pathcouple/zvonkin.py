@@ -41,6 +41,7 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-8  # relative to 1 + ||b0||_inf
 PICARD_TOL = 1e-12
+PICARD_MAX_ITER = 200  # 2-D Picard sweeps before theta_inv gives up
 
 
 @dataclass(frozen=True)
@@ -303,14 +304,14 @@ def theta(zmap: ZvonkinMap, x) -> np.ndarray:
     return x + zmap.u_at(x)
 
 
-def theta_inv(zmap: ZvonkinMap, y, max_iter: int = 200, extend: bool = False) -> np.ndarray:
+def theta_inv(zmap: ZvonkinMap, y, extend: bool = False) -> np.ndarray:
     """Solution x of x + u(x) = y.
 
     In 1-D Theta is piecewise linear, so x = y - u(x) is exact once u is
     interpolated against the node values Theta(x_i) instead of x_i; beyond
     Theta(+-L) the interpolation clamps to u(+-L), the flat far field.  In 2-D
     it is the Picard fixed point, a contraction with factor <= 1/2 by
-    smallness, and ``max_iter`` sweeps without convergence raise
+    smallness, and PICARD_MAX_ITER sweeps without convergence raise
     SolverFailureError.
 
     With ``extend=True`` points outside the box use the constant extension of
@@ -323,14 +324,14 @@ def theta_inv(zmap: ZvonkinMap, y, max_iter: int = 200, extend: bool = False) ->
         return y - np.interp(y, zmap._theta_nodes, zmap.u[:, 0])
     x = y.copy()
     delta = math.inf
-    for _ in range(max_iter):
+    for _ in range(PICARD_MAX_ITER):
         x_new = y - zmap.u_at(x)  # u_at is flat outside the box
         delta = np.max(np.abs(x_new - x))
         x = x_new
         if delta < PICARD_TOL:
             return x
     raise SolverFailureError(
-        f"Picard inverse of Theta did not converge in {max_iter} sweeps "
+        f"Picard inverse of Theta did not converge in {PICARD_MAX_ITER} sweeps "
         f"(last step {delta:.3e}, tolerance {PICARD_TOL:.0e})", residual=float(delta)
     )
 

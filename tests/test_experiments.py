@@ -70,6 +70,12 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="tau0"):
             parse_config("sim.tau0 = 1.5")
 
+    def test_dini_drift_needs_d_at_most_2(self):
+        # The Zvonkin grid is 1-D or 2-D; a drift without a Dini part runs at any d.
+        with pytest.raises(ConfigurationError, match="dimension 1 or 2 only"):
+            parse_config(FAST + "coefficients.name = dini_log\npath.d = 3\n")
+        assert parse_config(FAST + "path.d = 3\n").pathcfg.d == 3
+
     def test_delta_out_of_range(self):
         with pytest.raises(ConfigurationError, match="delta"):
             parse_config("experiment.delta = 1.0")
@@ -149,6 +155,43 @@ class TestFits:
         with pytest.raises(ConfigurationError):
             smallest_envelope_c0([0.0, 1.0], [0.0, 0.5], 0.0)
 
+    @staticmethod
+    def _bisected_c0(t, w2, w0):
+        """Brute-force reference: doubling search, then geometric bisection."""
+        logs = np.log(np.maximum(w2, 1e-300)) - math.log(w0)
+
+        def ok(c):
+            return bool(np.all(logs <= math.log(c) + c * t + 1e-12))
+
+        lo, hi = 1e-9, 1.0
+        while not ok(hi):
+            lo, hi = hi, 2.0 * hi
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+        return hi
+
+    def test_envelope_matches_brute_force_on_random_curves(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n = int(rng.integers(2, 20))
+            t = np.sort(rng.uniform(0.0, 8.0, n))
+            if rng.random() < 0.5:
+                t[0] = 0.0  # the t = 0 point: c0 >= w2(0) / w0
+            w0 = float(rng.uniform(0.1, 2.0))
+            w2 = w0 * np.exp(rng.normal(0.0, 1.5, n) + rng.uniform(-0.5, 1.0) * t)
+            c0 = smallest_envelope_c0(t, w2, w0)
+            assert c0 == pytest.approx(self._bisected_c0(t, w2, w0), rel=1e-12)
+            logs = np.log(w2 / w0)
+            assert np.all(logs <= math.log(c0) + c0 * t + 2e-12)
+            below = c0 * (1 - 1e-9)
+            assert np.any(logs > math.log(below) + below * t + 1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e308])
+    def test_envelope_not_finite_raises(self, bad):
+        with pytest.raises(ConfigurationError, match="no finite exponential envelope"):
+            smallest_envelope_c0([0.0, 1.0, 2.0], [1.0, bad, 1.0], 1e-300)
+
 
 class TestRunDecay:
     def test_linear_fast_config_passes(self):
@@ -160,6 +203,13 @@ class TestRunDecay:
         # rate kappa - K, far below the -p tau0 target
         for label, verdict, _ in report.checks:
             assert verdict == PASS, label
+
+    def test_records_prefactor_of_p1_means(self):
+        config = parse_config(FAST)
+        report = run_decay(config)
+        rows = np.array([row for row in report.tables["decay"][1] if row[1] == 1])
+        want = np.max(rows[:, 2] * np.exp(config.tau0 * rows[:, 0])) / config.separation
+        assert report.records["decay_prefactor"] == want
 
     def test_kappa_below_tau_rejected(self):
         with pytest.raises(ConfigurationError, match="kappa"):
@@ -236,10 +286,10 @@ class TestCli:
         assert (tmp_path / "out" / "summary.txt").exists()
 
     def test_validate_failure_is_reported(self, tmp_path, capsys, monkeypatch):
-        from pathcouple import coefficients
+        from pathcouple import coefficients, experiments
 
         failing = coefficients.ValidationReport(ratios={"H2_lipschitz": 1.5})
-        monkeypatch.setattr(coefficients, "validate_H", lambda *args, **kwargs: failing)
+        monkeypatch.setattr(experiments, "validate_H", lambda *args, **kwargs: failing)
         assert cli_main(["validate", "--config", str(self._cfg_file(tmp_path))]) == 3
         assert "  FAIL: hypothesis ratio H2_lipschitz (ratio 1.5 > 1)" in capsys.readouterr().out
 
@@ -278,7 +328,10 @@ class TestCli:
         assert err.startswith("configuration error: sim.T=0.5 is below the first check time 1.0")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("line", ["sim.T = 0.5", "sim.kappa = 0.8"])
+    @pytest.mark.parametrize("line", [
+        "sim.T = 0.5", "sim.kappa = 0.8",
+        pytest.param("coefficients.name = dini_sqrt\npath.d = 3", id="dini at d = 3"),
+    ])
     def test_all_rejects_config_before_running(self, tmp_path, capsys, monkeypatch, line):
         # One config serves every experiment: `all` refuses it before the first runs.
         from pathcouple import cli
@@ -331,6 +384,12 @@ class TestCli:
         assert cli_main(["gradient", "--config", str(p), "--output", str(out_grad)]) == 0
         block = self._summary_block(out_all, "gradient-estimate")
         assert block[0] == f"[{PASS}] gradient-estimate"
+        for owner, key in (("coupling-decay", "decay_prefactor"),
+                           ("relative-entropy", "entropy_constant")):
+            record = f"  record {key} = "
+            assert ([line for line in block if line.startswith(record)]
+                    == [line for line in self._summary_block(out_all, owner)
+                        if line.startswith(record)])
         assert block == self._summary_block(out_grad, "gradient-estimate")
         csv_name = "gradient-estimate_gradient.csv"
         assert (out_all / csv_name).read_bytes() == (out_grad / csv_name).read_bytes()

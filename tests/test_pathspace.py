@@ -141,11 +141,12 @@ class TestSegmentBatch:
         segs = [random_segment(rng) for _ in range(4)]
         batch = SegmentBatch(CFG, np.stack([s.values for s in segs]))
         for _ in range(CFG.n_points + 3):  # wrap the ring around
-            batch.advance(rng.standard_normal((4, CFG.d)))
-        for i in range(4):
-            seg_i = batch.segment(i)
-            assert weighted_norm(seg_i) == pytest.approx(batch.weighted_norm()[i])
-            np.testing.assert_allclose(seg_i.endpoint(), batch.endpoint()[i])
+            new = rng.standard_normal((4, CFG.d))
+            batch.advance(new)
+            segs = [advance(seg, x) for seg, x in zip(segs, new)]
+        for i, seg in enumerate(segs):
+            np.testing.assert_array_equal(batch.ordered_values()[i], seg.values)
+            np.testing.assert_array_equal(batch.endpoint()[i], seg.endpoint())
 
     def test_advance_equals_segment_advance(self):
         rng = np.random.default_rng(6)
@@ -156,7 +157,7 @@ class TestSegmentBatch:
             new = rng.standard_normal(CFG.d)
             ref = advance(ref, new)
             batch.advance(np.stack([new, new]))
-        np.testing.assert_allclose(batch.segment(0).values, ref.values)
+        np.testing.assert_allclose(batch.ordered_values()[0], ref.values)
 
     def test_exp_weighted_integral_matches(self):
         rng = np.random.default_rng(7)
@@ -227,11 +228,12 @@ class TestSegmentBatch:
         np.testing.assert_allclose(batch.exp_weighted_integral(2.0),
                                    self._summed_integral(batch, 2.0), rtol=0, atol=1e-13)
 
-    def test_map_values_preserves_head(self):
+    def test_map_values_maps_the_window(self):
         rng = np.random.default_rng(8)
         batch = SegmentBatch.from_segment(random_segment(rng), 2)
         batch.advance(rng.standard_normal((2, CFG.d)))
         doubled = batch.map_values(lambda v: 2 * v)
+        assert doubled.head == CFG.n_steps  # ordered layout, whatever the source's head
         np.testing.assert_allclose(doubled.endpoint(), 2 * batch.endpoint())
         np.testing.assert_allclose(
             doubled.ordered_values(), 2 * batch.ordered_values()
@@ -244,7 +246,7 @@ class TestSegmentBatch:
         assert batch.n == 6
         for b, seg in enumerate(segs):
             for i in range(2):
-                np.testing.assert_array_equal(batch.segment(2 * b + i).values, seg.values)
+                np.testing.assert_array_equal(batch.ordered_values()[2 * b + i], seg.values)
         other = PathSegment.zero(PathSpaceConfig(d=2, tau=0.5, h=0.05, T_mem=2.0))
         with pytest.raises(ConfigurationError):
             SegmentBatch.from_segments([segs[0], other], 2)

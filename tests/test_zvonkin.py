@@ -97,11 +97,12 @@ class TestSolve:
         x = np.random.default_rng(0).uniform(-2, 2, (50, 2))
         np.testing.assert_allclose(theta_inv(zmap, theta(zmap, x)), x, atol=1e-10)
 
-    def test_2d_picard_not_converged_raises(self):
+    def test_2d_picard_not_converged_raises(self, monkeypatch):
         zmap, _ = dini_2d_map()
         x = np.random.default_rng(0).uniform(-2, 2, (50, 2))
-        with pytest.raises(SolverFailureError, match="did not converge"):
-            theta_inv(zmap, theta(zmap, x), max_iter=1)
+        monkeypatch.setattr(zvonkin, "PICARD_MAX_ITER", 1)
+        with pytest.raises(SolverFailureError, match="did not converge in 1 sweeps"):
+            theta_inv(zmap, theta(zmap, x))
 
     def test_2d_kronecker_operator_matches_stencil_loop(self):
         # Cross term a12 != 0 and both drift components nonzero, so every
