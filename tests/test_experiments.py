@@ -1,6 +1,9 @@
 import csv
+import dataclasses
+import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,12 +12,14 @@ import numpy as np
 import pytest
 
 import pathcouple
+from pathcouple import experiments
 from pathcouple.cli import cli_main
 from pathcouple.errors import ConfigurationError
 from pathcouple.experiments import (
     FAIL,
     INCONCLUSIVE,
     PASS,
+    ExperimentConfig,
     Report,
     TestFunction as WeightedTestFunction,
     fit_line,
@@ -24,6 +29,7 @@ from pathcouple.experiments import (
     run_entropy,
     run_gradient_estimate,
     run_w2_growth,
+    run_zvonkin,
     smallest_envelope_c0,
 )
 from pathcouple.pathspace import ParticleCloud, PathSegment, SegmentBatch
@@ -76,6 +82,12 @@ class TestParseConfig:
             parse_config(FAST + "coefficients.name = dini_log\npath.d = 3\n")
         assert parse_config(FAST + "path.d = 3\n").pathcfg.d == 3
 
+    def test_one_particle_needs_a_law_free_drift(self):
+        # Mean-field runs need 2 particles only when the drift reads the law (K1 > 0).
+        with pytest.raises(ConfigurationError, match="at least 2 particles"):
+            parse_config(FAST + "sim.N_particles = 1\n")
+        assert parse_config(FAST + "sim.N_particles = 1\ncoefficients.name = zero\n")
+
     def test_delta_out_of_range(self):
         with pytest.raises(ConfigurationError, match="delta"):
             parse_config("experiment.delta = 1.0")
@@ -92,11 +104,26 @@ class TestWeightedTestFunction:
     CFG = parse_config(FAST).pathcfg
 
     def test_certified_lipschitz(self):
+        # Sampled difference quotients of log f on random-walk pairs stay below lip.
         f = WeightedTestFunction.default(self.CFG, amplitude=1.5)
-        assert f.certify(n_samples=300, seed=1)
+        rng = np.random.default_rng(1)
+        steps = rng.standard_normal((2, 300, self.CFG.n_points, 1)) * math.sqrt(self.CFG.h)
+        a, b = np.cumsum(steps, axis=2)
+        dist = np.max(self.CFG.weights * np.abs(a - b)[..., 0], axis=-1)
+        quot = np.abs(f.log_f(a) - f.log_f(b)) / dist
+        assert np.all(quot <= f.lip * (1 + 1e-12))
+        assert quot.max() > 0.5 * f.lip  # and lip is not loose by orders of magnitude
         assert f.lip > 0
         assert f.f_sup == pytest.approx(math.exp(1.5))
         assert f.grad_f_sup == pytest.approx(f.f_sup * f.lip)
+
+    @pytest.mark.parametrize("amplitude, profile", [
+        (1.0, np.full(21, math.nan)), (1.0, np.ones(20)), (math.inf, np.ones(21)),
+    ], ids=["nan profile", "short profile", "infinite amplitude"])
+    def test_construction_rejects_bad_input(self, amplitude, profile):
+        assert self.CFG.n_points == 21
+        with pytest.raises(ConfigurationError, match="test function"):
+            WeightedTestFunction(self.CFG, amplitude, profile)
 
     def test_bounds(self):
         f = WeightedTestFunction.default(self.CFG)
@@ -243,6 +270,95 @@ class TestStackedRuns:
         assert set(calls) == {rows}
 
 
+class TestNegativeControls:
+    """Each verdict kind fails when its inequality is broken on purpose."""
+
+    @staticmethod
+    def _verdicts(report, prefix):
+        return {verdict for label, verdict, _ in report.checks if label.startswith(prefix)}
+
+    @pytest.mark.parametrize("name", ["linear", "zero"])
+    def test_decay_without_coupling_fails(self, monkeypatch, name):
+        # At kappa = 0, ||X - Y|| grows (linear) or stays (zero): no rate near -p tau0.
+        config = parse_config(FAST + f"coefficients.name = {name}\n")
+        assert self._verdicts(run_decay(config), "decay rate") == {PASS}
+        original = experiments.simulate_coupled_Q
+
+        def uncoupled(coeffs, xi, eta, kappa, *args, **kwargs):
+            return original(coeffs, xi, eta, 0.0, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "simulate_coupled_Q", uncoupled)
+        assert self._verdicts(run_decay(config), "decay rate") == {FAIL}
+
+    def test_entropy_growing_linearly_fails(self, monkeypatch):
+        original = experiments.simulate_coupled_Q
+
+        def growing(*args, **kwargs):
+            run = original(*args, **kwargs)
+            return dataclasses.replace(
+                run, half_int_gamma_sq=run.half_int_gamma_sq + run.times[:, None])
+
+        monkeypatch.setattr(experiments, "simulate_coupled_Q", growing)
+        report = run_entropy(parse_config(FAST))
+        assert len(report.checks) == 6
+        assert self._verdicts(report, "H(t) plateau") == {FAIL}
+
+    def test_alh_held_out_defect_beyond_bound_fails(self, monkeypatch):
+        original = experiments._alh_pair
+        n_train = len(experiments._alh_pairs(parse_config(FAST))) // 2
+
+        def shifted(config, coeffs, f, xi, eta, i):
+            shift = 5.0 if i >= n_train else 0.0
+            return [(lhs + shift, rhs, se)
+                    for lhs, rhs, se in original(config, coeffs, f, xi, eta, i)]
+
+        monkeypatch.setattr(experiments, "_alh_pair", shifted)
+        assert self._verdicts(run_alh(parse_config(FAST)), "held-out") == {FAIL}
+
+    def test_growth_c0_unstable_under_doubling_fails(self, monkeypatch):
+        original = experiments._growth_w2_curves
+
+        def steeper_when_doubled(config, coeffs, n, seed_streams, save_times):
+            starts, w2 = original(config, coeffs, n, seed_streams, save_times)
+            return starts, w2 * np.exp(3 * save_times) if seed_streams == (400,) else w2
+
+        monkeypatch.setattr(experiments, "_growth_w2_curves", steeper_when_doubled)
+        assert self._verdicts(run_w2_growth(parse_config(FAST)), "c0 stability") == {FAIL}
+
+    def test_gradient_with_zero_constants_fails(self):
+        report = run_gradient_estimate(parse_config(FAST), entropy_constant=0.0,
+                                       decay_prefactor=0.0)
+        assert self._verdicts(report, "gradient bound") == {FAIL}
+
+    def test_zvonkin_map_above_maximum_principle_fails(self, monkeypatch):
+        original = ExperimentConfig.effective_coefficients
+
+        def inflated(config):
+            coeffs, zmap = original(config)
+            return coeffs, dataclasses.replace(zmap, u_inf=10 * zmap.u_inf)
+
+        config = parse_config(FAST + "coefficients.name = dini_sqrt\n")
+        assert run_zvonkin(config).verdict == PASS
+        monkeypatch.setattr(ExperimentConfig, "effective_coefficients", inflated)
+        assert self._verdicts(run_zvonkin(config), "resolvent maximum principle") == {FAIL}
+
+
+def _verdict_surface(zvonkin_check: str) -> list:
+    """(report, check label, count) of an `all` run, pair indices and times masked."""
+    return [
+        ("hypothesis-validation", "declared hypothesis constants", 1),
+        ("zvonkin-transform", zvonkin_check, 1),
+        ("coupling-decay", "decay rate p=1", 1),
+        ("coupling-decay", "decay rate p=2", 1),
+        ("coupling-decay", "decay rate p=4", 1),
+        ("relative-entropy", "H(t) plateau pair #", 6),
+        ("asymptotic-log-harnack", "held-out pair # t=#", 18),
+        ("asymptotic-log-harnack", "excess decay rate", 1),
+        ("wasserstein-growth", "c0 stability under N doubling", 1),
+        ("gradient-estimate", "gradient bound t=#", 3),
+    ]
+
+
 class TestCli:
     def _cfg_file(self, tmp_path, extra=""):
         p = tmp_path / "run.cfg"
@@ -331,6 +447,9 @@ class TestCli:
     @pytest.mark.parametrize("line", [
         "sim.T = 0.5", "sim.kappa = 0.8",
         pytest.param("coefficients.name = dini_sqrt\npath.d = 3", id="dini at d = 3"),
+        pytest.param("sim.N_particles = 1", id="one particle per mean-field block"),
+        pytest.param("sim.T = 2.01", id="horizon off the step grid"),
+        pytest.param("sim.h = 0.4\npath.T_mem = 0.8", id="check time 1.0 off the step grid"),
     ])
     def test_all_rejects_config_before_running(self, tmp_path, capsys, monkeypatch, line):
         # One config serves every experiment: `all` refuses it before the first runs.
@@ -344,6 +463,25 @@ class TestCli:
         assert cli_main(["all", "--config", str(p)]) == 1
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, zvonkin_check", [
+        ("builtin_linear.cfg", "transform"), ("builtin_dini.cfg", "resolvent maximum principle"),
+    ])
+    def test_all_runs_the_pinned_checks(self, tmp_path, name, zvonkin_check):
+        # Adding or dropping a check of a shipped config shows up as an edit here.
+        shipped = Path(__file__).resolve().parents[1] / "configs" / name
+        p = tmp_path / name
+        p.write_text(shipped.read_text() + "sim.N_replicas = 64\nsim.N_particles = 16\n")
+        cli_main(["all", "--config", str(p), "--output", str(tmp_path / "out")])
+        checks = []
+        for line in (tmp_path / "out" / "summary.txt").read_text().splitlines():
+            if line.startswith("["):
+                report = line.partition("] ")[2]
+            elif m := re.fullmatch(r"  (?:PASS|FAIL|INCONCLUSIVE): (.*?)(?: \(.*\))?", line):
+                label = re.sub(r"t=[0-9.]+", "t=#", re.sub(r"pair \d+", "pair #", m[1]))
+                checks.append((report, label))
+        assert [(*key, len(list(group))) for key, group in itertools.groupby(checks)] \
+            == _verdict_surface(zvonkin_check)
 
     @pytest.mark.parametrize("command", ["decay", "gradient"])
     def test_single_replica_exit_1(self, tmp_path, capsys, command):
