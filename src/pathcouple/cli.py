@@ -3,7 +3,7 @@
 Exit codes: 0 all checks pass, 1 configuration/validation error (or, for
 `report`, a missing or malformed summary), 2 numerical failure (blow-up,
 solver failure), 3 at least one check failed, 4 all checks ran but some were
-inconclusive.
+inconclusive.  Each error class in errors.py carries its own code and label.
 """
 
 from __future__ import annotations
@@ -13,17 +13,7 @@ import csv
 import sys
 from pathlib import Path
 
-from .errors import (
-    BlowUpError,
-    ConfigurationError,
-    InvalidCoefficientError,
-    LambdaExhaustedError,
-    NotDiniError,
-    OutOfDomainError,
-    PathcoupleError,
-    SingularDiffusionError,
-    SolverFailureError,
-)
+from .errors import PathcoupleError
 from .experiments import (
     EXIT_CODES,
     parse_config,
@@ -38,15 +28,6 @@ from .experiments import (
 )
 
 __all__ = ["cli_main", "main"]
-
-_NUMERICAL_ERRORS = (
-    BlowUpError,
-    SolverFailureError,
-    LambdaExhaustedError,
-    SingularDiffusionError,
-    OutOfDomainError,
-)
-_CONFIG_ERRORS = (ConfigurationError, InvalidCoefficientError, NotDiniError)
 
 
 def _runners() -> dict:
@@ -128,15 +109,9 @@ def cli_main(argv=None) -> int:
         config = parse_config(args.config)
         for name in names:
             done[name] = _dispatch(name, config, done)
-    except _CONFIG_ERRORS as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
     except PathcoupleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
     reports = list(done.values())
     out_dir = Path(args.output or config.output_dir)

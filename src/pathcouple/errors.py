@@ -1,8 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; each carries its CLI label and exit code."""
 
 
 class PathcoupleError(Exception):
     """Base class for all package errors."""
+    label = "error"
+    exit_code = 2
 
 
 class InvalidSegmentError(PathcoupleError):
@@ -11,21 +13,28 @@ class InvalidSegmentError(PathcoupleError):
 
 class ConfigurationError(PathcoupleError):
     """Inconsistent grids, dimensions or experiment parameters."""
+    label = "configuration error"
+    exit_code = 1
 
 
 class InvalidCloudError(PathcoupleError):
     """Particle cloud with a bad shape, non-finite entries or mismatched grids."""
 
 
-class InvalidCoefficientError(PathcoupleError):
+class InvalidCoefficientError(ConfigurationError):
     """A coefficient evaluation produced a non-finite value."""
 
 
-class NotDiniError(PathcoupleError):
+class NotDiniError(ConfigurationError):
     """The integral of phi(s)/s over (0, 1] does not converge."""
 
 
-class SolverFailureError(PathcoupleError):
+class NumericalError(PathcoupleError):
+    """A simulation or solve failed on a valid configuration."""
+    label = "numerical failure"
+
+
+class SolverFailureError(NumericalError):
     """A solve failed: a linear residual above tolerance, a non-invertible
     transform, or a fixed-point iteration that did not converge."""
 
@@ -34,15 +43,15 @@ class SolverFailureError(PathcoupleError):
         self.residual = residual
 
 
-class LambdaExhaustedError(PathcoupleError):
+class LambdaExhaustedError(NumericalError):
     """No value in the lambda sweep satisfied the smallness condition."""
 
 
-class OutOfDomainError(PathcoupleError):
+class OutOfDomainError(NumericalError):
     """Point outside the elliptic solver box."""
 
 
-class BlowUpError(PathcoupleError):
+class BlowUpError(NumericalError):
     """A trajectory became non-finite during integration."""
 
     def __init__(self, message, step=None, particle=None):
@@ -51,7 +60,7 @@ class BlowUpError(PathcoupleError):
         self.particle = particle
 
 
-class SingularDiffusionError(PathcoupleError):
+class SingularDiffusionError(NumericalError):
     """The diffusion matrix was not invertible at a visited point."""
 
 

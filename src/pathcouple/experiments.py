@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -164,15 +165,18 @@ class ExperimentConfig:
 def parse_config(source) -> ExperimentConfig:
     """Parse a flat key=value config (dotted sections, '#' comments).
 
-    ``source`` is a path or a text blob containing at least one '='.  Values
+    ``source`` is a path or a text blob containing at least one '='; a string
+    that names an existing file is read as one, even if it contains '='.  Values
     that fail to convert to their key's type or are not finite are rejected.
     """
     text = str(source)
-    if "=" not in text:
-        p = Path(text)
-        if not p.exists():
-            raise ConfigurationError(f"config file not found: {text}")
-        text = p.read_text()
+    if os.path.exists(text) or "=" not in text:  # os.path.exists never raises
+        try:
+            text = Path(text).read_text()
+        except FileNotFoundError:
+            raise ConfigurationError(f"config file not found: {text}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"cannot read config file {text}: {exc}") from None
     values = {name: default for name, _, default in _KEYS.values()}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

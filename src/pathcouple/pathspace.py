@@ -157,8 +157,6 @@ def flat_extension(seg: PathSegment) -> PathSegment:
 
 def weighted_norm(seg: PathSegment) -> float:
     """max over the grid of e^{tau*s} |xi(s)| (Euclidean norm in R^d)."""
-    if not np.all(np.isfinite(seg.values)):
-        raise InvalidSegmentError("segment contains non-finite entries")
     mags = np.linalg.norm(seg.values, axis=-1)
     return float(np.max(seg.config.weights * mags))
 

@@ -315,7 +315,7 @@ def simulate_coupled_Q(
             f"n_replicas={R} does not split evenly across {len(streams)} pairs")
     save_idx, times = _save_steps(cfg, T, save_times)
     n_steps = int(round(T / cfg.h))
-    normals = _block_normals(seed, streams, R // len(streams), cfg.d)
+    normals = _block_normals(seed, streams + streams, R // len(streams), cfg.d)
     h = cfg.h
     sqrt_h = math.sqrt(h)
     decay = math.exp(-cfg.tau * h)
@@ -351,12 +351,11 @@ def simulate_coupled_Q(
         else:
             extra[R:] = _apply_sigma(None if sig is None else sig[R:], gamma)
         dW = sqrt_h * normals()
-        new = _euler_step(coeffs_hat, batch, xy, None, sig, np.concatenate([dW, dW]),
-                          step + 1, extra)
+        new = _euler_step(coeffs_hat, batch, xy, None, sig, dW, step + 1, extra)
         g2 = np.einsum("rj,rj->r", gamma, gamma)
         half_g2 += 0.5 * g2 * h
         if measure == "P":
-            log_r += -np.einsum("rj,rj->r", gamma, dW) - 0.5 * g2 * h
+            log_r += -np.einsum("rj,rj->r", gamma, dW[:R]) - 0.5 * g2 * h
         np.maximum(zn * decay, np.linalg.norm(new[:R] - new[R:], axis=-1), out=zn)
 
     degenerate = np.abs(log_r) > LOG_WEIGHT_LIMIT

@@ -14,7 +14,8 @@ import pytest
 import pathcouple
 from pathcouple import experiments
 from pathcouple.cli import cli_main
-from pathcouple.errors import ConfigurationError
+from pathcouple import errors
+from pathcouple.errors import BlowUpError, ConfigurationError, InvalidCloudError
 from pathcouple.experiments import (
     FAIL,
     INCONCLUSIVE,
@@ -98,6 +99,31 @@ class TestParseConfig:
         cfg = parse_config(p)
         assert cfg.pathcfg.h == 0.05
         assert cfg.N_replicas == 64
+
+    def test_file_path_with_equals_sign(self, tmp_path):
+        # A string naming an existing file is read, not parsed as config text.
+        p = tmp_path / "odd=dir" / "lin.cfg"
+        p.parent.mkdir()
+        p.write_text(FAST)
+        assert parse_config(str(p)).N_replicas == 64
+
+    def test_directory_is_a_configuration_error(self, tmp_path):
+        message = f"cannot read config file {re.escape(str(tmp_path))}: "
+        with pytest.raises(ConfigurationError, match=message):
+            parse_config(str(tmp_path))
+
+    def test_non_utf8_file_is_a_configuration_error(self, tmp_path):
+        p = tmp_path / "latin1.cfg"
+        p.write_bytes(FAST.encode() + "# caf\xe9\n".encode("latin-1"))
+        message = f"cannot read config file {re.escape(str(p))}: .*utf-8"
+        with pytest.raises(ConfigurationError, match=message):
+            parse_config(str(p))
+
+    def test_long_one_line_text(self):
+        # Longer than a file name may be: probing it as a path must not raise.
+        text = "sim.kappa = 2.5  # " + "x" * 300
+        assert len(text.encode()) > 255
+        assert parse_config(text).kappa == 2.5
 
 
 class TestWeightedTestFunction:
@@ -482,6 +508,34 @@ class TestCli:
                 checks.append((report, label))
         assert [(*key, len(list(group))) for key, group in itertools.groupby(checks)] \
             == _verdict_surface(zvonkin_check)
+
+    def test_error_classes_declare_exit_codes(self):
+        # The CLI prints "<label>: <message>" and exits with the class's code;
+        # a new error class must be added here with the pair it inherits.
+        declared = {name: (cls.label, cls.exit_code) for name, cls in vars(errors).items()
+                    if isinstance(cls, type) and issubclass(cls, errors.PathcoupleError)}
+        config, numerical = ("configuration error", 1), ("numerical failure", 2)
+        assert declared == {
+            "PathcoupleError": ("error", 2), "InvalidSegmentError": ("error", 2),
+            "InvalidCloudError": ("error", 2), "ConfigurationError": config,
+            "InvalidCoefficientError": config, "NotDiniError": config,
+            "NumericalError": numerical, "SolverFailureError": numerical,
+            "LambdaExhaustedError": numerical, "OutOfDomainError": numerical,
+            "BlowUpError": numerical, "SingularDiffusionError": numerical,
+        }
+
+    @pytest.mark.parametrize("error, prefix", [
+        (BlowUpError("trajectory blew up at step 3", step=3, particle=0), "numerical failure: "),
+        (InvalidCloudError("cloud values are not finite"), "error: "),
+    ])
+    def test_package_error_exit_2(self, tmp_path, capsys, monkeypatch, error, prefix):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(experiments, "simulate_coupled_Q", failing)
+        assert cli_main(["decay", "--config", str(self._cfg_file(tmp_path))]) == 2
+        assert capsys.readouterr().err == f"{prefix}{error}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["decay", "gradient"])
     def test_single_replica_exit_1(self, tmp_path, capsys, command):
