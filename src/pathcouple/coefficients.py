@@ -200,53 +200,36 @@ def make_sublinear(pathcfg: PathSpaceConfig) -> CoefficientSet:
     )
 
 
-def _unit_first_axis(d: int) -> np.ndarray:
-    e1 = np.zeros(d)
+def _radial_dini(pathcfg: PathSpaceConfig, name: str, profile, phi: DiniModulus) -> CoefficientSet:
+    """Bounded radial drift b0(x) = profile(|x|) e1 with modulus phi."""
+    e1 = np.zeros(pathcfg.d)
     e1[0] = 1.0
-    return e1
+
+    def b0(x):
+        return profile(np.linalg.norm(x, axis=-1, keepdims=True)) * e1
+
+    return CoefficientSet(
+        name=name,
+        pathcfg=pathcfg,
+        K=2.0,
+        K1=0.0,
+        alpha=0.0,
+        phi=phi,
+        b0=b0,
+        b0_bound=1.0,
+    )
 
 
 def make_dini_sqrt(pathcfg: PathSpaceConfig) -> CoefficientSet:
-    """Dini-but-not-Lipschitz drift b0(x) = amp * min(sqrt(|x|), 1) e1, amp = 1."""
-    amp = 1.0
-    e1 = _unit_first_axis(pathcfg.d)
-
-    def b0(x):
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        return amp * np.minimum(np.sqrt(r), 1.0) * e1
-
-    return CoefficientSet(
-        name="dini_sqrt",
-        pathcfg=pathcfg,
-        K=2.0,
-        K1=0.0,
-        alpha=0.0,
-        phi=DiniModulus("power", C=amp, beta=0.5),
-        b0=b0,
-        b0_bound=amp,
-    )
+    """Dini-but-not-Lipschitz drift b0(x) = min(sqrt(|x|), 1) e1."""
+    return _radial_dini(pathcfg, "dini_sqrt", lambda r: np.minimum(np.sqrt(r), 1.0),
+                        DiniModulus("power", C=1.0, beta=0.5))
 
 
 def make_dini_log(pathcfg: PathSpaceConfig) -> CoefficientSet:
-    """Log-modulus drift amp * psi(|x|) e1, amp = 1: Dini but not Hoelder of any order."""
-    amp = 1.0
-    e1 = _unit_first_axis(pathcfg.d)
+    """Log-modulus drift psi(|x|) e1: Dini but not Hoelder of any order."""
     psi = DiniModulus("log", C=1.0, q=2.0)
-
-    def b0(x):
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        return amp * psi(r) * e1
-
-    return CoefficientSet(
-        name="dini_log",
-        pathcfg=pathcfg,
-        K=2.0,
-        K1=0.0,
-        alpha=0.0,
-        phi=DiniModulus("log", C=amp, q=2.0),
-        b0=b0,
-        b0_bound=amp,
-    )
+    return _radial_dini(pathcfg, "dini_log", psi, psi)
 
 
 def make_zero(pathcfg: PathSpaceConfig) -> CoefficientSet:

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import lambertw
 
+from . import zvonkin
 from .coefficients import CoefficientSet, get_coefficients, validate_H
 from .errors import ConfigurationError
 from .laws import comonotone_pair, exp_norm_moment
@@ -138,13 +139,11 @@ class ExperimentConfig:
     @cached_property
     def _zvonkin_map(self):
         """The lambda sweep's chosen map for a Dini drift, solved once per config."""
-        from .zvonkin import EllipticGrid, default_lambda_grid, select_lambda
-
         coeffs = self.coefficients()
         L = float(math.ceil(12.0 + self.T))
         dx = 1e-3 if self.pathcfg.d == 1 else 0.05
-        return select_lambda(coeffs, EllipticGrid(self.pathcfg.d, L, dx),
-                             default_lambda_grid(coeffs))
+        return zvonkin.select_lambda(coeffs, zvonkin.EllipticGrid(self.pathcfg.d, L, dx),
+                                     zvonkin.default_lambda_grid(coeffs))
 
     def effective_coefficients(self):
         """Transformed coefficients when a Dini drift is present, else raw.
@@ -155,11 +154,9 @@ class ExperimentConfig:
         coeffs = self.coefficients()
         if coeffs.b0 is None:
             return coeffs, None
-        from .zvonkin import transformed_coeffs
-
         zmap = copy.copy(self._zvonkin_map)
         zmap.eval_count = zmap.escape_count = 0
-        return transformed_coeffs(zmap, coeffs), zmap
+        return zvonkin.transformed_coeffs(zmap, coeffs), zmap
 
 
 def parse_config(source) -> ExperimentConfig:

@@ -169,7 +169,11 @@ class SimulationResult:
 
     times: np.ndarray  # save times (n_saves,)
     clouds: list  # ParticleCloud at each save time
-    endpoints: np.ndarray  # (n_saves, N, d)
+
+    @property
+    def endpoints(self) -> np.ndarray:
+        """(n_saves, N, d) endpoints of the saved clouds."""
+        return np.array([c.endpoints() for c in self.clouds])
 
     def cloud_at(self, t: float) -> ParticleCloud:
         i = int(np.argmin(np.abs(self.times - t)))
@@ -213,23 +217,18 @@ def simulate_paths(
 
     batch = init.copy()
     law = _BlockLaws(batch, len(streams)) if mckean else None
-    saved_clouds, saved_ends = [], []
-
-    def snapshot():
-        saved_clouds.append(batch.to_cloud())
-        saved_ends.append(batch.endpoint().copy())
-
+    saved_clouds = []
     save_set = set(save_idx.tolist())
     if 0 in save_set:
-        snapshot()
+        saved_clouds.append(batch.to_cloud())
     for step in range(n_steps):
         x = batch.endpoint()
         dW = sqrt_h * normals()
         _euler_step(coeffs, batch, x, law, _eval_sigma(coeffs, x), dW, step + 1)
         if (step + 1) in save_set:
-            snapshot()
+            saved_clouds.append(batch.to_cloud())
 
-    return SimulationResult(times=times, clouds=saved_clouds, endpoints=np.array(saved_ends))
+    return SimulationResult(times=times, clouds=saved_clouds)
 
 
 def simulate_mckean(
@@ -260,7 +259,6 @@ class CouplingRun:
     x_end: np.ndarray  # (n_saves, R, d); R = n_replicas, pair p in rows [p R/P, (p+1) R/P)
     y_end: np.ndarray
     z_norms: np.ndarray  # (n_saves, R) running weighted norm of X - Y
-    gamma_traj: np.ndarray  # (n_saves, R, d)
     half_int_gamma_sq: np.ndarray  # (n_saves, R), nondecreasing in t
     log_R: np.ndarray  # (n_saves, R); identically 0 under Q
 
@@ -324,25 +322,24 @@ def simulate_coupled_Q(
     zn = ParticleCloud(cfg, batch.values[:R] - batch.values[R:]).norms()
     half_g2 = np.zeros(R)
     log_r = np.zeros(R)
-    saves = {"x_end": [], "y_end": [], "z_norms": [], "gamma": [], "half_g2": [], "log_r": []}
+    saves = {"x_end": [], "y_end": [], "z_norms": [], "half_g2": [], "log_r": []}
 
-    def snapshot(xy, gamma):
+    def snapshot(xy):
         saves["x_end"].append(xy[:R].copy())
         saves["y_end"].append(xy[R:].copy())
         saves["z_norms"].append(zn.copy())
-        saves["gamma"].append(gamma)
         saves["half_g2"].append(half_g2.copy())
         saves["log_r"].append(log_r.copy())
 
     save_set = set(save_idx.tolist())
-    # sigma and gamma at the top of step k serve the save at k; pass n_steps only saves.
+    # The pass at step n_steps only saves.
     for step in range(n_steps + 1):
         xy = batch.endpoint()
         x, y = xy[:R], xy[R:]
         sig = _eval_sigma(coeffs_hat, xy)
         gamma = kappa * _solve_sigma(None if sig is None else sig[:R], x - y)
         if step in save_set:
-            snapshot(xy, gamma)
+            snapshot(xy)
         if step == n_steps:
             break
         extra = np.zeros_like(xy)
@@ -371,7 +368,6 @@ def simulate_coupled_Q(
         x_end=np.array(saves["x_end"]),
         y_end=np.array(saves["y_end"]),
         z_norms=np.array(saves["z_norms"]),
-        gamma_traj=np.array(saves["gamma"]),
         half_int_gamma_sq=np.array(saves["half_g2"]),
         log_R=np.array(saves["log_r"]),
     )

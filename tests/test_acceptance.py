@@ -38,7 +38,7 @@ from pathcouple.simulate import (
     simulate_mckean,
     simulate_paths,
 )
-from pathcouple.wasserstein import pairwise_truncated_norm, wk_truncated
+from pathcouple.wasserstein import pairwise_truncated_norm, wk_full
 from pathcouple.zvonkin import (
     EllipticGrid,
     default_lambda_grid,
@@ -227,8 +227,8 @@ def test_criterion_6_ot_oracle(capsys):
         a = ParticleCloud(cfg, rng.uniform(-1, 1, (n, cfg.n_points, cfg.d)))
         b = ParticleCloud(cfg, rng.uniform(-1, 1, (n, cfg.n_points, cfg.d)))
         k = float(rng.choice([1.0, 2.0, 3.0]))
-        got = wk_truncated(a, b, k, cfg.T_mem)
-        costs = pairwise_truncated_norm(a, b, cfg.T_mem) ** k
+        got = wk_full(a, b, k)
+        costs = pairwise_truncated_norm(a, b) ** k
         brute = min(
             costs[range(n), list(perm)].mean()
             for perm in itertools.permutations(range(n))
@@ -238,11 +238,11 @@ def test_criterion_6_ot_oracle(capsys):
     for _ in range(30):
         clouds = [ParticleCloud(cfg, rng.uniform(-1, 1, (4, cfg.n_points, cfg.d)))
                   for _ in range(3)]
-        dab = wk_truncated(clouds[0], clouds[1], 2.0, cfg.T_mem)
-        dba = wk_truncated(clouds[1], clouds[0], 2.0, cfg.T_mem)
-        dbc = wk_truncated(clouds[1], clouds[2], 2.0, cfg.T_mem)
-        dac = wk_truncated(clouds[0], clouds[2], 2.0, cfg.T_mem)
-        daa = wk_truncated(clouds[0], clouds[0], 2.0, cfg.T_mem)
+        dab = wk_full(clouds[0], clouds[1], 2.0)
+        dba = wk_full(clouds[1], clouds[0], 2.0)
+        dbc = wk_full(clouds[1], clouds[2], 2.0)
+        dac = wk_full(clouds[0], clouds[2], 2.0)
+        daa = wk_full(clouds[0], clouds[0], 2.0)
         metric_ok &= abs(dab - dba) <= 1e-10
         metric_ok &= dac <= dab + dbc + 1e-10
         metric_ok &= daa <= 1e-10

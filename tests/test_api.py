@@ -83,9 +83,8 @@ def test_benchmark_tracer_binds_every_name(monkeypatch):
 
 def test_imports_at_module_top():
     # A function-level import hides a dependency (or an import cycle) until the
-    # function runs.  The one exception keeps zvonkin's import off runs whose
-    # drift needs no transform.
-    allowed = {("experiments.py", "zvonkin")}
+    # function runs.
+    allowed = set()
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathcouple.errors import ConfigurationError, InvalidSegmentError
+from pathcouple.errors import ConfigurationError, InvalidCloudError, InvalidSegmentError
 from pathcouple.pathspace import (
     ParticleCloud,
     PathSegment,
@@ -133,6 +133,13 @@ class TestParticleCloud:
         assert len(cloud) == 5
         np.testing.assert_allclose(cloud.mean_endpoint(), [1.0, 2.0])
         np.testing.assert_allclose(cloud.norms(), weighted_norm(seg))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        vals = np.zeros((3, CFG.n_points, CFG.d))
+        vals[1, 7, 1] = bad
+        with pytest.raises(InvalidCloudError, match="non-finite"):
+            ParticleCloud(CFG, vals)
 
 
 class TestSegmentBatch:

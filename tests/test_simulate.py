@@ -179,7 +179,6 @@ class TestCoupling:
     def test_identical_start_stays_zero(self):
         run = simulate_coupled_Q(ZERO, self.XI, self.XI, 4.0, 1.0, seed=0, n_replicas=8)
         assert np.max(run.z_norms) == 0.0
-        assert np.max(np.abs(run.gamma_traj)) == 0.0
         assert np.max(run.half_int_gamma_sq) == 0.0
 
     def test_closed_form_decay(self):
@@ -293,8 +292,7 @@ class TestStackedBlocks:
                                        n_replicas=R, measure=measure)
             rows = slice(p * R, (p + 1) * R)
             np.testing.assert_array_equal(stacked.times, alone.times)
-            for name in ("x_end", "y_end", "z_norms", "gamma_traj", "half_int_gamma_sq",
-                         "log_R"):
+            for name in ("x_end", "y_end", "z_norms", "half_int_gamma_sq", "log_R"):
                 np.testing.assert_array_equal(getattr(stacked, name)[:, rows],
                                               getattr(alone, name), err_msg=name)
 

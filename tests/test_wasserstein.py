@@ -13,7 +13,6 @@ from pathcouple.wasserstein import (
     ot_plan,
     pairwise_truncated_norm,
     wk_full,
-    wk_truncated,
 )
 
 CFG = PathSpaceConfig(d=1, tau=1.0, h=0.1, T_mem=1.0)
@@ -24,9 +23,9 @@ def random_cloud(rng, n, cfg=CFG, scale=1.0):
     return ParticleCloud(cfg, scale * vals / math.sqrt(cfg.n_points))
 
 
-def brute_force_wk(a, b, k, N):
+def brute_force_wk(a, b, k):
     """Permutation minimum for uniform clouds of equal size (oracle)."""
-    cost = pairwise_truncated_norm(a, b, N) ** max(k, 1.0)
+    cost = pairwise_truncated_norm(a, b) ** max(k, 1.0)
     n = len(a)
     best = math.inf
     for perm in itertools.permutations(range(n)):
@@ -48,19 +47,9 @@ class TestOracle:
             n = int(rng.integers(2, 7))
             a, b = random_cloud(rng, n), random_cloud(rng, n)
             k = float(rng.choice([1.0, 2.0, 3.0]))
-            got = wk_truncated(a, b, k, CFG.T_mem)
-            want = brute_force_wk(a, b, k, CFG.T_mem)
+            got = wk_full(a, b, k)
+            want = brute_force_wk(a, b, k)
             assert got == pytest.approx(want, abs=1e-10), trial
-
-    def test_full_scan_equals_top_level(self):
-        # cost monotone in the truncation level => sup over levels at T_mem
-        rng = np.random.default_rng(1)
-        levels = CFG.h * np.arange(1, CFG.n_steps + 1)
-        for _ in range(10):
-            a, b = random_cloud(rng, 6), random_cloud(rng, 6)
-            assert wk_full(a, b, k=2) == pytest.approx(
-                max(wk_truncated(a, b, 2, N) for N in levels), abs=1e-10
-            )
 
 
 class TestMetricAxioms:
@@ -94,17 +83,17 @@ class TestPlans:
     def test_plan_marginals(self):
         rng = np.random.default_rng(6)
         a, b = random_cloud(rng, 6), random_cloud(rng, 9)
-        plan = ot_plan(a, b, k=2, N=CFG.T_mem)
+        plan = ot_plan(a, b, k=2)
         assert marginal_error(plan) < 1e-8
 
     def test_k_below_one_rejected(self):
         rng = np.random.default_rng(7)
         a, b = random_cloud(rng, 3), random_cloud(rng, 3)
         with pytest.raises(ConfigurationError):
-            ot_plan(a, b, k=0.5, N=CFG.T_mem)
+            ot_plan(a, b, k=0.5)
 
     def test_point_mass_distance(self):
-        # distance between point masses is the truncated seminorm itself
+        # distance between point masses is the weighted path norm itself
         rng = np.random.default_rng(8)
         x = PathSegment(CFG, rng.standard_normal((CFG.n_points, 1)))
         y = PathSegment(CFG, rng.standard_normal((CFG.n_points, 1)))
@@ -126,7 +115,7 @@ class TestExactAtScale:
 
     def test_identity_80_particles(self):
         a = random_cloud(np.random.default_rng(13), 80)
-        assert ot_plan(a, a, k=2, N=CFG.T_mem).solver == "assignment"
+        assert ot_plan(a, a, k=2).solver == "assignment"
         assert wk_full(a, a, k=2) == pytest.approx(0.0, abs=1e-12)
 
     def test_point_mass_distance_80_particles(self):
@@ -142,12 +131,12 @@ class TestExactAtScale:
         # the clouds blown up to 180 particles (each a_i 3 times, each b_j twice).
         rng = np.random.default_rng(15)
         a, b = random_cloud(rng, 60), random_cloud(rng, 90)
-        plan = ot_plan(a, b, k=2, N=CFG.T_mem)
+        plan = ot_plan(a, b, k=2)
         assert plan.solver == "linprog"
-        cost = np.repeat(np.repeat(plan.cost_matrix, 3, axis=0), 2, axis=1)
+        cost = np.repeat(np.repeat(pairwise_truncated_norm(a, b) ** 2, 3, axis=0), 2, axis=1)
         rows, cols = linear_sum_assignment(cost)
         want = math.sqrt(cost[rows, cols].sum() / 180)
-        assert wk_truncated(a, b, 2, CFG.T_mem) == pytest.approx(want, abs=1e-10)
+        assert wk_full(a, b, 2) == pytest.approx(want, abs=1e-10)
 
 
 class TestCostMatrix:
@@ -164,7 +153,7 @@ class TestCostMatrix:
         a, b = random_cloud(rng, n, cfg), random_cloud(rng, n, cfg)
         wa, wb = cfg.weights * a.values[..., 0], cfg.weights * b.values[..., 0]
         want = np.abs(wa[:, None] - wb[None]).max(axis=-1)
-        assert np.array_equal(pairwise_truncated_norm(a, b, cfg.T_mem), want)
+        assert np.array_equal(pairwise_truncated_norm(a, b), want)
 
     def test_d1_within_round_off_of_weight_last_form(self):
         cfg = PathSpaceConfig(d=1, tau=1.0, h=0.02, T_mem=2.0)
@@ -174,14 +163,14 @@ class TestCostMatrix:
                * cfg.weights).max(axis=-1)
         wa, wb = cfg.weights * a.values[..., 0], cfg.weights * b.values[..., 0]
         scale = np.maximum(np.abs(wa).max(axis=1)[:, None], np.abs(wb).max(axis=1)[None])
-        got = pairwise_truncated_norm(a, b, cfg.T_mem)
+        got = pairwise_truncated_norm(a, b)
         assert np.all(np.abs(got - old) <= 4 * np.finfo(float).eps * scale)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_diagonal_against_itself_is_zero(self, d):
         cfg = PathSpaceConfig(d=d, tau=1.0, h=0.05, T_mem=1.0)
         a = random_cloud(np.random.default_rng(20), 32, cfg)
-        cost = pairwise_truncated_norm(a, a, cfg.T_mem)
+        cost = pairwise_truncated_norm(a, a)
         assert np.all(np.diag(cost) == 0.0)
         assert np.all(cost[~np.eye(32, dtype=bool)] > 0)
 
@@ -191,7 +180,7 @@ class TestCostMatrix:
         a, b = random_cloud(rng, 128, cfg), random_cloud(rng, 128, cfg)
         tracemalloc.start()
         try:
-            pairwise_truncated_norm(a, b, cfg.T_mem)
+            pairwise_truncated_norm(a, b)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -207,7 +196,7 @@ class TestCostMatrix:
         cfg = PathSpaceConfig(d=2, tau=1.0, h=0.1, T_mem=1.0)
         rng = np.random.default_rng(18)
         a, b = random_cloud(rng, 12, cfg), random_cloud(rng, 9, cfg)
-        assert np.array_equal(pairwise_truncated_norm(a, b, cfg.T_mem),
+        assert np.array_equal(pairwise_truncated_norm(a, b),
                               self._norm_broadcast(a, b, cfg))
 
     def test_d2_grid_chunks_equal_norm_broadcast(self):
@@ -215,7 +204,7 @@ class TestCostMatrix:
         cfg = PathSpaceConfig(d=2, tau=1.0, h=0.025, T_mem=1.0)
         rng = np.random.default_rng(22)
         a, b = random_cloud(rng, 160, cfg), random_cloud(rng, 140, cfg)
-        assert np.array_equal(pairwise_truncated_norm(a, b, cfg.T_mem),
+        assert np.array_equal(pairwise_truncated_norm(a, b),
                               self._norm_broadcast(a, b, cfg))
 
 
