@@ -9,7 +9,6 @@ PASS/FAIL/INCONCLUSIVE checks plus every quantity needed to reproduce it.
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 from dataclasses import dataclass, field
@@ -137,26 +136,21 @@ class ExperimentConfig:
         return get_coefficients(self.coefficients_name, self.pathcfg)
 
     @cached_property
-    def _zvonkin_map(self):
-        """The lambda sweep's chosen map for a Dini drift, solved once per config."""
-        coeffs = self.coefficients()
-        L = float(math.ceil(12.0 + self.T))
-        dx = 1e-3 if self.pathcfg.d == 1 else 0.05
-        return zvonkin.select_lambda(coeffs, zvonkin.EllipticGrid(self.pathcfg.d, L, dx),
-                                     zvonkin.default_lambda_grid(coeffs))
-
-    def effective_coefficients(self):
-        """Transformed coefficients when a Dini drift is present, else raw.
-
-        Returns (coeffs, zvonkin_map_or_None).  Each call gets its own copy of
-        the map, so its box-escape counts cover that caller's simulations only.
-        """
+    def _effective(self):
+        """(transformed coefficients, the lambda sweep's map) for a Dini drift,
+        else (raw coefficients, None); solved once per config."""
         coeffs = self.coefficients()
         if coeffs.b0 is None:
             return coeffs, None
-        zmap = copy.copy(self._zvonkin_map)
-        zmap.eval_count = zmap.escape_count = 0
+        L = float(math.ceil(12.0 + self.T))
+        dx = 1e-3 if self.pathcfg.d == 1 else 0.05
+        zmap = zvonkin.select_lambda(coeffs, zvonkin.EllipticGrid(self.pathcfg.d, L, dx),
+                                     zvonkin.default_lambda_grid(coeffs))
         return zvonkin.transformed_coeffs(zmap, coeffs), zmap
+
+    def effective_coefficients(self):
+        """(coeffs, zvonkin_map_or_None): one shared pair per config."""
+        return self._effective
 
 
 def parse_config(source) -> ExperimentConfig:
@@ -405,7 +399,10 @@ def run_decay(config: ExperimentConfig) -> Report:
     report = _new_report("coupling-decay", config, coeffs)
     if zmap is not None:
         report.records["zvonkin_lambda"] = zmap.lam
-        report.records["box_escape_fraction"] = zmap.escape_fraction
+        # Theta coordinates saved outside the box, where u is extended flat.
+        ends = np.concatenate([run.x_end, run.y_end], axis=1)
+        report.records["box_escape_fraction"] = float(
+            np.mean(np.any(np.abs(ends) > zmap.grid.L, axis=-1)))
     rows = []
     mask = run.times >= config.T / 4
     for p in (1, 2, 4):

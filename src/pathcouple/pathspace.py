@@ -78,13 +78,6 @@ class PathSpaceConfig:
         """Norm weights e^{tau*s} on the grid, oldest first."""
         return np.exp(self.tau * self.s_grid)
 
-    def grid_index(self, N: float) -> int:
-        """Number of grid steps in a truncation horizon N (must sit on the grid)."""
-        m = N / self.h
-        if not np.isclose(m, round(m), atol=1e-9):
-            raise ConfigurationError(f"N={N} is not a multiple of h={self.h}")
-        return int(round(m))
-
 
 def truncation_bound(config: PathSpaceConfig, sup_value: float = 1.0) -> float:
     """Upper bound e^{-tau*T_mem} * sup|xi| on the neglected tail of the norm."""
@@ -166,7 +159,10 @@ def truncated_norm(seg: PathSegment, N: float) -> float:
     cfg = seg.config
     if not (0 < N <= cfg.T_mem + 1e-12):
         raise ConfigurationError(f"need 0 < N <= T_mem, got N={N}")
-    m = cfg.grid_index(min(N, cfg.T_mem))
+    m = min(N, cfg.T_mem) / cfg.h
+    if not np.isclose(m, round(m), atol=1e-9):
+        raise ConfigurationError(f"N={N} is not a multiple of h={cfg.h}")
+    m = int(round(m))
     mags = np.linalg.norm(seg.values[cfg.n_steps - m :], axis=-1)
     return float(np.max(cfg.weights[cfg.n_steps - m :] * mags))
 

@@ -332,16 +332,13 @@ def simulate_coupled_Q(
         saves["log_r"].append(log_r.copy())
 
     save_set = set(save_idx.tolist())
-    # The pass at step n_steps only saves.
-    for step in range(n_steps + 1):
+    if 0 in save_set:
+        snapshot(batch.endpoint())
+    for step in range(n_steps):
         xy = batch.endpoint()
         x, y = xy[:R], xy[R:]
         sig = _eval_sigma(coeffs_hat, xy)
         gamma = kappa * _solve_sigma(None if sig is None else sig[:R], x - y)
-        if step in save_set:
-            snapshot(xy)
-        if step == n_steps:
-            break
         extra = np.zeros_like(xy)
         if measure == "Q":
             extra[:R] = -kappa * (x - y)
@@ -354,6 +351,8 @@ def simulate_coupled_Q(
         if measure == "P":
             log_r += -np.einsum("rj,rj->r", gamma, dW[:R]) - 0.5 * g2 * h
         np.maximum(zn * decay, np.linalg.norm(new[:R] - new[R:], axis=-1), out=zn)
+        if (step + 1) in save_set:
+            snapshot(new)
 
     degenerate = np.abs(log_r) > LOG_WEIGHT_LIMIT
     if np.any(degenerate):

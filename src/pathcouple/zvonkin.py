@@ -3,13 +3,14 @@
 Solves (b0 . grad + 0.5 tr{a grad^2} - lambda) u = -b0 on a box with the
 drift extended constantly outside, builds Theta(x) = x + u(x) together with
 its inverse, and produces the transformed drift/diffusion pair.  The box must
-contain the region the simulation visits; callers report the escaping mass.
+contain the region the simulation visits; `decay` reports the share of its
+saved endpoints that lie outside it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -78,7 +79,7 @@ class EllipticGrid:
         return np.stack([X.ravel(), Y.ravel()], axis=-1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZvonkinMap:
     """Grid solution of the resolvent equation and the induced transform."""
 
@@ -91,26 +92,17 @@ class ZvonkinMap:
     hess_inf: float
     residual: float
     sweep: list = field(default_factory=list)  # (lambda, ||u|| + ||grad u||) pairs tried
-    eval_count: int = 0  # extended-evaluation bookkeeping: how much simulated
-    escape_count: int = 0  # mass leaves the box (u is constant outside it)
 
     @property
     def smallness(self) -> float:
         return self.u_inf + self.grad_inf
 
-    @property
-    def escape_fraction(self) -> float:
-        return self.escape_count / self.eval_count if self.eval_count else 0.0
-
     def _check_points(self, x: np.ndarray, extend: bool) -> None:
-        """Reject non-finite points; outside the box, raise or, with ``extend``, count escapes."""
+        """Reject non-finite points, and points outside the box unless ``extend``."""
         if not np.isfinite(x).all():
             raise OutOfDomainError("non-finite point: Theta is defined on finite points only")
         L = self.grid.L
-        if extend:
-            self.eval_count += max(x.size // max(x.shape[-1], 1), 1)
-            self.escape_count += int(np.count_nonzero(np.any(np.abs(x) > L, axis=-1)))
-        elif np.any(np.abs(x) > L + 1e-12):
+        if not extend and np.any(np.abs(x) > L + 1e-12):
             worst = float(np.max(np.abs(x)))
             raise OutOfDomainError(f"point with |coordinate| = {worst} outside box L = {L}")
 
@@ -260,6 +252,7 @@ def solve_resolvent(coeffs: CoefficientSet, grid: EllipticGrid, lam: float) -> Z
         raise SolverFailureError(
             f"resolvent residual {residual:.3e} above tolerance {tol:.3e}", residual=residual
         )
+    u.flags.writeable = grad.flags.writeable = False  # one map serves every experiment
     u_inf = float(np.max(np.linalg.norm(u, axis=-1)))
     if grad.shape[-1] == 1:
         # The spectral norm of a single column is its Euclidean norm; the SVD
@@ -289,8 +282,7 @@ def select_lambda(coeffs: CoefficientSet, grid: EllipticGrid, lambda_grid) -> Zv
         zmap = solve_resolvent(coeffs, grid, lam)
         sweep.append((float(lam), zmap.smallness))
         if zmap.smallness <= 0.5:
-            zmap.sweep = sweep
-            return zmap
+            return replace(zmap, sweep=sweep)
     raise LambdaExhaustedError(
         f"no lambda in [{lambda_grid[0]:.3g}, {lambda_grid[-1]:.3g}] reaches "
         f"||u|| + ||grad u|| <= 1/2 (best {min(s for _, s in sweep):.3g})"
@@ -315,7 +307,7 @@ def theta_inv(zmap: ZvonkinMap, y, extend: bool = False) -> np.ndarray:
     SolverFailureError.
 
     With ``extend=True`` points outside the box use the constant extension of
-    u (flat far field) instead of raising, and the escaped mass is counted.
+    u (flat far field) instead of raising.
     Non-finite points raise OutOfDomainError in either mode.
     """
     y = np.asarray(y, dtype=float)

@@ -74,6 +74,15 @@ class TestNorm:
         assert all(x <= y + 1e-15 for x, y in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx(weighted_norm(seg))
 
+    @pytest.mark.parametrize("N, message", [
+        (0.0, "need 0 < N <= T_mem"),
+        (2.5, "need 0 < N <= T_mem"),
+        (0.52, "not a multiple of h"),
+    ], ids=["nonpositive", "beyond_window", "off_grid"])
+    def test_truncation_horizon_rejected(self, N, message):
+        with pytest.raises(ConfigurationError, match=message):
+            truncated_norm(PathSegment.zero(CFG), N)
+
     def test_non_finite_rejected(self):
         vals = np.zeros((CFG.n_points, CFG.d))
         vals[3, 0] = np.nan

@@ -1,5 +1,5 @@
+import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +9,12 @@ from pathcouple.coefficients import (
     DiniModulus,
     get_coefficients,
 )
-from pathcouple.errors import BlowUpError, ConfigurationError
+from pathcouple.errors import (
+    BlowUpError,
+    ConfigurationError,
+    DegenerateWeightWarning,
+    SingularDiffusionError,
+)
 from pathcouple.experiments import parse_config
 from pathcouple.pathspace import (
     ParticleCloud,
@@ -171,6 +176,12 @@ class TestPathSimulation:
         with pytest.raises(ConfigurationError):
             simulate_paths(ZERO, batch, 1.0, save_times=[0.5, 0.7071])
 
+    def test_cloud_at_off_save_time_rejected(self):
+        batch = SegmentBatch.from_segment(PathSegment.zero(CFG), 2)
+        res = simulate_paths(ZERO, batch, 1.0, save_times=[0.5, 1.0])
+        with pytest.raises(ConfigurationError, match="not a save time"):
+            res.cloud_at(0.75)
+
 
 class TestCoupling:
     XI = PathSegment.constant(CFG, [0.5])
@@ -209,6 +220,11 @@ class TestCoupling:
     def test_kappa_below_tau_rejected(self):
         with pytest.raises(ConfigurationError):
             simulate_coupled_Q(ZERO, self.XI, self.ETA, 0.5, 1.0)
+
+    def test_singular_diffusion_rejected(self):
+        flat = dataclasses.replace(ZERO, sigma=lambda x: np.zeros(x.shape + (1,)))
+        with pytest.raises(SingularDiffusionError):
+            simulate_coupled_Q(flat, self.XI, self.ETA, 4.0, 1.0, n_replicas=4)
 
     def test_same_noise_contract(self):
         # with kappa = 0 and identical dynamics, X - Y stays constant in law:
@@ -417,6 +433,15 @@ class TestGirsanov:
         ent = run_q.half_int_gamma_sq[-1]
         se = math.hypot(rlogr.std(ddof=1), ent.std(ddof=1)) / math.sqrt(n)
         assert abs(rlogr.mean() - ent.mean()) <= 3 * se + 5 * CFG.h
+
+    def test_degenerate_weights_warn(self):
+        # kappa = 50 on a separation of 10 drives |log R| to about 1,800.
+        cfg = PathSpaceConfig(d=1, tau=1.0, h=0.01, T_mem=0.5)
+        xi, eta = PathSegment.constant(cfg, [5.0]), PathSegment.constant(cfg, [-5.0])
+        with pytest.warns(DegenerateWeightWarning, match="8 of 8 Girsanov log-weights"):
+            run = simulate_coupled_Q(get_coefficients("zero", cfg), xi, eta, 50.0, 0.5,
+                                     n_replicas=8, measure="P")
+        assert np.abs(run.log_R[-1]).max() > 700
 
     def test_weights_require_p_measure(self):
         run = simulate_coupled_Q(ZERO, self.XI, self.ETA, 4.0, 1.0, seed=4, n_replicas=4)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pathcouple import zvonkin
+from pathcouple import experiments, zvonkin
 from pathcouple.coefficients import (
     CoefficientSet,
     DiniModulus,
@@ -298,7 +298,6 @@ class TestTheta:
         x = theta_inv(zmap, y, extend=True)
         np.testing.assert_array_equal(x[:2], y[:2] - u_lo)
         np.testing.assert_array_equal(x[-2:], y[-2:] - u_hi)
-        assert (zmap.eval_count, zmap.escape_count) == (6, 4)
 
     def test_non_monotone_theta_rejected(self):
         # u = -2x gives Theta = -x: no increasing inverse exists.
@@ -377,26 +376,25 @@ class TestTransformedCoeffs:
         want = (1.0 + zmap.grad_u_at(x0)[..., 0]) * coeffs.eval_b1(hist, None)
         assert np.max(np.abs(hat.eval_b1(batch, None) - want)) <= 1e-14 * np.max(np.abs(want))
 
-    def test_b1_hat_inverts_each_point_once_per_step(self):
+    def test_b1_hat_inverts_each_point_once_per_step(self, monkeypatch):
         # Per step: one inverse of the 2R endpoints (drift, diffusion, gamma)
-        # and one of the 2R histories, whose endpoints serve x0; plus the final save.
+        # and one of the 2R histories, whose endpoints serve x0.
         cfg = PathSpaceConfig(d=1, tau=1.0, h=0.05, T_mem=1.0)
         coeffs = self._dini_plus_path_term(cfg)
         zmap = select_lambda(coeffs, GRID, default_lambda_grid(coeffs))
-        zmap.eval_count = 0
         hat = transformed_coeffs(zmap, coeffs)
+        points = []
+        original = zvonkin.theta_inv
+
+        def counting(zmap, y, *args, **kwargs):
+            points.append(np.asarray(y).shape[0])
+            return original(zmap, y, *args, **kwargs)
+
+        monkeypatch.setattr(zvonkin, "theta_inv", counting)
         xi, eta = PathSegment.constant(cfg, [0.5]), PathSegment.constant(cfg, [-0.5])
         R, n_steps = 64, 40
         simulate_coupled_Q(hat, xi, eta, kappa=4.0, T=2.0, seed=0, n_replicas=R)
-        assert zmap.eval_count == 2 * R * (n_steps + 1) + 2 * R * cfg.n_points * n_steps == 112_768
-
-    def test_escape_counting(self):
-        coeffs = get_coefficients("dini_sqrt", CFG)
-        zmap = select_lambda(coeffs, GRID, default_lambda_grid(coeffs))
-        hat = transformed_coeffs(zmap, coeffs)
-        hat.eval_b0(np.array([[4.0], [7.0]]))  # one point outside the box
-        assert zmap.escape_count >= 1
-        assert 0.0 < zmap.escape_fraction <= 1.0
+        assert sum(points) == 2 * R * n_steps + 2 * R * cfg.n_points * n_steps == 112_640
 
 
 DINI_FAST = """
@@ -424,6 +422,34 @@ class TestPerConfigMap:
         run_gradient_estimate(parse_config(DINI_FAST))
         assert len(calls) == 1
 
+    def test_map_is_immutable(self):
+        _, zmap = parse_config(DINI_FAST).effective_coefficients()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            zmap.lam = 1.0
+        for table in (zmap.u, zmap.grad_u):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
+    def test_one_pair_per_config(self):
+        config = parse_config(DINI_FAST)
+        coeffs, zmap = config.effective_coefficients()
+        again = config.effective_coefficients()
+        assert again[0] is coeffs and again[1] is zmap
+
+    def test_escape_fraction_is_share_of_saved_endpoints(self):
+        # Pairs start 15 units out, beyond the L = 14 box; decay's record is
+        # the share of its saved Theta-coordinate endpoints outside the box.
+        config = parse_config(DINI_FAST + "experiment.separation = 30.0\n")
+        coeffs, zmap = config.effective_coefficients()
+        xi = PathSegment.constant(config.pathcfg, [15.0])
+        run = simulate_coupled_Q(coeffs, xi, -1.0 * xi, config.kappa, config.T,
+                                 seed=config.seed, stream=1, n_replicas=config.N_replicas,
+                                 save_times=experiments._save_grid(config, 32))
+        ends = np.concatenate([run.x_end, run.y_end], axis=1)[..., 0]
+        share = np.count_nonzero(np.abs(ends) > zmap.grid.L) / ends.size
+        assert 0 < share < 1
+        assert run_decay(config).records["box_escape_fraction"] == share
+
     def test_escape_fraction_per_experiment(self):
         # Pairs start 15 units out, beyond the L = 14 box, so mass escapes.
         text = DINI_FAST + "experiment.separation = 30.0\n"
@@ -434,9 +460,9 @@ class TestPerConfigMap:
         assert alone > 0
         assert after_entropy == alone
 
-    def test_one_inverse_per_step_and_save(self, monkeypatch):
+    def test_one_inverse_per_step(self, monkeypatch):
         # Drift, diffusion and gamma share one inverse of the stacked 2R
-        # endpoints per step; one more inverse serves the final save.
+        # endpoints per step; saving needs none.
         config = parse_config(DINI_FAST + "experiment.separation = 30.0\n")
         config.effective_coefficients()  # the lambda sweep, outside the count
         points = []
@@ -449,5 +475,5 @@ class TestPerConfigMap:
         monkeypatch.setattr(zvonkin, "theta_inv", counting)
         run_decay(config)
         R, n_steps = 64, 40
-        assert len(points) == n_steps + 1
-        assert sum(points) == 2 * R * (n_steps + 1) == 5248
+        assert len(points) == n_steps
+        assert sum(points) == 2 * R * n_steps == 5120
