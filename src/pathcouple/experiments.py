@@ -399,10 +399,11 @@ def run_decay(config: ExperimentConfig) -> Report:
     report = _new_report("coupling-decay", config, coeffs)
     if zmap is not None:
         report.records["zvonkin_lambda"] = zmap.lam
-        # Theta coordinates saved outside the box, where u is extended flat.
+        # Saved endpoints whose preimage lies outside the box, where u is extended flat.
         ends = np.concatenate([run.x_end, run.y_end], axis=1)
+        x = zvonkin.theta_inv(zmap, ends, extend=True)
         report.records["box_escape_fraction"] = float(
-            np.mean(np.any(np.abs(ends) > zmap.grid.L, axis=-1)))
+            np.mean(np.any(np.abs(x) > zmap.grid.L, axis=-1)))
     rows = []
     mask = run.times >= config.T / 4
     for p in (1, 2, 4):

@@ -4,7 +4,7 @@ Solves (b0 . grad + 0.5 tr{a grad^2} - lambda) u = -b0 on a box with the
 drift extended constantly outside, builds Theta(x) = x + u(x) together with
 its inverse, and produces the transformed drift/diffusion pair.  The box must
 contain the region the simulation visits; `decay` reports the share of its
-saved endpoints that lie outside it.
+saved endpoints whose preimage lies outside it.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
 RESIDUAL_TOL = 1e-8  # relative to 1 + ||b0||_inf
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 200  # 2-D Picard sweeps before theta_inv gives up
+BUCKETS_PER_NODE = 2  # y-buckets of the 1-D inverse table per grid node
 
 
 @dataclass(frozen=True)
@@ -128,8 +129,18 @@ class ZvonkinMap:
         return lo + t[..., axis, None] * (hi - lo)
 
     @cached_property
-    def _theta_nodes(self) -> np.ndarray:
-        """Theta at the 1-D grid nodes, the abscissae of the exact inverse."""
+    def _cell_table(self):
+        """Rows and uniform y-buckets over Theta's 1-D nodes for ``_cell_lookup``.
+
+        Theta is affine on each grid cell, so rows 1..n-1 hold cell r - 1 as
+        (Theta, 1 / its step, u, u step, grad u, grad u step) at the cell's left
+        node; rows 0 and n are the flat far field below Theta_0 and from
+        Theta_{n-1} on, with zero slopes.  Row r starts at y = Theta_{r-1}.
+        A point's bucket b gives first[b], the lowest row any point of the
+        bucket lies in, and at most ``hops`` row starts fall in one bucket; the
+        bucket count is a fixed multiple of the node count, so the table's size
+        does not depend on the smallest node step.
+        """
         nodes = self.grid.axis + self.u[:, 0]
         steps = np.diff(nodes)
         if not np.all(steps > 0):
@@ -137,7 +148,43 @@ class ZvonkinMap:
                 f"Theta is not strictly increasing on the grid (smallest node step "
                 f"{steps.min():.3e}); it has no inverse"
             )
-        return nodes
+        u, g = self.u[:, 0], self.grad_u[:, 0, 0]
+        flat = np.zeros(1)
+        rows = np.column_stack([
+            np.concatenate([nodes[:1], nodes]),
+            np.concatenate([flat, 1.0 / steps, flat]),
+            np.concatenate([u[:1], u]),
+            np.concatenate([flat, np.diff(u), flat]),
+            np.concatenate([g[:1], g]),
+            np.concatenate([flat, np.diff(g), flat]),
+        ])
+        n_buckets = BUCKETS_PER_NODE * len(nodes)
+        width = (nodes[-1] - nodes[0]) / n_buckets
+        origin, scale, top = nodes[0] - width, 1.0 / width, float(n_buckets + 1)
+        # The lookup's own bucket formula, applied to the row starts.
+        bucket = np.clip((nodes - origin) * scale, 0.0, top).astype(np.intp)
+        first = np.searchsorted(bucket, np.arange(n_buckets + 2))
+        hops = int(np.bincount(bucket).max())
+        next_start = np.append(nodes, np.inf)  # next_start[r]: where row r + 1 starts
+        return origin, scale, top, first, hops, next_start, rows
+
+    def _cell_lookup(self, y: np.ndarray):
+        """Theta^-1(y), u and grad u there for 1-D points y (..., 1), from one cell
+        search; beyond Theta(+-L) u is flat, so x = y - u(+-L) there.  Non-finite
+        points raise OutOfDomainError."""
+        self._check_points(y, extend=True)
+        origin, scale, top, first, hops, next_start, rows = self._cell_table
+        yv = y.reshape(-1)
+        s = (yv - origin) * scale
+        np.minimum(np.maximum(s, 0.0, out=s), top, out=s)
+        j = first.take(s.astype(np.intp))
+        for _ in range(hops):
+            j += yv >= next_start.take(j)
+        c = rows.take(j, axis=0)
+        t = (yv - c[:, 0]) * c[:, 1]
+        u = (c[:, 2] + t * c[:, 3]).reshape(y.shape)
+        grad = (c[:, 4] + t * c[:, 5]).reshape(y.shape + (1,))
+        return y - u, u, grad
 
     def u_at(self, x: np.ndarray) -> np.ndarray:
         return self._interp_values(self.u, x)
@@ -299,21 +346,27 @@ def theta(zmap: ZvonkinMap, x) -> np.ndarray:
 def theta_inv(zmap: ZvonkinMap, y, extend: bool = False) -> np.ndarray:
     """Solution x of x + u(x) = y.
 
-    In 1-D Theta is piecewise linear, so x = y - u(x) is exact once u is
-    interpolated against the node values Theta(x_i) instead of x_i; beyond
-    Theta(+-L) the interpolation clamps to u(+-L), the flat far field.  In 2-D
-    it is the Picard fixed point, a contraction with factor <= 1/2 by
-    smallness, and PICARD_MAX_ITER sweeps without convergence raise
+    In 1-D Theta is affine on each grid cell, so one cell search over its node
+    values inverts it exactly; beyond Theta(+-L) u is the flat far field
+    u(+-L).  In 2-D it is the Picard fixed point, a contraction with factor
+    <= 1/2 by smallness, and PICARD_MAX_ITER sweeps without convergence raise
     SolverFailureError.
 
-    With ``extend=True`` points outside the box use the constant extension of
-    u (flat far field) instead of raising.
+    A preimage outside the box raises OutOfDomainError unless ``extend=True``,
+    which returns it, computed with the constant extension of u.
     Non-finite points raise OutOfDomainError in either mode.
     """
     y = np.asarray(y, dtype=float)
-    zmap._check_points(y, extend)
     if zmap.grid.dimension == 1:
-        return y - np.interp(y, zmap._theta_nodes, zmap.u[:, 0])
+        x = zmap._cell_lookup(y)[0]
+    else:
+        zmap._check_points(y, extend=True)
+        x = _picard_inverse(zmap, y)
+    zmap._check_points(x, extend)
+    return x
+
+
+def _picard_inverse(zmap: ZvonkinMap, y: np.ndarray) -> np.ndarray:
     x = y.copy()
     delta = math.inf
     for _ in range(PICARD_MAX_ITER):
@@ -326,6 +379,14 @@ def theta_inv(zmap: ZvonkinMap, y, extend: bool = False) -> np.ndarray:
         f"Picard inverse of Theta did not converge in {PICARD_MAX_ITER} sweeps "
         f"(last step {delta:.3e}, tolerance {PICARD_TOL:.0e})", residual=float(delta)
     )
+
+
+def _inverse_with_u(zmap: ZvonkinMap, y: np.ndarray):
+    """(Theta^-1(y), u and grad u there) for finite points y (..., d), flat beyond the box."""
+    if zmap.grid.dimension == 1:
+        return zmap._cell_lookup(y)
+    x = theta_inv(zmap, y, extend=True)
+    return x, zmap.u_at(x), zmap.grad_u_at(x)
 
 
 def _apply_pointwise(seg, fn):
@@ -343,31 +404,31 @@ def transformed_coeffs(zmap: ZvonkinMap, coeffs: CoefficientSet) -> CoefficientS
     L = zmap.grid.L
 
     # The simulators evaluate drift and diffusion at the same endpoint array
-    # within a step; memoize the last inverse on array identity.
+    # within a step; memoize the last lookup on array identity.
     last = [None, None]
 
-    def inv_extended(y):
+    def at_endpoints(y):
         if last[0] is not y:
-            last[:] = y, np.clip(theta_inv(zmap, y, extend=True), -L, L)
+            last[:] = y, _inverse_with_u(zmap, y)
         return last[1]
 
     def b0_hat(y):
-        return lam * zmap.u_at(inv_extended(y))
-
-    def grad_theta_at(xinv):
-        return eye + zmap.grad_u_at(xinv)
+        return lam * at_endpoints(y)[1]
 
     b1_hat = None
     if coeffs.b1 is not None:
         def b1_hat(seg, law):
-            seg_inv = _apply_pointwise(seg, inv_extended)
+            seg_inv = _apply_pointwise(
+                seg, lambda v: np.clip(theta_inv(zmap, v, extend=True), -L, L))
             x0 = seg_inv.endpoint()
             base = coeffs.eval_b1(seg_inv, law)
-            return np.einsum("...ij,...j->...i", grad_theta_at(x0), base)
+            return np.einsum("...ij,...j->...i", eye + zmap.grad_u_at(x0), base)
 
     def sigma_hat(y):
-        xinv = inv_extended(y)
-        return grad_theta_at(xinv) @ coeffs.eval_sigma(xinv)
+        x, _, grad = at_endpoints(y)
+        if coeffs.sigma is None:
+            return eye + grad
+        return (eye + grad) @ coeffs.eval_sigma(np.clip(x, -L, L))
 
     return CoefficientSet(
         name=coeffs.name + "_hat",

@@ -55,6 +55,19 @@ def picard_inverse(zmap, y, sweeps=100):
     return x
 
 
+def count_cell_lookups(monkeypatch) -> list:
+    """Points of every 1-D cell search from now on, one entry per search."""
+    points = []
+    original = ZvonkinMap._cell_lookup
+
+    def counting(zmap, y):
+        points.append(int(np.prod(np.shape(y)[:-1])))
+        return original(zmap, y)
+
+    monkeypatch.setattr(ZvonkinMap, "_cell_lookup", counting)
+    return points
+
+
 def constant_drift_coeffs(c, cfg=CFG):
     d = cfg.d
     vec = np.full(d, float(c))
@@ -287,7 +300,8 @@ class TestTheta:
         coeffs = get_coefficients(name, CFG)
         zmap = select_lambda(coeffs, GRID, default_lambda_grid(coeffs))
         y = np.random.default_rng(2).uniform(-5, 5, (2000, 1))
-        np.testing.assert_allclose(theta_inv(zmap, y), picard_inverse(zmap, y), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(theta_inv(zmap, y, extend=True), picard_inverse(zmap, y),
+                                   rtol=0, atol=1e-12)
 
     def test_extended_far_field(self):
         coeffs = get_coefficients("dini_sqrt", CFG)
@@ -317,6 +331,19 @@ class TestTheta:
         with pytest.raises(OutOfDomainError):
             theta_inv(zmap, np.array([[-5.5]]))
 
+    def test_domain_is_the_preimage(self):
+        # u(+-L) = 0.26 on this map, so Theta sends the box [-5, 5] onto
+        # [-4.74, 5.26]: y = -5 comes from outside the box, y = 5.13 from inside.
+        coeffs = get_coefficients("dini_sqrt", CFG)
+        zmap = select_lambda(coeffs, GRID, default_lambda_grid(coeffs))
+        assert zmap.u[0, 0] == pytest.approx(0.26, abs=5e-3) == zmap.u[-1, 0]
+        with pytest.raises(OutOfDomainError, match="outside box"):
+            theta_inv(zmap, [[-5.0]])
+        x = theta_inv(zmap, [[5.13]])
+        assert abs(x[0, 0]) < GRID.L
+        np.testing.assert_allclose(theta(zmap, x), [[5.13]], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(theta_inv(zmap, [[-5.0]], extend=True), [[-5.0 - zmap.u[0, 0]]])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         zmap = solve_resolvent(get_coefficients("dini_sqrt", CFG), GRID, 4.0)
@@ -326,6 +353,65 @@ class TestTheta:
         for extend in (False, True):
             with pytest.raises(OutOfDomainError, match="non-finite"):
                 theta_inv(zmap, y, extend=extend)
+
+
+class TestCellLookup:
+    """The one-search 1-D lookup against np.interp inversion and the grid-index lerps."""
+
+    @staticmethod
+    def _reference(zmap, y):
+        """x by np.interp over Theta's nodes; u and grad u at x by u_at / grad_u_at."""
+        nodes = zmap.grid.axis + zmap.u[:, 0]
+        x = y - np.interp(y, nodes, zmap.u[:, 0])
+        return x, zmap.u_at(x), zmap.grad_u_at(x)
+
+    def _assert_matches(self, zmap, y):
+        got = zmap._cell_lookup(y)
+        for have, want in zip(got, self._reference(zmap, y)):
+            assert have.shape == want.shape
+            np.testing.assert_allclose(have, want, rtol=0, atol=1e-12)
+        return got
+
+    @pytest.mark.parametrize("name", ["dini_sqrt", "dini_log"])
+    def test_matches_reference(self, name):
+        coeffs = get_coefficients(name, CFG)
+        zmap = select_lambda(coeffs, GRID, default_lambda_grid(coeffs))
+        L, nodes = GRID.L, GRID.axis + zmap.u[:, 0]
+        rng = np.random.default_rng(5)
+        interior = rng.uniform(nodes[0], nodes[-1], (3000, 1))
+        self._assert_matches(zmap, interior)
+        # Exact nodes, both box edges among them, invert to the grid nodes.
+        x, u, grad = self._assert_matches(zmap, nodes[:, None])
+        np.testing.assert_allclose(x[:, 0], GRID.axis, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(u, zmap.u)
+        np.testing.assert_array_equal(grad, zmap.grad_u)
+        # Far field: u and grad u are flat at their values on the box edges.
+        far = np.array([[-3 * L], [nodes[0] - 1e-9], [nodes[-1] + 1e-9], [3 * L]])
+        x, u, grad = self._assert_matches(zmap, far)
+        np.testing.assert_array_equal(u[:, 0], zmap.u[[0, 0, -1, -1], 0])
+        np.testing.assert_array_equal(grad[:, 0, 0], zmap.grad_u[[0, 0, -1, -1], 0, 0])
+        np.testing.assert_array_equal(x, far - u)
+        # Any leading shape.
+        batch = rng.uniform(-2 * L, 2 * L, (4, 7, 1))
+        self._assert_matches(zmap, batch)
+
+    def test_tiny_node_step_keeps_the_table_small(self):
+        # Theta = x except one node step of 1e-9: a bucket width set by the
+        # smallest step would need ~1e9 buckets.
+        grid = EllipticGrid(1, 1.0, 0.1)
+        n = grid.n_axis
+        nodes = grid.axis.copy()
+        nodes[11] = nodes[10] + 1e-9
+        u = (nodes - grid.axis)[:, None]
+        grad = np.gradient(u[:, 0], grid.dx)[:, None, None]
+        zmap = ZvonkinMap(grid=grid, lam=1.0, u=u, grad_u=grad, u_inf=0.1, grad_inf=1.0,
+                          hess_inf=0.0, residual=0.0)
+        y = np.concatenate([nodes, nodes[10] + np.linspace(0, 1e-9, 7),
+                            np.random.default_rng(6).uniform(-1.5, 1.5, 500)])[:, None]
+        self._assert_matches(zmap, y)
+        _, _, _, first, hops, _, _ = zmap._cell_table
+        assert len(first) <= zvonkin.BUCKETS_PER_NODE * n + 2
+        assert hops >= 2  # the close pair shares a bucket: the search steps twice
 
 
 class TestTransformedCoeffs:
@@ -383,14 +469,7 @@ class TestTransformedCoeffs:
         coeffs = self._dini_plus_path_term(cfg)
         zmap = select_lambda(coeffs, GRID, default_lambda_grid(coeffs))
         hat = transformed_coeffs(zmap, coeffs)
-        points = []
-        original = zvonkin.theta_inv
-
-        def counting(zmap, y, *args, **kwargs):
-            points.append(np.asarray(y).shape[0])
-            return original(zmap, y, *args, **kwargs)
-
-        monkeypatch.setattr(zvonkin, "theta_inv", counting)
+        points = count_cell_lookups(monkeypatch)
         xi, eta = PathSegment.constant(cfg, [0.5]), PathSegment.constant(cfg, [-0.5])
         R, n_steps = 64, 40
         simulate_coupled_Q(hat, xi, eta, kappa=4.0, T=2.0, seed=0, n_replicas=R)
@@ -438,7 +517,8 @@ class TestPerConfigMap:
 
     def test_escape_fraction_is_share_of_saved_endpoints(self):
         # Pairs start 15 units out, beyond the L = 14 box; decay's record is
-        # the share of its saved Theta-coordinate endpoints outside the box.
+        # the share of its saved endpoints whose preimage lies outside the
+        # box, that is, outside [Theta(-L), Theta(L)].
         config = parse_config(DINI_FAST + "experiment.separation = 30.0\n")
         coeffs, zmap = config.effective_coefficients()
         xi = PathSegment.constant(config.pathcfg, [15.0])
@@ -446,7 +526,10 @@ class TestPerConfigMap:
                                  seed=config.seed, stream=1, n_replicas=config.N_replicas,
                                  save_times=experiments._save_grid(config, 32))
         ends = np.concatenate([run.x_end, run.y_end], axis=1)[..., 0]
-        share = np.count_nonzero(np.abs(ends) > zmap.grid.L) / ends.size
+        L = zmap.grid.L
+        lo, hi = theta(zmap, [[-L], [L]])[:, 0]
+        assert lo > -L and hi > L  # u(+-L) > 0: the two readings differ
+        share = np.count_nonzero((ends < lo) | (ends > hi)) / ends.size
         assert 0 < share < 1
         assert run_decay(config).records["box_escape_fraction"] == share
 
@@ -461,19 +544,13 @@ class TestPerConfigMap:
         assert after_entropy == alone
 
     def test_one_inverse_per_step(self, monkeypatch):
-        # Drift, diffusion and gamma share one inverse of the stacked 2R
-        # endpoints per step; saving needs none.
+        # Drift, diffusion and gamma share one cell search of the stacked 2R
+        # endpoints per step; saving needs none.  After the run, the escape
+        # record inverts the 33 saved endpoint pairs once.
         config = parse_config(DINI_FAST + "experiment.separation = 30.0\n")
         config.effective_coefficients()  # the lambda sweep, outside the count
-        points = []
-        original = zvonkin.theta_inv
-
-        def counting(zmap, y, *args, **kwargs):
-            points.append(np.asarray(y).shape[0])
-            return original(zmap, y, *args, **kwargs)
-
-        monkeypatch.setattr(zvonkin, "theta_inv", counting)
+        points = count_cell_lookups(monkeypatch)
         run_decay(config)
         R, n_steps = 64, 40
-        assert len(points) == n_steps
-        assert sum(points) == 2 * R * n_steps == 5120
+        assert points == [2 * R] * n_steps + [33 * 2 * R]
+        assert sum(points[:n_steps]) == 2 * R * n_steps == 5120
