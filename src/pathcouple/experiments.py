@@ -491,26 +491,34 @@ def _alh_pairs(config: ExperimentConfig):
 _ALH_TIMES = (1.0, 2.0, 4.0, 8.0)
 
 
-def _alh_pair(config: ExperimentConfig, coeffs: CoefficientSet, f: TestFunction,
-              xi: PathSegment, eta: PathSegment, i: int) -> list:
-    """(P_t log f(eta), log P_t f(xi), stderr of their difference) at each check time.
+def _alh_sides(config: ExperimentConfig, coeffs: CoefficientSet, f: TestFunction,
+               segs: list) -> tuple:
+    """P_t log f(eta), log P_t f(xi) and the stderr of their difference, each of
+    shape (pairs, check times), for the (xi, eta) pairs in ``segs``.
 
-    X from xi and Y from eta run stacked in one batch on streams 100 + 2i and
-    101 + 2i; the run is released on return, so one pair's saves live at a time.
+    Pair i runs X from xi on stream 100 + 2i and Y from eta on 101 + 2i, and G
+    consecutive pairs run stacked in one batch.  A save keeps log f of every
+    row, not the window.  So a group holds 3G windows (start, running batch,
+    the ordered copy f reads at a save), and G = (2 + n_times) // 3 keeps that
+    within the 2 + n_times windows of one pair that kept a cloud per save.
     """
     t_grid = _times_within(_ALH_TIMES, config)
     R = config.N_replicas
-    res = simulate_paths(coeffs, SegmentBatch.from_segments([xi, eta], R), max(t_grid),
-                         seed=config.seed, stream=(100 + 2 * i, 101 + 2 * i), save_times=t_grid)
-    out = []
-    for t in t_grid:
-        values = res.cloud_at(t).values
-        fx = f.f(values[:R])
-        ly = f.log_f(values[R:])
-        mean_fx = fx.mean()
-        out.append((ly.mean(), math.log(mean_fx),
-                    math.hypot(_mc_stderr(ly), _mc_stderr(fx) / mean_fx)))
-    return out
+    G = max(1, (2 + len(t_grid)) // 3)
+    lhs, rhs0, se = (np.zeros((len(segs), len(t_grid))) for _ in range(3))
+    for first in range(0, len(segs), G):
+        group = range(first, min(first + G, len(segs)))
+        res = simulate_paths(
+            coeffs, SegmentBatch.from_segments([seg for i in group for seg in segs[i]], R),
+            max(t_grid), seed=config.seed, stream=[100 + 2 * i + k for i in group for k in (0, 1)],
+            save_times=t_grid, save=lambda batch: f.log_f(batch.ordered_values()))
+        for j, log_f in enumerate(res.clouds):
+            for i, (lx, ly) in zip(group, log_f.reshape(len(group), 2, R)):
+                fx = np.exp(lx)
+                mean_fx = fx.mean()
+                lhs[i, j], rhs0[i, j] = ly.mean(), math.log(mean_fx)
+                se[i, j] = math.hypot(_mc_stderr(ly), _mc_stderr(fx) / mean_fx)
+    return lhs, rhs0, se
 
 
 def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None) -> Report:
@@ -529,20 +537,15 @@ def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None) -> Repor
     report = _new_report("asymptotic-log-harnack", config, coeffs)
     report.records["lip_logf"] = f.lip
 
-    pairs = _alh_pairs(config)
-    n_train = len(pairs) // 2
+    segs = [_pair_segments(config, a, b) for a, b in _alh_pairs(config)]
+    n_train = len(segs) // 2
+    dists = np.array([weighted_norm(xi - eta) for xi, eta in segs])
 
     # D[i, j]: defect at pair i, time t_grid[j]; se_D the combined stderr.
-    D = np.zeros((len(pairs), len(t_grid)))
-    se_D = np.zeros_like(D)
-    dists = np.zeros(len(pairs))
-    rows = []
-    for i, (a, b) in enumerate(pairs):
-        xi, eta = _pair_segments(config, a, b)
-        dists[i] = weighted_norm(xi - eta)
-        for j, (lhs, rhs0, se) in enumerate(_alh_pair(config, coeffs, f, xi, eta, i)):
-            D[i, j], se_D[i, j] = lhs - rhs0, se
-            rows.append([t_grid[j], i, lhs, rhs0, D[i, j], se_D[i, j], dists[i]])
+    lhs, rhs0, se_D = _alh_sides(config, coeffs, f, segs)
+    D = lhs - rhs0
+    rows = [[t, i, lhs[i, j], rhs0[i, j], D[i, j], se_D[i, j], dists[i]]
+            for i in range(len(segs)) for j, t in enumerate(t_grid)]
     report.tables["alh"] = (
         ["t", "pair", "lhs_Pt_logf", "rhs_log_Ptf", "defect", "stderr", "dist"], rows)
 
@@ -551,7 +554,7 @@ def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None) -> Repor
     report.records["fitted_c"] = c_fit
 
     noisy = se_D > 0.1 * np.maximum(np.abs(D), 1e-12)
-    for i in range(n_train, len(pairs)):
+    for i in range(n_train, len(segs)):
         for j, t in enumerate(t_grid):
             slack = c_fit * denom[i, j] + 3 * se_D[i, j] - D[i, j]
             if slack >= 0:
@@ -719,14 +722,13 @@ def run_gradient_estimate(
     R = config.N_replicas
     # Common random numbers: the same stream drives both stacked starts.
     res = simulate_paths(coeffs, SegmentBatch.from_segments([xi, eta], R), max(t_grid),
-                         seed=config.seed, stream=(500, 500), save_times=t_grid)
+                         seed=config.seed, stream=(500, 500), save_times=t_grid,
+                         save=lambda batch: f.f(batch.ordered_values()))
     lam = entropy_constant * math.exp(
         config.delta * weighted_norm(xi) ** (2 * coeffs.alpha))
     rows = []
-    for t in t_grid:
-        values = res.cloud_at(t).values
-        fx = f.f(values[:R])
-        fy = f.f(values[R:])
+    for t, f_xy in zip(t_grid, res.clouds):
+        fx, fy = f_xy[:R], f_xy[R:]
         diff = fx - fy
         quot = abs(diff.mean()) / dist
         quot_se = _mc_stderr(diff) / dist

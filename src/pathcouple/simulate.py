@@ -118,13 +118,22 @@ def _eval_sigma(coeffs: CoefficientSet, x: np.ndarray):
 
 
 def _apply_sigma(sig, v: np.ndarray) -> np.ndarray:
-    return v if sig is None else np.einsum("...ij,...j->...i", sig, v)
+    """sigma v for a batch of vectors; in 1-D a product, with the einsum's bits."""
+    if sig is None:
+        return v
+    if sig.shape[-1] == 1:
+        return sig[..., 0] * v
+    return np.einsum("...ij,...j->...i", sig, v)
 
 
 def _solve_sigma(sig, v: np.ndarray) -> np.ndarray:
-    """sigma^{-1} v for a batch of vectors."""
+    """sigma^{-1} v for a batch of vectors; in 1-D a quotient, with the LAPACK solve's bits."""
     if sig is None:
         return v
+    if sig.shape[-1] == 1:
+        if not sig.all():
+            raise SingularDiffusionError("sigma not invertible along the trajectory: sigma = 0")
+        return v / sig[..., 0]
     try:
         return np.linalg.solve(sig, v[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -168,7 +177,7 @@ class SimulationResult:
     """Trajectory of an interacting (or independent) particle system."""
 
     times: np.ndarray  # save times (n_saves,)
-    clouds: list  # ParticleCloud at each save time
+    clouds: list  # what `save` returned at each save time: a ParticleCloud by default
 
     @property
     def endpoints(self) -> np.ndarray:
@@ -182,6 +191,11 @@ class SimulationResult:
         return self.clouds[i]
 
 
+def _cloud(batch: SegmentBatch) -> ParticleCloud:
+    # Looks the method up per call, so a wrapper installed on the class sees every save.
+    return batch.to_cloud()
+
+
 def simulate_paths(
     coeffs: CoefficientSet,
     init: SegmentBatch,
@@ -190,11 +204,16 @@ def simulate_paths(
     stream=0,
     save_times=None,
     mckean: bool = False,
+    save=_cloud,
 ) -> SimulationResult:
     """Integrate a batch of paths to time T.
 
     With ``mckean=True`` the law argument is the empirical cloud of the batch,
     frozen per step; otherwise the law argument is absent.
+
+    At each save time ``save(batch)`` is called on the running batch and its
+    result kept in ``clouds``; the default keeps the batch's ParticleCloud.  A
+    hook must not write to the batch, and must copy what it keeps of it.
 
     ``stream`` is one stream or a sequence of B streams; the rows of ``init``
     then split into B equal blocks, block b driven by streams[b].  Under
@@ -217,18 +236,18 @@ def simulate_paths(
 
     batch = init.copy()
     law = _BlockLaws(batch, len(streams)) if mckean else None
-    saved_clouds = []
+    saved = []
     save_set = set(save_idx.tolist())
     if 0 in save_set:
-        saved_clouds.append(batch.to_cloud())
+        saved.append(save(batch))
     for step in range(n_steps):
         x = batch.endpoint()
         dW = sqrt_h * normals()
         _euler_step(coeffs, batch, x, law, _eval_sigma(coeffs, x), dW, step + 1)
         if (step + 1) in save_set:
-            saved_clouds.append(batch.to_cloud())
+            saved.append(save(batch))
 
-    return SimulationResult(times=times, clouds=saved_clouds)
+    return SimulationResult(times=times, clouds=saved)
 
 
 def simulate_mckean(
@@ -244,7 +263,8 @@ def simulate_mckean(
     With a sequence of B streams the cloud's rows split into B equal blocks,
     each an independent particle system with its own stream and its own law.
     """
-    batch = SegmentBatch.from_cloud(init)
+    # simulate_paths copies its start, so the batch may share the cloud's array.
+    batch = SegmentBatch(init.config, init.values, copy=False)
     return simulate_paths(
         coeffs, batch, T, seed=seed, stream=stream, save_times=save_times, mckean=True
     )

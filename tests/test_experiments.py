@@ -33,7 +33,8 @@ from pathcouple.experiments import (
     run_zvonkin,
     smallest_envelope_c0,
 )
-from pathcouple.pathspace import ParticleCloud, PathSegment, SegmentBatch
+from pathcouple.pathspace import ParticleCloud, PathSegment, SegmentBatch, weighted_norm
+from pathcouple.simulate import simulate_paths
 
 FAST = """
 path.tau = 1.0
@@ -269,18 +270,21 @@ class TestRunDecay:
             run_decay(parse_config(FAST + "sim.kappa = 0.8\n"))
 
 
-class TestStackedRuns:
-    # FAST runs 40 Euler steps to sim.T = 2.0, the last alh and gradient time.
-    N_STEPS = 40
+def _gradient(config):
+    return run_gradient_estimate(config, entropy_constant=1.0, decay_prefactor=1.0)
 
-    @pytest.mark.parametrize("run, loops, rows", [
-        (run_entropy, 1, 2 * 6 * 64),  # six coupled pairs of 64 replicas, one batch
-        (run_alh, 12, 2 * 64),  # one batch per pair, X and Y stacked
-        (lambda config: run_gradient_estimate(config, entropy_constant=1.0,
-                                              decay_prefactor=1.0), 1, 2 * 64),
-        (run_w2_growth, 2, 4 * 32),  # curves 200 and 300: 4 flows of N; curve 400: 2 of 2N
-    ], ids=["entropy", "alh", "gradient", "growth"])
-    def test_one_euler_loop_per_stack(self, monkeypatch, run, loops, rows):
+
+class TestStackedRuns:
+    # FAST steps h = 0.05 to the last check time: sim.T = 2.0 in 40 steps, 8.0 in 160.
+    @pytest.mark.parametrize("run, extra, loops, rows, steps", [
+        (run_entropy, "", 1, 2 * 6 * 64, 40),  # six coupled pairs of 64 replicas, one batch
+        # X and Y of G pairs stacked, G = (2 + check times) // 3: 1 at two times, 2 at four.
+        (run_alh, "", 12, 2 * 64, 40),
+        (run_alh, "sim.T = 8.0\n", 6, 4 * 64, 160),
+        (_gradient, "", 1, 2 * 64, 40),
+        (run_w2_growth, "", 2, 4 * 32, 40),  # curves 200 and 300: 4 flows of N; 400: 2 of 2N
+    ], ids=["entropy", "alh", "alh-T8", "gradient", "growth"])
+    def test_one_euler_loop_per_stack(self, monkeypatch, run, extra, loops, rows, steps):
         from pathcouple import simulate
 
         calls = []
@@ -291,9 +295,70 @@ class TestStackedRuns:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(simulate, "_euler_step", counting)
-        run(parse_config(FAST))
-        assert len(calls) == loops * self.N_STEPS
+        run(parse_config(FAST + extra))
+        assert len(calls) == loops * steps
         assert set(calls) == {rows}
+
+
+class TestSavedFValues:
+    """alh and gradient keep f-values at each save; their tables equal a reference
+    run pair by pair on full-window clouds."""
+
+    T8 = FAST + "sim.T = 8.0\n"
+
+    @staticmethod
+    def _stderr(x):
+        return np.std(x, ddof=1) / math.sqrt(len(x))
+
+    @pytest.mark.parametrize("name", ["linear", "dini_sqrt"])
+    def test_alh_table_equals_per_pair_reference(self, name):
+        config = parse_config(self.T8 + f"coefficients.name = {name}\n")
+        coeffs, _ = config.effective_coefficients()
+        f = WeightedTestFunction.default(config.pathcfg, config.testfn_amplitude)
+        R, times = config.N_replicas, [1.0, 2.0, 4.0, 8.0]
+        rows = []
+        for i, (a, b) in enumerate(experiments._alh_pairs(config)):
+            xi, eta = experiments._pair_segments(config, a, b)
+            res = simulate_paths(coeffs, SegmentBatch.from_segments([xi, eta], R), 8.0,
+                                 seed=config.seed, stream=(100 + 2 * i, 101 + 2 * i),
+                                 save_times=times)
+            for t in times:
+                values = res.cloud_at(t).values
+                fx, ly = f.f(values[:R]), f.log_f(values[R:])
+                lhs, rhs = ly.mean(), math.log(fx.mean())
+                se = math.hypot(self._stderr(ly), self._stderr(fx) / fx.mean())
+                rows.append([t, i, lhs, rhs, lhs - rhs, se, weighted_norm(xi - eta)])
+        assert run_alh(config).tables["alh"][1] == rows
+
+    @pytest.mark.parametrize("name", ["linear", "dini_sqrt"])
+    def test_gradient_table_equals_full_cloud_reference(self, name):
+        config = parse_config(self.T8 + f"coefficients.name = {name}\n")
+        coeffs, _ = config.effective_coefficients()
+        f = WeightedTestFunction.default(config.pathcfg, config.testfn_amplitude)
+        R, times = config.N_replicas, [1.0, 2.0, 4.0]
+        xi, eta = experiments._pair_segments(config, 0.25, 0.375)
+        dist = weighted_norm(xi - eta)
+        res = simulate_paths(coeffs, SegmentBatch.from_segments([xi, eta], R), 4.0,
+                             seed=config.seed, stream=(500, 500), save_times=times)
+        lam = math.exp(config.delta * weighted_norm(xi) ** (2 * coeffs.alpha))
+        rows = []
+        for t in times:
+            values = res.cloud_at(t).values
+            fx, fy = f.f(values[:R]), f.f(values[R:])
+            quot = abs((fx - fy).mean()) / dist
+            rhs = (math.sqrt(2 * lam) * math.sqrt(max(float(fx.var(ddof=1)), 0.0))
+                   + f.grad_f_sup * math.exp(-config.tau0 * t))
+            rows.append([t, quot, self._stderr(fx - fy) / dist, rhs, rhs - quot])
+        assert _gradient(config).tables["gradient"][1] == rows
+
+    def test_alh_and_gradient_never_build_clouds(self, monkeypatch):
+        def refuse(batch):
+            raise AssertionError("to_cloud called")
+
+        monkeypatch.setattr(SegmentBatch, "to_cloud", refuse)
+        config = parse_config(self.T8)
+        assert run_alh(config).tables["alh"][1]
+        assert _gradient(config).tables["gradient"][1]
 
 
 class TestNegativeControls:
@@ -330,15 +395,15 @@ class TestNegativeControls:
         assert self._verdicts(report, "H(t) plateau") == {FAIL}
 
     def test_alh_held_out_defect_beyond_bound_fails(self, monkeypatch):
-        original = experiments._alh_pair
+        original = experiments._alh_sides
         n_train = len(experiments._alh_pairs(parse_config(FAST))) // 2
 
-        def shifted(config, coeffs, f, xi, eta, i):
-            shift = 5.0 if i >= n_train else 0.0
-            return [(lhs + shift, rhs, se)
-                    for lhs, rhs, se in original(config, coeffs, f, xi, eta, i)]
+        def shifted(config, coeffs, f, segs):
+            lhs, rhs, se = original(config, coeffs, f, segs)
+            lhs[n_train:] += 5.0
+            return lhs, rhs, se
 
-        monkeypatch.setattr(experiments, "_alh_pair", shifted)
+        monkeypatch.setattr(experiments, "_alh_sides", shifted)
         assert self._verdicts(run_alh(parse_config(FAST)), "held-out") == {FAIL}
 
     def test_growth_c0_unstable_under_doubling_fails(self, monkeypatch):

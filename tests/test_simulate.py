@@ -182,6 +182,47 @@ class TestPathSimulation:
         with pytest.raises(ConfigurationError, match="not a save time"):
             res.cloud_at(0.75)
 
+    def test_save_hook_runs_at_exactly_the_save_steps(self, monkeypatch):
+        from pathcouple import simulate
+
+        steps = []
+        original = simulate._euler_step
+
+        def counting(*args, **kwargs):
+            steps.append(args[6])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_euler_step", counting)
+        batch = SegmentBatch.from_segment(PathSegment.zero(CFG), 2)
+        res = simulate_paths(ZERO, batch, 1.0, save_times=[0.0, 0.25, 1.0],
+                             save=lambda b: len(steps))
+        assert res.clouds == [0, 25, 100]
+        assert steps == list(range(1, 101))
+
+    def test_default_save_keeps_a_snapshot_cloud_per_save(self):
+        rng = np.random.default_rng(9)
+        cloud = ParticleCloud(CFG, rng.standard_normal((4, CFG.n_points, 1)))
+        times = [0.0, 0.25, 1.0]
+        res = simulate_paths(ou_coeffs(), SegmentBatch.from_cloud(cloud), 1.0, seed=2,
+                             save_times=times)
+        windows = simulate_paths(ou_coeffs(), SegmentBatch.from_cloud(cloud), 1.0, seed=2,
+                                 save_times=times, save=SegmentBatch.ordered_values).clouds
+        assert len(res.clouds) == len(windows) == 3
+        for saved, window in zip(res.clouds, windows):
+            assert isinstance(saved, ParticleCloud)
+            np.testing.assert_array_equal(saved.values, window)
+        # Snapshots, not views of the running batch: the t = 0 cloud is the start.
+        np.testing.assert_array_equal(res.clouds[0].values, cloud.values)
+        assert not np.array_equal(res.clouds[1].values, res.clouds[2].values)
+
+    def test_mckean_leaves_its_start_cloud_untouched(self):
+        rng = np.random.default_rng(4)
+        cloud = ParticleCloud(CFG, rng.standard_normal((8, CFG.n_points, 1)))
+        start = cloud.values.copy()
+        res = simulate_mckean(get_coefficients("linear", CFG), cloud, 0.5, seed=1)
+        np.testing.assert_array_equal(cloud.values, start)
+        np.testing.assert_array_equal(res.clouds[0].values, start)
+
 
 class TestCoupling:
     XI = PathSegment.constant(CFG, [0.5])
@@ -220,6 +261,20 @@ class TestCoupling:
     def test_kappa_below_tau_rejected(self):
         with pytest.raises(ConfigurationError):
             simulate_coupled_Q(ZERO, self.XI, self.ETA, 0.5, 1.0)
+
+    def test_one_d_sigma_keeps_the_matrix_bits(self):
+        from pathcouple import simulate
+
+        rng = np.random.default_rng(8)
+        sig = rng.uniform(0.2, 3.0, (1024, 1, 1)) * rng.choice([-1.0, 1.0], (1024, 1, 1))
+        v = rng.standard_normal((1024, 1)) * 10.0 ** rng.uniform(-5, 5, (1024, 1))
+        assert np.array_equal(simulate._solve_sigma(sig, v),
+                              np.linalg.solve(sig, v[..., None])[..., 0])
+        assert np.array_equal(simulate._apply_sigma(sig, v),
+                              np.einsum("...ij,...j->...i", sig, v))
+        sig[5] = 0.0  # one exactly singular row among regular ones
+        with pytest.raises(SingularDiffusionError):
+            simulate._solve_sigma(sig, v)
 
     def test_singular_diffusion_rejected(self):
         flat = dataclasses.replace(ZERO, sigma=lambda x: np.zeros(x.shape + (1,)))
