@@ -12,6 +12,11 @@ between the weighted rows w*a and w*b, one `cdist` call with no
 (N, M, n_points) temporary.  Its rounding differs from the weight-last form
 w_k |a_k - b_k| by at most a few ulps of max(|w a|, |w b|); a cloud against
 itself still costs exactly 0 on the diagonal.
+
+SciPy is imported inside the functions that call it, so importing this module
+loads numpy only: `cdist` in the d = 1 branch of `pairwise_truncated_norm`,
+`linear_sum_assignment` in `ot_plan`'s equal-size branch, and `linprog` with
+`scipy.sparse` in its linear-program branch.
 """
 
 from __future__ import annotations
@@ -19,9 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError, InvalidCloudError
 from .pathspace import ParticleCloud
@@ -51,6 +53,8 @@ def pairwise_truncated_norm(a: ParticleCloud, b: ParticleCloud) -> np.ndarray:
     cfg = a.config
     va, vb, w = a.values, b.values, cfg.weights
     if cfg.d == 1:  # Chebyshev distance of the weighted rows; see the module docstring
+        from scipy.spatial.distance import cdist
+
         return cdist(va[:, :, 0] * w, vb[:, :, 0] * w, "chebyshev")
     out = np.zeros((len(a), len(b)))
     # Chunk over the grid axis to keep the (N, M, chunk, d) temporaries small.
@@ -73,12 +77,17 @@ def ot_plan(a: ParticleCloud, b: ParticleCloud, k: float) -> OTPlan:
     n, m = cost.shape
     # Uniform clouds of equal size: some permutation is an optimal plan.
     if n == m:
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(cost)
         plan = np.zeros_like(cost)
         plan[rows, cols] = 1.0 / n
         return OTPlan(plan, float((plan * cost).sum()), solver="assignment")
     # Unequal sizes: exact LP (network-simplex equivalent via HiGHS) over the
     # row-major plan, with row sums 1/n and column sums 1/m as sparse equalities.
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
     A_eq = sp.vstack([
         sp.kron(sp.eye(n), np.ones((1, m))),
         sp.kron(np.ones((1, n)), sp.eye(m)),

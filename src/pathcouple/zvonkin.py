@@ -5,6 +5,10 @@ drift extended constantly outside, builds Theta(x) = x + u(x) together with
 its inverse, and produces the transformed drift/diffusion pair.  The box must
 contain the region the simulation visits; `decay` reports the share of its
 saved endpoints whose preimage lies outside it.
+
+SciPy is imported inside the two resolvent solvers, so importing this module
+loads numpy only: `_solve_1d` imports `scipy.linalg.solve_banded` and
+`_solve_2d` imports `scipy.sparse` and `scipy.sparse.linalg`.
 """
 
 from __future__ import annotations
@@ -14,9 +18,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.sparse import diags, identity, kron
-from scipy.sparse.linalg import spsolve
 
 from .coefficients import CoefficientSet
 from .errors import (
@@ -205,6 +206,8 @@ def _diffusion_on_axis(coeffs: CoefficientSet, points: np.ndarray) -> np.ndarray
 
 
 def _solve_1d(coeffs: CoefficientSet, grid: EllipticGrid, lam: float):
+    from scipy.linalg import solve_banded
+
     x = grid.axis[:, None]
     n = grid.n_axis
     dx = grid.dx
@@ -245,6 +248,9 @@ def _solve_1d(coeffs: CoefficientSet, grid: EllipticGrid, lam: float):
 
 
 def _solve_2d(coeffs: CoefficientSet, grid: EllipticGrid, lam: float):
+    from scipy.sparse import diags, identity, kron
+    from scipy.sparse.linalg import spsolve
+
     n = grid.n_axis
     dx = grid.dx
     pts = grid.nodes()

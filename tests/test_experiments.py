@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import itertools
+import json
 import math
 import os
 import re
@@ -125,6 +126,18 @@ class TestParseConfig:
         text = "sim.kappa = 2.5  # " + "x" * 300
         assert len(text.encode()) > 255
         assert parse_config(text).kappa == 2.5
+
+    @pytest.mark.parametrize("text, builds", [
+        ("sim.N_particles = 1\npath.d = 3\ncoefficients.name = zero\n", 1),
+        ("sim.T = 1.0\n", 0),
+    ], ids=["both-checks", "neither-check"])
+    def test_coefficients_built_at_most_once(self, monkeypatch, text, builds):
+        calls = []
+        real = experiments.get_coefficients
+        monkeypatch.setattr(experiments, "get_coefficients",
+                            lambda *args: calls.append(args) or real(*args))
+        parse_config(text)
+        assert len(calls) == builds
 
 
 class TestWeightedTestFunction:
@@ -264,6 +277,15 @@ class TestRunDecay:
         rows = np.array([row for row in report.tables["decay"][1] if row[1] == 1])
         want = np.max(rows[:, 2] * np.exp(config.tau0 * rows[:, 0])) / config.separation
         assert report.records["decay_prefactor"] == want
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_endpoint_rate_on_zero(self, p):
+        # Zero drift, shared noise: under Q, Z_{k+1} = (1 - kappa h) Z_k exactly.
+        config = parse_config(FAST + "coefficients.name = zero\n")
+        h = config.pathcfg.h
+        want = p * math.log(1 - config.kappa * h) / h
+        rate = run_decay(config).records[f"endpoint_rate_p{p}"]
+        assert rate == pytest.approx(want, rel=1e-9)
 
     def test_kappa_below_tau_rejected(self):
         with pytest.raises(ConfigurationError, match="kappa"):
@@ -706,3 +728,45 @@ class TestCli:
         assert names == sorted(f.name for f in out_b.iterdir())
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+class TestStartUp:
+    """Importing the CLI and parsing a config load numpy and no SciPy module;
+    an experiment imports the SciPy modules it calls when it first calls them.
+    Each SciPy import adds to the set-up time of every run that loads it."""
+
+    CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+    @staticmethod
+    def _scipy_after(code: str) -> list:
+        """The scipy modules loaded after ``code`` runs in a fresh interpreter."""
+        proc = TestCli._run_python("-c", code + "\nimport json, sys\n"
+                                   "print(json.dumps(sorted(m for m in sys.modules"
+                                   " if m.split('.')[0] == 'scipy')))")
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_parse_config_loads_no_scipy(self):
+        paths = [str(self.CONFIGS / f"builtin_{name}.cfg") for name in ("linear", "dini")]
+        loaded = self._scipy_after(
+            "import pathcouple.cli\nfrom pathcouple.experiments import parse_config\n"
+            f"for path in {paths!r}:\n    parse_config(path)")
+        assert not loaded, loaded
+
+    @pytest.mark.parametrize("name, command, wanted, forbidden", [
+        ("linear", "decay", [], ["scipy"]),
+        ("dini", "decay", ["scipy.linalg"],
+         ["scipy.optimize", "scipy.special", "scipy.spatial", "scipy.sparse"]),
+        ("linear", "growth", ["scipy.optimize"], []),
+    ], ids=["linear-decay", "dini-decay", "linear-growth"])
+    def test_experiment_loads_only_what_it_calls(self, tmp_path, name, command, wanted,
+                                                 forbidden):
+        p = tmp_path / f"{name}.cfg"
+        p.write_text((self.CONFIGS / f"builtin_{name}.cfg").read_text()
+                     + "sim.T = 1.0\nsim.N_replicas = 64\nsim.N_particles = 16\n")
+        argv = [command, "--config", str(p), "--output", str(tmp_path / "out")]
+        loaded = self._scipy_after(
+            f"from pathcouple.cli import cli_main\nassert cli_main({argv!r}) in (0, 3, 4)")
+        assert set(wanted) <= set(loaded)
+        bad = [m for m in loaded if any(m == f or m.startswith(f + ".") for f in forbidden)]
+        assert not bad, bad
