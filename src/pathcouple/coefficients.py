@@ -29,6 +29,7 @@ __all__ = [
     "CoefficientSet",
     "DiniModulus",
     "ValidationReport",
+    "check_builtin_name",
     "get_coefficients",
     "grid_decay_constant",
     "make_dini_log",
@@ -118,7 +119,7 @@ class CoefficientSet:
         if self.b0 is None:
             return np.zeros_like(x)
         out = self.b0(x)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise InvalidCoefficientError(f"b0 returned non-finite value at x={x!r}")
         return out
 
@@ -127,7 +128,7 @@ class CoefficientSet:
             shape = seg.endpoint().shape
             return np.zeros(shape)
         out = self.b1(seg, law)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise InvalidCoefficientError("b1 returned a non-finite value")
         return out
 
@@ -136,7 +137,7 @@ class CoefficientSet:
             eye = np.eye(self.d)
             return np.broadcast_to(eye, x.shape + (self.d,)).copy()
         out = self.sigma(x)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise InvalidCoefficientError(f"sigma returned non-finite value at x={x!r}")
         return out
 
@@ -150,10 +151,6 @@ def grid_decay_constant(pathcfg: PathSpaceConfig, rate: float) -> float:
     return float(pathcfg.h * np.exp(rate * pathcfg.s_grid).sum())
 
 
-def _mean_endpoint(law) -> np.ndarray:
-    return law.mean_endpoint() if law is not None else 0.0
-
-
 def make_linear(pathcfg: PathSpaceConfig) -> CoefficientSet:
     """Linear-Gaussian baseline: b0 = 0, b1 linear in an exponentially
     weighted history integral and in the law's mean endpoint, sigma = I."""
@@ -162,7 +159,10 @@ def make_linear(pathcfg: PathSpaceConfig) -> CoefficientSet:
     gc2 = grid_decay_constant(pathcfg, 2 * pathcfg.tau)
 
     def b1(seg, law):
-        return B * seg.exp_weighted_integral(2 * pathcfg.tau) + K1 * _mean_endpoint(law)
+        drift = B * seg.exp_weighted_integral(2 * pathcfg.tau)
+        if law is not None:
+            drift += K1 * law.mean_endpoint()
+        return drift
 
     return CoefficientSet(
         name="linear",
@@ -187,7 +187,7 @@ def make_sublinear(pathcfg: PathSpaceConfig) -> CoefficientSet:
     d = pathcfg.d
 
     def b1(seg, law):
-        return B * _soft_sqrt(seg.exp_weighted_integral(2 * pathcfg.tau)) + K1 * _mean_endpoint(law)
+        return B * _soft_sqrt(seg.exp_weighted_integral(2 * pathcfg.tau))  # K1 = 0: no law term
 
     return CoefficientSet(
         name="sublinear",
@@ -253,9 +253,14 @@ _GALLERY = {
 }
 
 
-def get_coefficients(name: str, pathcfg: PathSpaceConfig) -> CoefficientSet:
+def check_builtin_name(name: str) -> None:
+    """Raise ConfigurationError unless ``name`` names a builtin coefficient set."""
     if name not in _GALLERY:
         raise ConfigurationError(f"unknown coefficient set {name!r}; have {sorted(_GALLERY)}")
+
+
+def get_coefficients(name: str, pathcfg: PathSpaceConfig) -> CoefficientSet:
+    check_builtin_name(name)
     return _GALLERY[name](pathcfg)
 
 

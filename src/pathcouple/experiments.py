@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import zvonkin
-from .coefficients import CoefficientSet, get_coefficients, validate_H
+from .coefficients import CoefficientSet, check_builtin_name, get_coefficients, validate_H
 from .errors import ConfigurationError
 from .laws import comonotone_pair, exp_norm_moment
 from .pathspace import (
@@ -125,6 +125,7 @@ class ExperimentConfig:
         for t in (self.T, *_times_within(_ALH_TIMES + _GRADIENT_TIMES, self)):
             if abs(round(t / h) * h - t) > 1e-9:
                 raise ConfigurationError(f"sim.T or check time {t} is not a multiple of h={h}")
+        check_builtin_name(self.coefficients_name)  # fails at parse time, not at the first run
         if self.N_particles < 2 or self.pathcfg.d > 2:
             coeffs = self.coefficients()  # built once, and only when a check reads it
             if self.N_particles < 2 and coeffs.K1 > 0:
@@ -508,9 +509,10 @@ def _alh_sides(config: ExperimentConfig, coeffs: CoefficientSet, f: TestFunction
 
     Pair i runs X from xi on stream 100 + 2i and Y from eta on 101 + 2i, and G
     consecutive pairs run stacked in one batch.  A save keeps log f of every
-    row, not the window.  So a group holds 3G windows (start, running batch,
-    the ordered copy f reads at a save), and G = (2 + n_times) // 3 keeps that
-    within the 2 + n_times windows of one pair that kept a cloud per save.
+    row, not the window.  So a group holds 2G windows (the running batch,
+    which the run adopts, and the ordered copy f reads at a save), within the
+    2 + n_times windows of one pair that kept a cloud per save for
+    G = (2 + n_times) // 3.
     """
     t_grid = _times_within(_ALH_TIMES, config)
     R = config.N_replicas

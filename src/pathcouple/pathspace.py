@@ -263,7 +263,8 @@ class SegmentBatch:
     `advance` is the only writer of `values`, so each history integral
     S = h sum_i e^{r s_i} x(s_i) is summed over the window once, at its first
     `exp_weighted_integral(r)`, and then kept by `advance` in O(R d) as
-    S' = e^{-r h} (S - h e^{-r T_mem} x_oldest) + h x_new.  New batches start without.
+    S' = e^{-r h} (S - h e^{-r T_mem} x_oldest) + h x_new, in place through one
+    scratch row buffer and in that order.  New batches start without.
     """
 
     def __init__(self, config: PathSpaceConfig, values, copy: bool = True):
@@ -279,6 +280,7 @@ class SegmentBatch:
         self.values = vals
         self.head = config.n_steps  # ordered layout on construction
         self._integrals = {}  # rate -> [S, e^{-rate h}, h e^{-rate T_mem}]
+        self._scratch = np.empty((vals.shape[0], config.d))  # one row per particle for advance
 
     @classmethod
     def from_segment(cls, seg: PathSegment, n: int) -> "SegmentBatch":
@@ -306,10 +308,6 @@ class SegmentBatch:
         split = self.head + 1
         return np.concatenate([self.values[:, split:], self.values[:, :split]], axis=1)
 
-    def copy(self) -> "SegmentBatch":
-        """Independent batch in the ordered layout."""
-        return SegmentBatch(self.config, self.ordered_values(), copy=False)
-
     def endpoint(self) -> np.ndarray:
         return self.values[:, self.head, :]
 
@@ -317,7 +315,9 @@ class SegmentBatch:
         n1 = self.config.n_points
         self.head = (self.head + 1) % n1
         for S, decay, tail in self._integrals.values():  # read x_oldest before the write
-            S[:] = decay * (S - tail * self.values[:, self.head, :]) + self.config.h * new_values
+            S -= np.multiply(tail, self.values[:, self.head, :], out=self._scratch)
+            S *= decay
+            S += np.multiply(self.config.h, new_values, out=self._scratch)
         self.values[:, self.head, :] = new_values
 
     def exp_weighted_integral(self, rate: float) -> np.ndarray:

@@ -7,10 +7,11 @@ one batch: rows [0, R) hold X and rows [R, 2R) hold Y, driven by the same noise.
 
 Both simulators also run *blocks*: independent simulations stacked in one
 batch, each with its own start and its own Philox stream, so one Euler loop
-serves them all.  Each step, block b draws its (rows, d) normals from
+serves them all.  Each step, block b takes the next (rows, d) normals of
 philox_rng(seed, streams[b]), exactly the draws of a separate run on that
-stream, so every block's rows equal those of that separate run.  A stream
-repeated in the list is drawn once per step and shared by its blocks.  The
+stream, so every block's rows equal those of that separate run.  They are
+drawn a chunk of steps at a time, with the bits of step-by-step draws, and a
+stream repeated in the list is drawn once and shared by its blocks.  The
 builtin coefficients act row by row.  A McKean run gives each block its own
 empirical law: the law handed to b1 returns, for every row, the mean endpoint
 of that row's block, so stacked mean-field blocks also equal separate runs.
@@ -57,6 +58,7 @@ __all__ = [
 
 BLOWUP_LIMIT = 1e8
 LOG_WEIGHT_LIMIT = 700.0
+_CHUNK_BYTES = 1 << 18  # size of the buffer of normals, over all blocks of a run
 
 
 def _stream_list(stream) -> list[int]:
@@ -66,20 +68,26 @@ def _stream_list(stream) -> list[int]:
     return streams
 
 
-def _block_normals(seed: int, streams: list[int], rows: int, d: int):
-    """Per-step standard normals of stacked blocks.
+def _block_increments(seed: int, streams: list[int], rows: int, d: int, n_steps: int, h: float):
+    """Yield each step's sqrt(h) dW, a (len(streams) * rows, d) array valid until the next.
 
-    Returns a function whose every call gives a (len(streams) * rows, d) array;
-    block b is the next (rows, d) draw of philox_rng(seed, streams[b]).  A
-    repeated stream is drawn once per call and its draw reused.
+    Block b is sqrt(h) times the next (rows, d) draw of philox_rng(seed, streams[b]).
+    One call per unique stream fills a chunk of steps of one buffer, with the bits
+    of a draw per step; a repeated stream is copied from its first block.
     """
     rngs = {s: philox_rng(seed, s) for s in streams}
-
-    def draw() -> np.ndarray:
-        fresh = {s: rng.standard_normal((rows, d)) for s, rng in rngs.items()}
-        return np.concatenate([fresh[s] for s in streams])
-
-    return draw
+    chunk = max(1, min(n_steps, _CHUNK_BYTES // (8 * len(streams) * rows * d)))
+    buf = np.empty((len(streams), chunk, rows, d))
+    for start in range(0, n_steps, chunk):
+        k = min(chunk, n_steps - start)
+        for b, s in enumerate(streams):
+            if streams.index(s) < b:
+                buf[b, :k] = buf[streams.index(s), :k]
+            else:
+                rngs[s].standard_normal(out=buf[b, :k])
+        buf[:, :k] *= math.sqrt(h)
+        for j in range(k):
+            yield buf[:, j].reshape(-1, d)
 
 
 class _BlockLaws:
@@ -141,15 +149,21 @@ def _solve_sigma(sig, v: np.ndarray) -> np.ndarray:
 
 
 def _euler_step(coeffs: CoefficientSet, batch: SegmentBatch, x: np.ndarray, law, sig,
-                dW: np.ndarray, step: int, extra=0.0) -> np.ndarray:
+                dW: np.ndarray, step: int, extra=None) -> np.ndarray:
     """Advance ``batch`` to x + (b0 + b1 + extra) h + sigma dW and return that endpoint.
 
-    ``x`` is the batch endpoint that ``sig`` was evaluated at, so drift and
-    diffusion share any inverse memoized on it; ``step`` (1-based) labels a
-    blow-up.
+    A set without b0 and a call without ``extra`` skip those terms.  ``x`` is
+    the batch endpoint that ``sig`` was evaluated at, so drift and diffusion
+    share any inverse memoized on it; ``step`` (1-based) labels a blow-up.
     """
-    drift = coeffs.eval_b0(x) + coeffs.eval_b1(batch, law) + extra
-    new = x + drift * batch.config.h + _apply_sigma(sig, dW)
+    drift = coeffs.eval_b1(batch, law)
+    if coeffs.b0 is not None:
+        drift = coeffs.eval_b0(x) + drift
+    if extra is not None:
+        drift = drift + extra
+    new = drift * batch.config.h
+    new += x
+    new += _apply_sigma(sig, dW)
     _check_endpoint(new, step)
     batch.advance(new)
     return new
@@ -208,8 +222,9 @@ def simulate_paths(
 ) -> SimulationResult:
     """Integrate a batch of paths to time T.
 
-    With ``mckean=True`` the law argument is the empirical cloud of the batch,
-    frozen per step; otherwise the law argument is absent.
+    The run consumes ``init``, advancing it in place.  With ``mckean=True`` the
+    law argument is the empirical cloud of the batch, frozen per step; otherwise
+    the law argument is absent.
 
     At each save time ``save(batch)`` is called on the running batch and its
     result kept in ``clouds``; the default keeps the batch's ParticleCloud.  A
@@ -231,20 +246,18 @@ def simulate_paths(
         raise ConfigurationError("mean-field simulation needs at least 2 particles per block")
     save_idx, times = _save_steps(cfg, T, save_times)
     n_steps = int(round(T / cfg.h))
-    normals = _block_normals(seed, streams, init.n // len(streams), cfg.d)
-    sqrt_h = math.sqrt(cfg.h)
+    increments = _block_increments(seed, streams, init.n // len(streams), cfg.d, n_steps, cfg.h)
 
-    batch = init.copy()
+    batch = init
     law = _BlockLaws(batch, len(streams)) if mckean else None
     saved = []
     save_set = set(save_idx.tolist())
     if 0 in save_set:
         saved.append(save(batch))
-    for step in range(n_steps):
+    for step, dW in enumerate(increments, 1):
         x = batch.endpoint()
-        dW = sqrt_h * normals()
-        _euler_step(coeffs, batch, x, law, _eval_sigma(coeffs, x), dW, step + 1)
-        if (step + 1) in save_set:
+        _euler_step(coeffs, batch, x, law, _eval_sigma(coeffs, x), dW, step)
+        if step in save_set:
             saved.append(save(batch))
 
     return SimulationResult(times=times, clouds=saved)
@@ -263,8 +276,8 @@ def simulate_mckean(
     With a sequence of B streams the cloud's rows split into B equal blocks,
     each an independent particle system with its own stream and its own law.
     """
-    # simulate_paths copies its start, so the batch may share the cloud's array.
-    batch = SegmentBatch(init.config, init.values, copy=False)
+    # simulate_paths consumes its start, so the batch copies the cloud's values.
+    batch = SegmentBatch(init.config, init.values)
     return simulate_paths(
         coeffs, batch, T, seed=seed, stream=stream, save_times=save_times, mckean=True
     )
@@ -333,9 +346,8 @@ def simulate_coupled_Q(
             f"n_replicas={R} does not split evenly across {len(streams)} pairs")
     save_idx, times = _save_steps(cfg, T, save_times)
     n_steps = int(round(T / cfg.h))
-    normals = _block_normals(seed, streams + streams, R // len(streams), cfg.d)
     h = cfg.h
-    sqrt_h = math.sqrt(h)
+    increments = _block_increments(seed, streams + streams, R // len(streams), cfg.d, n_steps, h)
     decay = math.exp(-cfg.tau * h)
 
     batch = SegmentBatch.from_segments(xis + etas, R // len(streams))
@@ -354,24 +366,23 @@ def simulate_coupled_Q(
     save_set = set(save_idx.tolist())
     if 0 in save_set:
         snapshot(batch.endpoint())
-    for step in range(n_steps):
+    for step, dW in enumerate(increments, 1):
         xy = batch.endpoint()
-        x, y = xy[:R], xy[R:]
+        diff = xy[:R] - xy[R:]
         sig = _eval_sigma(coeffs_hat, xy)
-        gamma = kappa * _solve_sigma(None if sig is None else sig[:R], x - y)
+        gamma = kappa * _solve_sigma(None if sig is None else sig[:R], diff)
         extra = np.zeros_like(xy)
         if measure == "Q":
-            extra[:R] = -kappa * (x - y)
+            extra[:R] = -kappa * diff
         else:
             extra[R:] = _apply_sigma(None if sig is None else sig[R:], gamma)
-        dW = sqrt_h * normals()
-        new = _euler_step(coeffs_hat, batch, xy, None, sig, dW, step + 1, extra)
+        new = _euler_step(coeffs_hat, batch, xy, None, sig, dW, step, extra)
         g2 = np.einsum("rj,rj->r", gamma, gamma)
         half_g2 += 0.5 * g2 * h
         if measure == "P":
             log_r += -np.einsum("rj,rj->r", gamma, dW[:R]) - 0.5 * g2 * h
         np.maximum(zn * decay, np.linalg.norm(new[:R] - new[R:], axis=-1), out=zn)
-        if (step + 1) in save_set:
+        if step in save_set:
             snapshot(new)
 
     degenerate = np.abs(log_r) > LOG_WEIGHT_LIMIT

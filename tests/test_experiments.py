@@ -67,6 +67,12 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="unknown config key"):
             parse_config("sim.bogus = 1")
 
+    def test_unknown_coefficient_name(self):
+        # Rejected while parsing, not at the first experiment that builds the set.
+        with pytest.raises(ConfigurationError, match="unknown coefficient set 'bogus'") as err:
+            parse_config("coefficients.name = bogus\nsim.T = 1.0")
+        assert err.value.exit_code == 1
+
     def test_malformed_line(self):
         with pytest.raises(ConfigurationError, match="not key=value"):
             parse_config("sim.T = 1.0\njust words")

@@ -267,18 +267,6 @@ class TestSegmentBatch:
         with pytest.raises(ConfigurationError):
             SegmentBatch.from_segments([segs[0], other], 2)
 
-    def test_copy_is_ordered_and_independent(self):
-        rng = np.random.default_rng(15)
-        batch = SegmentBatch(CFG, rng.standard_normal((2, CFG.n_points, CFG.d)))
-        for _ in range(5):
-            batch.advance(rng.standard_normal((2, CFG.d)))
-        before = batch.ordered_values()
-        twin = batch.copy()
-        assert twin.head == CFG.n_steps and twin.values.flags["C_CONTIGUOUS"]
-        np.testing.assert_array_equal(twin.values, before)
-        twin.advance(np.zeros((2, CFG.d)))
-        np.testing.assert_array_equal(batch.ordered_values(), before)
-
     def test_constructor_copies_by_default(self):
         values = np.zeros((2, CFG.n_points, CFG.d))
         assert not np.shares_memory(SegmentBatch(CFG, values).values, values)

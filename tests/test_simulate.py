@@ -15,6 +15,7 @@ from pathcouple.errors import (
     DegenerateWeightWarning,
     SingularDiffusionError,
 )
+from pathcouple import simulate
 from pathcouple.experiments import parse_config
 from pathcouple.pathspace import (
     ParticleCloud,
@@ -85,9 +86,8 @@ class TestPathSimulation:
 
         doubled = dataclasses.replace(
             ZERO, sigma=lambda x: 2.0 * np.broadcast_to(np.eye(CFG.d), x.shape + (CFG.d,)))
-        batch = SegmentBatch.from_segment(PathSegment.zero(CFG), 16)
-        base = simulate_paths(ZERO, batch, 1.0, seed=6)
-        scaled = simulate_paths(doubled, batch, 1.0, seed=6)
+        base, scaled = (simulate_paths(coeffs, SegmentBatch.from_segment(PathSegment.zero(CFG), 16),
+                                       1.0, seed=6) for coeffs in (ZERO, doubled))
         np.testing.assert_array_equal(scaled.endpoints, 2.0 * base.endpoints)
 
     def test_determinism(self):
@@ -510,3 +510,172 @@ def test_philox_streams_independent():
     c = philox_rng(1, 1).standard_normal(8)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# ---------------------------------------------------------------------------
+# The chunked Euler loop against the step-by-step formula
+
+
+class _StepwiseBatch(SegmentBatch):
+    """SegmentBatch whose advance keeps the history integrals with one expression."""
+
+    def advance(self, new_values):
+        self.head = (self.head + 1) % self.config.n_points
+        for S, decay, tail in self._integrals.values():
+            S[:] = decay * (S - tail * self.values[:, self.head, :]) + self.config.h * new_values
+        self.values[:, self.head, :] = new_values
+
+
+def _stepwise_normals(seed, streams, rows, d):
+    """One (rows, d) draw per stream per call, stacked in stream order."""
+    rngs = {s: philox_rng(seed, s) for s in streams}
+
+    def draw():
+        fresh = {s: rng.standard_normal((rows, d)) for s, rng in rngs.items()}
+        return np.concatenate([fresh[s] for s in streams])
+
+    return draw
+
+
+def _stepwise_step(coeffs, batch, x, law, sig, dW, extra=0.0):
+    drift = coeffs.eval_b0(x) + coeffs.eval_b1(batch, law) + extra
+    new = x + drift * batch.config.h + simulate._apply_sigma(sig, dW)
+    batch.advance(new)
+    return new
+
+
+def _stepwise_paths(coeffs, segs, rows, T, seed, streams, mckean=False):
+    """Endpoints (n_steps + 1, len(segs) * rows, d) of the plain Euler loop."""
+    batch = _StepwiseBatch.from_segments(segs, rows)
+    cfg = batch.config
+    normals = _stepwise_normals(seed, streams, rows, cfg.d)
+    law = simulate._BlockLaws(batch, len(streams)) if mckean else None
+    ends = [batch.endpoint().copy()]
+    for _ in range(int(round(T / cfg.h))):
+        x = batch.endpoint()
+        dW = math.sqrt(cfg.h) * normals()
+        ends.append(_stepwise_step(coeffs, batch, x, law, simulate._eval_sigma(coeffs, x), dW))
+    return np.array(ends)
+
+
+def _stepwise_coupled(coeffs, xis, etas, kappa, T, seed, streams, R, measure):
+    """Every step's (x_end, y_end, z_norms, half_int_gamma_sq, log_R) of the plain loop."""
+    batch = _StepwiseBatch.from_segments(xis + etas, R // len(streams))
+    cfg = batch.config
+    normals = _stepwise_normals(seed, streams + streams, R // len(streams), cfg.d)
+    zn = ParticleCloud(cfg, batch.values[:R] - batch.values[R:]).norms()
+    half_g2, log_r = np.zeros(R), np.zeros(R)
+    out = [[batch.endpoint()[:R].copy(), batch.endpoint()[R:].copy(), zn.copy(),
+            half_g2.copy(), log_r.copy()]]
+    for _ in range(int(round(T / cfg.h))):
+        xy = batch.endpoint()
+        x, y = xy[:R], xy[R:]
+        sig = simulate._eval_sigma(coeffs, xy)
+        gamma = kappa * simulate._solve_sigma(None if sig is None else sig[:R], x - y)
+        extra = np.zeros_like(xy)
+        if measure == "Q":
+            extra[:R] = -kappa * (x - y)
+        else:
+            extra[R:] = simulate._apply_sigma(None if sig is None else sig[R:], gamma)
+        dW = math.sqrt(cfg.h) * normals()
+        new = _stepwise_step(coeffs, batch, xy, None, sig, dW, extra)
+        g2 = np.einsum("rj,rj->r", gamma, gamma)
+        half_g2 += 0.5 * g2 * cfg.h
+        if measure == "P":
+            log_r += -np.einsum("rj,rj->r", gamma, dW[:R]) - 0.5 * g2 * cfg.h
+        zn = np.maximum(zn * math.exp(-cfg.tau * cfg.h), np.linalg.norm(new[:R] - new[R:], axis=-1))
+        out.append([new[:R].copy(), new[R:].copy(), zn.copy(), half_g2.copy(), log_r.copy()])
+    return [np.array(col) for col in zip(*out)]
+
+
+LOOP_MAKERS = [
+    lambda: ZERO,
+    lambda: get_coefficients("linear", CFG),
+    lambda: get_coefficients("sublinear", CFG),
+    lambda: parse_config(DINI_FAST).effective_coefficients()[0],
+]
+LOOP_IDS = ["zero", "linear", "sublinear", "dini_sqrt_hat"]
+
+
+@pytest.fixture(params=[1000, None], ids=["small-chunks", "default-chunks"])
+def chunk_bytes(request, monkeypatch):
+    """Chunks of 7 steps for 2 blocks of 8 rows at d = 1 (3 steps for the 4 blocks of a
+    coupled run), or the module's own size."""
+    if request.param is not None:
+        monkeypatch.setattr(simulate, "_CHUNK_BYTES", request.param)
+
+
+class TestChunkedLoop:
+    @pytest.mark.parametrize("streams, rows, d, n_steps, chunk_bytes", [
+        ((3,), 5, 1, 10, 120),  # 3 steps per chunk, 10 not a multiple
+        ((4, 9, 4), 3, 2, 11, 300),  # repeated stream, d = 2, 2 steps per chunk
+        ((6, 6), 40, 1, 5, 256),  # one step outgrows the chunk
+        ((1, 2), 20_000, 2, 3, None),  # the same at the module's own size
+    ])
+    def test_increments_match_stepwise_draws(self, monkeypatch, streams, rows, d, n_steps,
+                                             chunk_bytes):
+        if chunk_bytes is not None:
+            monkeypatch.setattr(simulate, "_CHUNK_BYTES", chunk_bytes)
+        h = 0.01
+        draw = _stepwise_normals(11, list(streams), rows, d)
+        steps = 0
+        for dW in simulate._block_increments(11, list(streams), rows, d, n_steps, h):
+            assert np.array_equal(dW, math.sqrt(h) * draw())
+            steps += 1
+        assert steps == n_steps
+
+    @pytest.mark.parametrize("make", LOOP_MAKERS, ids=LOOP_IDS)
+    def test_paths_match_stepwise_loop(self, chunk_bytes, make):
+        coeffs = make()
+        cfg = coeffs.pathcfg
+        segs = [PathSegment.constant(cfg, [0.5]), PathSegment.constant(cfg, [-0.25])]
+        T, streams = 0.5, [5, 7]  # at most 50 steps: the default saves every step
+        res = simulate_paths(coeffs, SegmentBatch.from_segments(segs, 8), T, seed=3,
+                             stream=streams)
+        assert np.array_equal(res.endpoints, _stepwise_paths(coeffs, segs, 8, T, 3, streams))
+
+    def test_mckean_matches_stepwise_loop(self, chunk_bytes):
+        coeffs = get_coefficients("linear", CFG)
+        assert coeffs.K1 > 0
+        segs = [PathSegment.constant(CFG, [0.5]), PathSegment.constant(CFG, [-0.25])]
+        cloud = ParticleCloud(CFG, np.repeat(np.stack([s.values for s in segs]), 8, axis=0))
+        res = simulate_mckean(coeffs, cloud, 0.5, seed=3, stream=[5, 7])
+        ref = _stepwise_paths(coeffs, segs, 8, 0.5, 3, [5, 7], mckean=True)
+        assert np.array_equal(res.endpoints, ref)
+
+    @pytest.mark.parametrize("measure", ["Q", "P"])
+    @pytest.mark.parametrize("make", LOOP_MAKERS, ids=LOOP_IDS)
+    def test_coupled_matches_stepwise_loop(self, chunk_bytes, make, measure):
+        coeffs = make()
+        cfg = coeffs.pathcfg
+        xis = [PathSegment.constant(cfg, [0.5]), PathSegment.constant(cfg, [0.25])]
+        etas = [PathSegment.constant(cfg, [-0.5]), PathSegment.constant(cfg, [1.0])]
+        T, streams = 0.5, [5, 7]  # at most 50 steps: the default saves every step
+        run = simulate_coupled_Q(coeffs, xis, etas, 4.0, T, seed=3, stream=streams,
+                                 n_replicas=16, measure=measure)
+        ref = _stepwise_coupled(coeffs, xis, etas, 4.0, T, 3, streams, 16, measure)
+        for name, want in zip(("x_end", "y_end", "z_norms", "half_int_gamma_sq", "log_R"), ref):
+            assert np.array_equal(getattr(run, name), want), name
+
+    def test_blow_up_past_the_first_chunk(self, monkeypatch):
+        # 4 rows in each of 3 blocks at d = 1: a chunk holds 4 steps (2 for the
+        # 6 blocks of a coupled run).  A row that leaves |x| <= 0.5 explodes a
+        # few steps later; the step and row below are those of step-by-step draws.
+        monkeypatch.setattr(simulate, "_CHUNK_BYTES", 4 * 3 * 4 * 8)
+        coeffs = dataclasses.replace(
+            _explode_beyond_two(), b0=lambda x: np.where(np.abs(x) > 0.5, 1e4 * x**3, 0.0))
+        with pytest.raises(BlowUpError) as err:
+            simulate_paths(coeffs, SegmentBatch.from_segment(ZERO_SEG, 12), 1.0, seed=6,
+                           stream=(1, 2, 3))
+        assert (err.value.step, err.value.particle) == (11, 4)
+        for measure in ("Q", "P"):
+            with pytest.raises(BlowUpError) as err:
+                simulate_coupled_Q(coeffs, [ZERO_SEG] * 3, [PathSegment.constant(CFG, [0.25])] * 3,
+                                   4.0, 1.0, seed=6, stream=(1, 2, 3), n_replicas=12,
+                                   measure=measure)
+            assert (err.value.step, err.value.particle) == (5, 21)
+
+    def test_run_consumes_its_start_batch(self):
+        batch = SegmentBatch.from_segment(PathSegment.constant(CFG, [0.5]), 4)
+        res = simulate_paths(get_coefficients("linear", CFG), batch, 0.5, seed=2)
+        np.testing.assert_array_equal(batch.ordered_values(), res.clouds[-1].values)
