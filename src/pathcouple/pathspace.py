@@ -253,12 +253,15 @@ class ParticleCloud:
 class SegmentBatch:
     """Mutable ring-buffer batch of segments; the workhorse of the simulators.
 
-    values has shape (R, n_points, d); `head` is the slot holding s = 0.  The
-    ring layout is private to `advance` and `endpoint`: every other reader gets
-    the window in time order, through `exp_weighted_integral`,
-    `ordered_values` or `to_cloud`.  Unlike PathSegment this type is mutated
-    in place, so it is never shared across threads; snapshots are taken for
-    anything that escapes a simulation.
+    The ring is stored time-major: values has shape (n_points, R, d), and
+    `head` is the slot holding s = 0, so each step reads its endpoint and the
+    oldest sample, and writes the new sample, as one contiguous (R, d) row.
+    The layout is private to this class: every other reader gets the window
+    in time order, as (R, n_points, d), through `exp_weighted_integral`,
+    `ordered_values` or `to_cloud`, and the endpoint through `endpoint`.
+    Unlike PathSegment this type is mutated in place, so it is never shared
+    across threads; snapshots are taken for anything that escapes a
+    simulation.
 
     `advance` is the only writer of `values`, so each history integral
     S = h sum_i e^{r s_i} x(s_i) is summed over the window once, at its first
@@ -267,20 +270,24 @@ class SegmentBatch:
     scratch row buffer and in that order.  New batches start without.
     """
 
-    def __init__(self, config: PathSpaceConfig, values, copy: bool = True):
-        # copy=False adopts a float C-ordered array the caller hands over.
-        vals = (np.array if copy else np.asarray)(values, dtype=float, order="C")
+    def __init__(self, config: PathSpaceConfig, values):
+        """Batch of the (R, n_points, d) window `values`, oldest first, copied into its own ring."""
+        vals = np.asarray(values, dtype=float)
         if vals.ndim == 2:
             vals = vals[:, :, None]
         if vals.ndim != 3 or vals.shape[1:] != (config.n_points, config.d):
             raise InvalidSegmentError(
                 f"batch values must have shape (R, {config.n_points}, {config.d})"
             )
+        self._adopt(config, np.array(vals.transpose(1, 0, 2), order="C"))
+
+    def _adopt(self, config: PathSpaceConfig, ring: np.ndarray) -> None:
+        # ring is a fresh C-ordered (n_points, R, d) array in time order.
         self.config = config
-        self.values = vals
+        self.values = ring
         self.head = config.n_steps  # ordered layout on construction
         self._integrals = {}  # rate -> [S, e^{-rate h}, h e^{-rate T_mem}]
-        self._scratch = np.empty((vals.shape[0], config.d))  # one row per particle for advance
+        self._scratch = np.empty(ring.shape[1:])  # one row per particle for advance
 
     @classmethod
     def from_segment(cls, seg: PathSegment, n: int) -> "SegmentBatch":
@@ -292,8 +299,10 @@ class SegmentBatch:
         config = segments[0].config
         if any(seg.config != config for seg in segments):
             raise ConfigurationError("segments live on different grids")
-        starts = np.stack([seg.values for seg in segments])
-        return cls(config, np.repeat(starts, n, axis=0), copy=False)
+        starts = np.stack([seg.values for seg in segments], axis=1)
+        batch = cls.__new__(cls)
+        batch._adopt(config, np.repeat(starts, n, axis=1))
+        return batch
 
     @classmethod
     def from_cloud(cls, cloud: ParticleCloud) -> "SegmentBatch":
@@ -301,24 +310,27 @@ class SegmentBatch:
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[1]
 
     def ordered_values(self) -> np.ndarray:
-        """C-contiguous copy of the buffer with the oldest sample first, in one allocation."""
+        """C-contiguous (R, n_points, d) copy of the window, oldest first, in one allocation."""
         split = self.head + 1
-        return np.concatenate([self.values[:, split:], self.values[:, :split]], axis=1)
+        out = np.empty((self.n, self.config.n_points, self.config.d))
+        np.concatenate([self.values[split:], self.values[:split]], out=out.transpose(1, 0, 2))
+        return out
 
     def endpoint(self) -> np.ndarray:
-        return self.values[:, self.head, :]
+        """The (R, d) samples at s = 0: a C-contiguous view into the ring."""
+        return self.values[self.head]
 
     def advance(self, new_values: np.ndarray) -> None:
-        n1 = self.config.n_points
-        self.head = (self.head + 1) % n1
-        for S, decay, tail in self._integrals.values():  # read x_oldest before the write
-            S -= np.multiply(tail, self.values[:, self.head, :], out=self._scratch)
+        self.head = (self.head + 1) % self.config.n_points
+        row = self.values[self.head]  # x_oldest, read by the integrals before the write
+        for S, decay, tail in self._integrals.values():
+            S -= np.multiply(tail, row, out=self._scratch)
             S *= decay
             S += np.multiply(self.config.h, new_values, out=self._scratch)
-        self.values[:, self.head, :] = new_values
+        row[...] = new_values
 
     def exp_weighted_integral(self, rate: float) -> np.ndarray:
         if rate not in self._integrals:

@@ -24,8 +24,11 @@ n_t = max(e^{-tau h} n_{t-h}, |Z(t)|), the exact grid norm of the path with
 infinite memory; it dominates the windowed norm and differs from it by at
 most the truncation bound.
 
-A step writes the batch only through `SegmentBatch.advance`, which also keeps
-its running history integrals: O(R d) per step instead of a window sum.
+A step reads the batch only through `SegmentBatch.endpoint` and its history
+integrals, and writes it only through `SegmentBatch.advance`, which keeps
+those integrals in O(R d) per step; the batch's time-major ring makes each
+of these one contiguous (R, d) row.  The coupled step adds its correction
+only to the rows that carry it: X under Q, Y under P.
 """
 
 from __future__ import annotations
@@ -152,15 +155,18 @@ def _euler_step(coeffs: CoefficientSet, batch: SegmentBatch, x: np.ndarray, law,
                 dW: np.ndarray, step: int, extra=None) -> np.ndarray:
     """Advance ``batch`` to x + (b0 + b1 + extra) h + sigma dW and return that endpoint.
 
-    A set without b0 and a call without ``extra`` skip those terms.  ``x`` is
-    the batch endpoint that ``sig`` was evaluated at, so drift and diffusion
-    share any inverse memoized on it; ``step`` (1-based) labels a blow-up.
+    ``extra`` is None or a pair (rows, term): term is added to the drift of
+    those rows only.  A set without b0 and a call without ``extra`` skip
+    those terms.  ``x`` is the batch endpoint that ``sig`` was evaluated at,
+    so drift and diffusion share any inverse memoized on it; ``step``
+    (1-based) labels a blow-up.
     """
-    drift = coeffs.eval_b1(batch, law)
+    drift = coeffs.eval_b1(batch, law)  # every b1 returns a new array, so the step owns it
     if coeffs.b0 is not None:
         drift = coeffs.eval_b0(x) + drift
     if extra is not None:
-        drift = drift + extra
+        rows, term = extra
+        drift[rows] += term
     new = drift * batch.config.h
     new += x
     new += _apply_sigma(sig, dW)
@@ -196,6 +202,9 @@ class SimulationResult:
     @property
     def endpoints(self) -> np.ndarray:
         """(n_saves, N, d) endpoints of the saved clouds."""
+        if not all(isinstance(c, ParticleCloud) for c in self.clouds):
+            raise ConfigurationError("endpoints needs the default save, which keeps a "
+                                     "ParticleCloud at each save time")
         return np.array([c.endpoints() for c in self.clouds])
 
     def cloud_at(self, t: float) -> ParticleCloud:
@@ -351,7 +360,7 @@ def simulate_coupled_Q(
     decay = math.exp(-cfg.tau * h)
 
     batch = SegmentBatch.from_segments(xis + etas, R // len(streams))
-    zn = ParticleCloud(cfg, batch.values[:R] - batch.values[R:]).norms()
+    zn = ParticleCloud(cfg, np.subtract(*np.split(batch.ordered_values(), 2))).norms()
     half_g2 = np.zeros(R)
     log_r = np.zeros(R)
     saves = {"x_end": [], "y_end": [], "z_norms": [], "half_g2": [], "log_r": []}
@@ -371,17 +380,18 @@ def simulate_coupled_Q(
         diff = xy[:R] - xy[R:]
         sig = _eval_sigma(coeffs_hat, xy)
         gamma = kappa * _solve_sigma(None if sig is None else sig[:R], diff)
-        extra = np.zeros_like(xy)
         if measure == "Q":
-            extra[:R] = -kappa * diff
+            extra = slice(None, R), -kappa * diff
         else:
-            extra[R:] = _apply_sigma(None if sig is None else sig[R:], gamma)
+            extra = slice(R, None), _apply_sigma(None if sig is None else sig[R:], gamma)
         new = _euler_step(coeffs_hat, batch, xy, None, sig, dW, step, extra)
         g2 = np.einsum("rj,rj->r", gamma, gamma)
         half_g2 += 0.5 * g2 * h
         if measure == "P":
             log_r += -np.einsum("rj,rj->r", gamma, dW[:R]) - 0.5 * g2 * h
-        np.maximum(zn * decay, np.linalg.norm(new[:R] - new[R:], axis=-1), out=zn)
+        dz = new[:R] - new[R:]
+        zn *= decay
+        np.maximum(zn, np.sqrt(np.add.reduce(dz * dz, axis=-1)), out=zn)  # np.linalg.norm's sum
         if step in save_set:
             snapshot(new)
 

@@ -112,3 +112,32 @@ def test_imports_at_module_top():
                           if (path.name, name) not in allowed]
     assert not found, f"imports inside functions (file, module, line): {found}"
     assert not allowed - used, f"allowed imports no function makes: {sorted(allowed - used)}"
+
+
+def test_batch_layout_stays_in_pathspace():
+    # SegmentBatch keeps its window in a private ring; every other module reads
+    # it through endpoint(), ordered_values() and the history integrals.  A
+    # receiver counts as a batch when its text names one, or when the enclosing
+    # function binds it to one: a SegmentBatch-annotated argument or the result
+    # of a SegmentBatch call.  No other type in the package has a `head`.
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "pathspace.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            batches = {a.arg for a in args
+                       if a.annotation is not None and "SegmentBatch" in ast.unparse(a.annotation)}
+            batches |= {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                        and ast.unparse(node.value).startswith("SegmentBatch")
+                        for target in node.targets if isinstance(target, ast.Name)}
+            for node in ast.walk(fn):
+                if not (isinstance(node, ast.Attribute) and node.attr in ("values", "head")):
+                    continue
+                owner = ast.unparse(node.value)
+                if node.attr == "head" or "batch" in owner.lower() or owner in batches:
+                    found.add((path.name, ast.unparse(node), node.lineno))
+    assert not found, f"batch layout read outside pathspace.py (file, expression, line): {sorted(found)}"

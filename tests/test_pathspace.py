@@ -193,17 +193,27 @@ class TestSegmentBatch:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_running_integral_after_ring_wraps(self, d):
+        # A constructed batch and from_segments blocks of the same starts, advanced alike.
         cfg = PathSpaceConfig(d=d, tau=1.0, h=0.05, T_mem=2.0)
         rng = np.random.default_rng(10 + d)
-        batch = SegmentBatch(cfg, rng.standard_normal((3, cfg.n_points, d)))
+        starts = rng.standard_normal((3, cfg.n_points, d))
+        batches = [SegmentBatch(cfg, np.repeat(starts, 2, axis=0)),
+                   SegmentBatch.from_segments([PathSegment(cfg, v) for v in starts], 2)]
         rates = (2.0, 0.5)
-        for rate in rates:
-            batch.exp_weighted_integral(rate)  # start the running sums
+        for batch in batches:
+            for rate in rates:
+                batch.exp_weighted_integral(rate)  # start the running sums
         for _ in range(10 * cfg.n_points + 7):
-            batch.advance(rng.standard_normal((3, d)))
-        for rate in rates:
-            np.testing.assert_allclose(batch.exp_weighted_integral(rate),
-                                       self._summed_integral(batch, rate), rtol=0, atol=1e-13)
+            new = rng.standard_normal((6, d))
+            for batch in batches:
+                batch.advance(new)
+        for batch in batches:
+            assert batch.endpoint().flags.c_contiguous
+            np.testing.assert_array_equal(batch.endpoint(), new)
+            np.testing.assert_array_equal(batch.ordered_values(), batches[0].ordered_values())
+            for rate in rates:
+                np.testing.assert_allclose(batch.exp_weighted_integral(rate),
+                                           self._summed_integral(batch, rate), rtol=0, atol=1e-13)
 
     def test_first_call_after_advancing(self):
         rng = np.random.default_rng(11)
@@ -267,7 +277,13 @@ class TestSegmentBatch:
         with pytest.raises(ConfigurationError):
             SegmentBatch.from_segments([segs[0], other], 2)
 
-    def test_constructor_copies_by_default(self):
-        values = np.zeros((2, CFG.n_points, CFG.d))
-        assert not np.shares_memory(SegmentBatch(CFG, values).values, values)
-        assert np.shares_memory(SegmentBatch(CFG, values, copy=False).values, values)
+    def test_constructor_never_aliases_its_input(self):
+        rng = np.random.default_rng(15)
+        for rows in (1, 3):  # with one row the time-major view of the input is contiguous
+            values = rng.standard_normal((rows, CFG.n_points, CFG.d))
+            kept = values.copy()
+            batch = SegmentBatch(CFG, values)
+            batch.advance(np.ones((rows, CFG.d)))
+            np.testing.assert_array_equal(values, kept)
+            values[:] = 0.0
+            np.testing.assert_array_equal(batch.ordered_values()[:, :-1], kept[:, 1:])

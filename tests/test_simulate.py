@@ -199,6 +199,12 @@ class TestPathSimulation:
         assert res.clouds == [0, 25, 100]
         assert steps == list(range(1, 101))
 
+    def test_endpoints_need_the_default_save(self):
+        batch = SegmentBatch.from_segment(PathSegment.zero(CFG), 2)
+        res = simulate_paths(ZERO, batch, 0.5, save=lambda b: b.endpoint().copy())
+        with pytest.raises(ConfigurationError, match="default save"):
+            res.endpoints
+
     def test_default_save_keeps_a_snapshot_cloud_per_save(self):
         rng = np.random.default_rng(9)
         cloud = ParticleCloud(CFG, rng.standard_normal((4, CFG.n_points, 1)))
@@ -516,14 +522,30 @@ def test_philox_streams_independent():
 # The chunked Euler loop against the step-by-step formula
 
 
-class _StepwiseBatch(SegmentBatch):
-    """SegmentBatch whose advance keeps the history integrals with one expression."""
+class _StepwiseBatch:
+    """Reference batch: the window oldest first, shifted by a copy each step, with the
+    history integrals kept by one expression.  It shares no layout with SegmentBatch."""
+
+    def __init__(self, segs, rows):
+        self.config = segs[0].config
+        self.window = np.repeat(np.stack([seg.values for seg in segs]), rows, axis=0)
+        self._integrals = {}
+
+    def endpoint(self):
+        return self.window[:, -1]
+
+    def exp_weighted_integral(self, rate):
+        if rate not in self._integrals:
+            cfg = self.config
+            w = np.exp(rate * cfg.s_grid)
+            self._integrals[rate] = [cfg.h * np.einsum("j,rjd->rd", w, self.window),
+                                     np.exp(-rate * cfg.h), cfg.h * np.exp(-rate * cfg.T_mem)]
+        return self._integrals[rate][0].copy()
 
     def advance(self, new_values):
-        self.head = (self.head + 1) % self.config.n_points
         for S, decay, tail in self._integrals.values():
-            S[:] = decay * (S - tail * self.values[:, self.head, :]) + self.config.h * new_values
-        self.values[:, self.head, :] = new_values
+            S[:] = decay * (S - tail * self.window[:, 0]) + self.config.h * new_values
+        self.window = np.concatenate([self.window[:, 1:], new_values[:, None]], axis=1)
 
 
 def _stepwise_normals(seed, streams, rows, d):
@@ -546,7 +568,7 @@ def _stepwise_step(coeffs, batch, x, law, sig, dW, extra=0.0):
 
 def _stepwise_paths(coeffs, segs, rows, T, seed, streams, mckean=False):
     """Endpoints (n_steps + 1, len(segs) * rows, d) of the plain Euler loop."""
-    batch = _StepwiseBatch.from_segments(segs, rows)
+    batch = _StepwiseBatch(segs, rows)
     cfg = batch.config
     normals = _stepwise_normals(seed, streams, rows, cfg.d)
     law = simulate._BlockLaws(batch, len(streams)) if mckean else None
@@ -560,10 +582,10 @@ def _stepwise_paths(coeffs, segs, rows, T, seed, streams, mckean=False):
 
 def _stepwise_coupled(coeffs, xis, etas, kappa, T, seed, streams, R, measure):
     """Every step's (x_end, y_end, z_norms, half_int_gamma_sq, log_R) of the plain loop."""
-    batch = _StepwiseBatch.from_segments(xis + etas, R // len(streams))
+    batch = _StepwiseBatch(xis + etas, R // len(streams))
     cfg = batch.config
     normals = _stepwise_normals(seed, streams + streams, R // len(streams), cfg.d)
-    zn = ParticleCloud(cfg, batch.values[:R] - batch.values[R:]).norms()
+    zn = ParticleCloud(cfg, batch.window[:R] - batch.window[R:]).norms()
     half_g2, log_r = np.zeros(R), np.zeros(R)
     out = [[batch.endpoint()[:R].copy(), batch.endpoint()[R:].copy(), zn.copy(),
             half_g2.copy(), log_r.copy()]]
@@ -588,13 +610,21 @@ def _stepwise_coupled(coeffs, xis, etas, kappa, T, seed, streams, R, measure):
     return [np.array(col) for col in zip(*out)]
 
 
+CFG2 = dataclasses.replace(CFG, d=2)
 LOOP_MAKERS = [
     lambda: ZERO,
     lambda: get_coefficients("linear", CFG),
     lambda: get_coefficients("sublinear", CFG),
     lambda: parse_config(DINI_FAST).effective_coefficients()[0],
+    lambda: get_coefficients("linear", CFG2),
+    lambda: get_coefficients("sublinear", CFG2),
 ]
-LOOP_IDS = ["zero", "linear", "sublinear", "dini_sqrt_hat"]
+LOOP_IDS = ["zero", "linear", "sublinear", "dini_sqrt_hat", "linear-d2", "sublinear-d2"]
+
+
+def _start(cfg, x):
+    """Constant segment at x in 1-D, at (x, -x / 2) in 2-D."""
+    return PathSegment.constant(cfg, [x, -0.5 * x][:cfg.d])
 
 
 @pytest.fixture(params=[1000, None], ids=["small-chunks", "default-chunks"])
@@ -628,7 +658,7 @@ class TestChunkedLoop:
     def test_paths_match_stepwise_loop(self, chunk_bytes, make):
         coeffs = make()
         cfg = coeffs.pathcfg
-        segs = [PathSegment.constant(cfg, [0.5]), PathSegment.constant(cfg, [-0.25])]
+        segs = [_start(cfg, 0.5), _start(cfg, -0.25)]
         T, streams = 0.5, [5, 7]  # at most 50 steps: the default saves every step
         res = simulate_paths(coeffs, SegmentBatch.from_segments(segs, 8), T, seed=3,
                              stream=streams)
@@ -648,14 +678,18 @@ class TestChunkedLoop:
     def test_coupled_matches_stepwise_loop(self, chunk_bytes, make, measure):
         coeffs = make()
         cfg = coeffs.pathcfg
-        xis = [PathSegment.constant(cfg, [0.5]), PathSegment.constant(cfg, [0.25])]
-        etas = [PathSegment.constant(cfg, [-0.5]), PathSegment.constant(cfg, [1.0])]
+        xis = [_start(cfg, 0.5), _start(cfg, 0.25)]
+        etas = [_start(cfg, -0.5), _start(cfg, 1.0)]
         T, streams = 0.5, [5, 7]  # at most 50 steps: the default saves every step
-        run = simulate_coupled_Q(coeffs, xis, etas, 4.0, T, seed=3, stream=streams,
-                                 n_replicas=16, measure=measure)
-        ref = _stepwise_coupled(coeffs, xis, etas, 4.0, T, 3, streams, 16, measure)
-        for name, want in zip(("x_end", "y_end", "z_norms", "half_int_gamma_sq", "log_R"), ref):
-            assert np.array_equal(getattr(run, name), want), name
+        # Under kappa = 4 the decayed start norm bounds every later |X - Y|; kappa = 0
+        # leaves X - Y uncorrected, so each step's |X - Y| sets the running norm.
+        for kappa in (4.0, 0.0):
+            run = simulate_coupled_Q(coeffs, xis, etas, kappa, T, seed=3, stream=streams,
+                                     n_replicas=16, measure=measure)
+            ref = _stepwise_coupled(coeffs, xis, etas, kappa, T, 3, streams, 16, measure)
+            for name, want in zip(("x_end", "y_end", "z_norms", "half_int_gamma_sq", "log_R"),
+                                  ref):
+                assert np.array_equal(getattr(run, name), want), (kappa, name)
 
     def test_blow_up_past_the_first_chunk(self, monkeypatch):
         # 4 rows in each of 3 blocks at d = 1: a chunk holds 4 steps (2 for the

@@ -457,7 +457,7 @@ class TestTransformedCoeffs:
         hat = transformed_coeffs(zmap, coeffs)
         rng = np.random.default_rng(0)
         batch = SegmentBatch(CFG, rng.uniform(-2.0, 2.0, size=(5, CFG.n_points, 1)))
-        hist = SegmentBatch(CFG, theta_inv(zmap, batch.values))
+        hist = SegmentBatch(CFG, theta_inv(zmap, batch.ordered_values()))
         x0 = theta_inv(zmap, batch.endpoint())
         want = (1.0 + zmap.grad_u_at(x0)[..., 0]) * coeffs.eval_b1(hist, None)
         assert np.max(np.abs(hat.eval_b1(batch, None) - want)) <= 1e-14 * np.max(np.abs(want))
