@@ -22,7 +22,7 @@ from pathcouple.zvonkin import (
 
 cfg = PathSpaceConfig(d=1, tau=1.0, h=0.01, T_mem=2.0)
 coeffs = get_coefficients("dini_sqrt", cfg)
-grid = EllipticGrid(1, L=10.0, dx=1e-3)
+grid = EllipticGrid(L=10.0, dx=1e-3)
 
 zmap = select_lambda(coeffs, grid, default_lambda_grid(coeffs))
 print(f"drift: {coeffs.name}, bound {coeffs.b0_bound}")

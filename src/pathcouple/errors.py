@@ -35,8 +35,8 @@ class NumericalError(PathcoupleError):
 
 
 class SolverFailureError(NumericalError):
-    """A solve failed: a linear residual above tolerance, a non-invertible
-    transform, or a fixed-point iteration that did not converge."""
+    """A solve failed: a linear residual above tolerance or a non-invertible
+    transform."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

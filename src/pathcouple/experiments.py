@@ -116,6 +116,8 @@ class ExperimentConfig:
             raise ConfigurationError("need N_particles >= 1 and N_replicas >= 2 (standard errors)")
         if not self.separation > 0:
             raise ConfigurationError(f"separation={self.separation} must be positive")
+        if not 0 <= self.seed < 2**63:  # Philox's key goes through int64
+            raise ConfigurationError(f"sim.seed={self.seed} must lie in [0, 2**63)")
         if self.kappa <= self.pathcfg.tau:
             raise ConfigurationError(f"kappa={self.kappa} must exceed tau={self.pathcfg.tau}")
         first = min(_ALH_TIMES[0], _GRADIENT_TIMES[0])
@@ -126,13 +128,14 @@ class ExperimentConfig:
             if abs(round(t / h) * h - t) > 1e-9:
                 raise ConfigurationError(f"sim.T or check time {t} is not a multiple of h={h}")
         check_builtin_name(self.coefficients_name)  # fails at parse time, not at the first run
-        if self.N_particles < 2 or self.pathcfg.d > 2:
+        if self.N_particles < 2 or self.pathcfg.d > 1:
             coeffs = self.coefficients()  # built once, and only when a check reads it
             if self.N_particles < 2 and coeffs.K1 > 0:
                 raise ConfigurationError("mean-field simulation needs at least 2 particles per block")
-            if self.pathcfg.d > 2 and coeffs.b0 is not None:
-                # Raised again by the Zvonkin grid; checked here so `all` fails before any run.
-                raise ConfigurationError("elliptic solves support dimension 1 or 2 only")
+            if self.pathcfg.d > 1 and coeffs.b0 is not None:
+                # Raised again by the resolvent solve; checked here so `all` fails before any run.
+                raise ConfigurationError(
+                    f"Dini drifts run at d = 1 only, got path.d = {self.pathcfg.d}")
 
     def coefficients(self) -> CoefficientSet:
         return get_coefficients(self.coefficients_name, self.pathcfg)
@@ -145,8 +148,7 @@ class ExperimentConfig:
         if coeffs.b0 is None:
             return coeffs, None
         L = float(math.ceil(12.0 + self.T))
-        dx = 1e-3 if self.pathcfg.d == 1 else 0.05
-        zmap = zvonkin.select_lambda(coeffs, zvonkin.EllipticGrid(self.pathcfg.d, L, dx),
+        zmap = zvonkin.select_lambda(coeffs, zvonkin.EllipticGrid(L, 1e-3),
                                      zvonkin.default_lambda_grid(coeffs))
         return zvonkin.transformed_coeffs(zmap, coeffs), zmap
 
@@ -184,9 +186,10 @@ def parse_config(source) -> ExperimentConfig:
         name, kind, _ = _KEYS[key]
         try:
             value = kind(val)
+            finite = kind is not float or math.isfinite(value)  # an int of any size is finite
         except ValueError:
-            value = math.nan
-        if kind is not str and not math.isfinite(value):
+            finite = False
+        if not finite:
             raise ConfigurationError(
                 f"{key} = {val!r} is not a finite {kind.__name__} (line {lineno})")
         values[name] = value

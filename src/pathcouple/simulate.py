@@ -15,9 +15,6 @@ stream repeated in the list is drawn once and shared by its blocks.  The
 builtin coefficients act row by row.  A McKean run gives each block its own
 empirical law: the law handed to b1 returns, for every row, the mean endpoint
 of that row's block, so stacked mean-field blocks also equal separate runs.
-The 2-D Picard inverse of the Zvonkin map stops when every row of the batch
-has converged, so 2-D transformed blocks agree with separate runs only to
-within the Picard tolerance.
 
 The running weighted norm of Z = X - Y uses the recursion
 n_t = max(e^{-tau h} n_{t-h}, |Z(t)|), the exact grid norm of the path with

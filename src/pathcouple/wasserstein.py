@@ -4,8 +4,8 @@ Ground cost is the weighted path norm ||xi - eta||_tau over the whole window
 [-T_mem, 0], the norm of the growth estimate; `wk_full` is the one W_k.
 
 Every transport problem is solved exactly, at any size.  Clouds are equally
-weighted, so their sizes pick the solver: assignment for equal sizes (an
-optimal plan is a permutation), a sparse linear program otherwise.
+weighted and of equal size, so some permutation is an optimal plan and an
+assignment solve finds it; clouds of unequal size are rejected.
 
 At d = 1 the cost max_k w_k |a_k - b_k| (w_k > 0) is the Chebyshev distance
 between the weighted rows w*a and w*b, one `cdist` call with no
@@ -15,8 +15,7 @@ itself still costs exactly 0 on the diagonal.
 
 SciPy is imported inside the functions that call it, so importing this module
 loads numpy only: `cdist` in the d = 1 branch of `pairwise_truncated_norm`,
-`linear_sum_assignment` in `ot_plan`'s equal-size branch, and `linprog` with
-`scipy.sparse` in its linear-program branch.
+and `linear_sum_assignment` in `ot_plan`.
 """
 
 from __future__ import annotations
@@ -68,36 +67,23 @@ def pairwise_truncated_norm(a: ParticleCloud, b: ParticleCloud) -> np.ndarray:
 
 
 def ot_plan(a: ParticleCloud, b: ParticleCloud, k: float) -> OTPlan:
-    """Exact optimal coupling for the k-th power of the path-norm cost."""
+    """Exact optimal coupling of two equal-size clouds for the k-th power of the
+    path-norm cost."""
     if k < 1:
         raise ConfigurationError(f"only k >= 1 is supported, got k={k}")
     if a.config != b.config:
         raise InvalidCloudError("clouds live on different grids")
+    n = len(a)
+    if len(b) != n:
+        raise InvalidCloudError(f"clouds of unequal size {n} and {len(b)}: OT needs equal sizes")
+    from scipy.optimize import linear_sum_assignment
+
     cost = pairwise_truncated_norm(a, b) ** k
-    n, m = cost.shape
     # Uniform clouds of equal size: some permutation is an optimal plan.
-    if n == m:
-        from scipy.optimize import linear_sum_assignment
-
-        rows, cols = linear_sum_assignment(cost)
-        plan = np.zeros_like(cost)
-        plan[rows, cols] = 1.0 / n
-        return OTPlan(plan, float((plan * cost).sum()), solver="assignment")
-    # Unequal sizes: exact LP (network-simplex equivalent via HiGHS) over the
-    # row-major plan, with row sums 1/n and column sums 1/m as sparse equalities.
-    import scipy.sparse as sp
-    from scipy.optimize import linprog
-
-    A_eq = sp.vstack([
-        sp.kron(sp.eye(n), np.ones((1, m))),
-        sp.kron(np.ones((1, n)), sp.eye(m)),
-    ], format="csr")[:-1]  # drop one redundant constraint
-    b_eq = np.concatenate([np.full(n, 1.0 / n), np.full(m, 1.0 / m)])[:-1]
-    res = linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        raise InvalidCloudError(f"exact OT solve failed: {res.message}")
-    plan = res.x.reshape(n, m)
-    return OTPlan(plan, float((plan * cost).sum()), solver="linprog")
+    rows, cols = linear_sum_assignment(cost)
+    plan = np.zeros_like(cost)
+    plan[rows, cols] = 1.0 / n
+    return OTPlan(plan, float((plan * cost).sum()), solver="assignment")
 
 
 def wk_full(a: ParticleCloud, b: ParticleCloud, k: float) -> float:

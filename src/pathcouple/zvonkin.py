@@ -1,14 +1,13 @@
-"""Resolvent-equation transform removing a bounded Dini drift.
+"""Resolvent-equation transform removing a bounded Dini drift, at d = 1.
 
-Solves (b0 . grad + 0.5 tr{a grad^2} - lambda) u = -b0 on a box with the
-drift extended constantly outside, builds Theta(x) = x + u(x) together with
-its inverse, and produces the transformed drift/diffusion pair.  The box must
-contain the region the simulation visits; `decay` reports the share of its
-saved endpoints whose preimage lies outside it.
+Solves b0 u' + 0.5 a u'' - lambda u = -b0 on an interval with the drift
+extended constantly outside, builds Theta(x) = x + u(x) together with its
+inverse, and produces the transformed drift/diffusion pair.  The interval
+must contain the region the simulation visits; `decay` reports the share of
+its saved endpoints whose preimage lies outside it.
 
-SciPy is imported inside the two resolvent solvers, so importing this module
-loads numpy only: `_solve_1d` imports `scipy.linalg.solve_banded` and
-`_solve_2d` imports `scipy.sparse` and `scipy.sparse.linalg`.
+SciPy is imported inside the resolvent solver, so importing this module loads
+numpy only: `_solve_1d` imports `scipy.linalg.solve_banded`.
 """
 
 from __future__ import annotations
@@ -42,22 +41,20 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-8  # relative to 1 + ||b0||_inf
-PICARD_TOL = 1e-12
-PICARD_MAX_ITER = 200  # 2-D Picard sweeps before theta_inv gives up
 BUCKETS_PER_NODE = 2  # y-buckets of the 1-D inverse table per grid node
 
 
 @dataclass(frozen=True)
 class EllipticGrid:
-    """Uniform box grid [-L, L]^dimension with mesh step dx."""
+    """Uniform grid on [-L, L] with mesh step dx."""
 
-    dimension: int
     L: float
     dx: float
 
     def __post_init__(self):
-        if self.dimension not in (1, 2):
-            raise ConfigurationError("elliptic solves support dimension 1 or 2 only")
+        if not (0 < self.L < math.inf and 0 < self.dx < math.inf):
+            raise ConfigurationError(
+                f"grid needs a finite positive L and dx, got L={self.L}, dx={self.dx}")
         m = self.L / self.dx
         if not np.isclose(m, round(m), atol=1e-9) or round(m) < 2:
             raise ConfigurationError(f"L={self.L} must be an integer multiple of dx={self.dx}")
@@ -74,12 +71,6 @@ class EllipticGrid:
     def n_axis(self) -> int:
         return len(self.axis)
 
-    def nodes(self) -> np.ndarray:
-        if self.dimension == 1:
-            return self.axis[:, None]
-        X, Y = np.meshgrid(self.axis, self.axis, indexing="ij")
-        return np.stack([X.ravel(), Y.ravel()], axis=-1)
-
 
 @dataclass(frozen=True)
 class ZvonkinMap:
@@ -87,8 +78,8 @@ class ZvonkinMap:
 
     grid: EllipticGrid
     lam: float
-    u: np.ndarray  # (n_nodes..., d)
-    grad_u: np.ndarray  # (n_nodes..., d, dimension)
+    u: np.ndarray  # (n_axis, 1)
+    grad_u: np.ndarray  # (n_axis, 1, 1)
     u_inf: float
     grad_inf: float
     hess_inf: float
@@ -100,7 +91,7 @@ class ZvonkinMap:
         return self.u_inf + self.grad_inf
 
     def _check_points(self, x: np.ndarray, extend: bool) -> None:
-        """Reject non-finite points, and points outside the box unless ``extend``."""
+        """Reject non-finite points, and points outside [-L, L] unless ``extend``."""
         if not np.isfinite(x).all():
             raise OutOfDomainError("non-finite point: Theta is defined on finite points only")
         L = self.grid.L
@@ -109,25 +100,16 @@ class ZvonkinMap:
             raise OutOfDomainError(f"point with |coordinate| = {worst} outside box L = {L}")
 
     def _interp_values(self, table: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation of a per-node table at points x (..., dim).
+        """Linear interpolation of a per-node table at points x (..., 1).
 
         Clamping the fractional node index to [0, n - 1] gives the flat far field.
         """
         g = self.grid
-        s = np.clip((x + g.L) / g.dx, 0, g.n_axis - 1)
+        s = np.clip((x[..., 0] + g.L) / g.dx, 0, g.n_axis - 1)
         j = np.minimum(s.astype(np.intp), g.n_axis - 2)
-        flat = table.reshape(g.n_axis**g.dimension, -1)
-        return self._lerp(flat, j, s - j).reshape(x.shape[:-1] + table.shape[1:])
-
-    def _lerp(self, flat, j, t, axis=0, base=0):
-        """Lerp flat node rows at cell indices j, fractions t, axis by axis from ``axis``."""
-        n, dim = self.grid.n_axis, self.grid.dimension
-        if axis == dim:
-            return flat[base]
-        stride = n ** (dim - 1 - axis)
-        lo = self._lerp(flat, j, t, axis + 1, base + j[..., axis] * stride)
-        hi = self._lerp(flat, j, t, axis + 1, base + (j[..., axis] + 1) * stride)
-        return lo + t[..., axis, None] * (hi - lo)
+        flat = table.reshape(g.n_axis, -1)
+        lo, hi = flat[j], flat[j + 1]
+        return (lo + (s - j)[..., None] * (hi - lo)).reshape(x.shape[:-1] + table.shape[1:])
 
     @cached_property
     def _cell_table(self):
@@ -247,58 +229,13 @@ def _solve_1d(coeffs: CoefficientSet, grid: EllipticGrid, lam: float):
     return u, grad, residual, hess_inf
 
 
-def _solve_2d(coeffs: CoefficientSet, grid: EllipticGrid, lam: float):
-    from scipy.sparse import diags, identity, kron
-    from scipy.sparse.linalg import spsolve
-
-    n = grid.n_axis
-    dx = grid.dx
-    pts = grid.nodes()
-    b0 = coeffs.eval_b0(pts)  # (n*n, 2)
-    a = _diffusion_on_axis(coeffs, pts)  # (n*n, 2, 2)
-
-    # Row i*n + j is node (i, j): x-derivatives act on the first Kronecker factor.
-    eye = identity(n)
-    d1 = diags([-1.0, 1.0], [-1, 1], shape=(n, n)) / (2 * dx)
-    d2 = diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / dx**2
-    op = (
-        diags(b0[:, 0]) @ kron(d1, eye)
-        + diags(b0[:, 1]) @ kron(eye, d1)
-        + diags(a[:, 0, 0] / 2) @ kron(d2, eye)
-        + diags(a[:, 1, 1] / 2) @ kron(eye, d2)
-        + diags(a[:, 0, 1]) @ kron(d1, d1)
-        - lam * identity(n * n)
-    )
-    mask = np.zeros((n, n), dtype=bool)
-    mask[1:-1, 1:-1] = True
-    interior = mask.ravel()
-    # Dirichlet far field of the constant-extension problem on the boundary rows.
-    A = (diags(interior.astype(float)) @ op + diags((~interior).astype(float))).tocsc()
-    rhs = np.where(interior[:, None], -b0, b0 / lam)
-    u = spsolve(A, rhs)
-    residual = float(np.max(np.abs((A @ u - rhs)[interior])))
-
-    u_grid = u.reshape(n, n, coeffs.d)
-    gx = np.gradient(u_grid, dx, axis=0)
-    gy = np.gradient(u_grid, dx, axis=1)
-    grad = np.stack([gx, gy], axis=-1).reshape(n * n, coeffs.d, 2)
-    hxx = np.abs(np.diff(u_grid, 2, axis=0)).max() / dx**2
-    hyy = np.abs(np.diff(u_grid, 2, axis=1)).max() / dx**2
-    return u, grad, residual, float(max(hxx, hyy))
-
-
 def solve_resolvent(coeffs: CoefficientSet, grid: EllipticGrid, lam: float) -> ZvonkinMap:
-    """Solve the resolvent equation for u at a fixed lambda > 0."""
+    """Solve the resolvent equation for u at a fixed lambda > 0, at d = 1."""
     if lam <= 0:
         raise ConfigurationError(f"lambda must be positive, got {lam}")
-    if grid.dimension != coeffs.d:
-        raise ConfigurationError(
-            f"grid dimension {grid.dimension} != coefficient dimension {coeffs.d}"
-        )
-    if grid.dimension == 1:
-        u, grad, residual, hess_inf = _solve_1d(coeffs, grid, lam)
-    else:
-        u, grad, residual, hess_inf = _solve_2d(coeffs, grid, lam)
+    if coeffs.d != 1:
+        raise ConfigurationError(f"Dini drifts run at d = 1 only, got d = {coeffs.d}")
+    u, grad, residual, hess_inf = _solve_1d(coeffs, grid, lam)
 
     tol = RESIDUAL_TOL * (1.0 + coeffs.b0_bound)
     if residual > tol:
@@ -307,12 +244,7 @@ def solve_resolvent(coeffs: CoefficientSet, grid: EllipticGrid, lam: float) -> Z
         )
     u.flags.writeable = grad.flags.writeable = False  # one map serves every experiment
     u_inf = float(np.max(np.linalg.norm(u, axis=-1)))
-    if grad.shape[-1] == 1:
-        # The spectral norm of a single column is its Euclidean norm; the SVD
-        # the general case needs costs more than the 1-D solve itself.
-        grad_inf = float(np.max(np.linalg.norm(grad[..., 0], axis=-1)))
-    else:
-        grad_inf = float(np.max(np.linalg.norm(grad, ord=2, axis=(-2, -1))))
+    grad_inf = float(np.max(np.linalg.norm(grad[..., 0], axis=-1)))
     return ZvonkinMap(
         grid=grid,
         lam=float(lam),
@@ -343,7 +275,7 @@ def select_lambda(coeffs: CoefficientSet, grid: EllipticGrid, lambda_grid) -> Zv
 
 
 def theta(zmap: ZvonkinMap, x) -> np.ndarray:
-    """Theta(x) = x + u(x) with multilinear interpolation of u."""
+    """Theta(x) = x + u(x) with linear interpolation of u."""
     x = np.asarray(x, dtype=float)
     zmap._check_points(x, extend=False)
     return x + zmap.u_at(x)
@@ -352,47 +284,17 @@ def theta(zmap: ZvonkinMap, x) -> np.ndarray:
 def theta_inv(zmap: ZvonkinMap, y, extend: bool = False) -> np.ndarray:
     """Solution x of x + u(x) = y.
 
-    In 1-D Theta is affine on each grid cell, so one cell search over its node
-    values inverts it exactly; beyond Theta(+-L) u is the flat far field
-    u(+-L).  In 2-D it is the Picard fixed point, a contraction with factor
-    <= 1/2 by smallness, and PICARD_MAX_ITER sweeps without convergence raise
-    SolverFailureError.
+    Theta is affine on each grid cell, so one cell search over its node values
+    inverts it exactly; beyond Theta(+-L) u is the flat far field u(+-L).
 
-    A preimage outside the box raises OutOfDomainError unless ``extend=True``,
+    A preimage outside [-L, L] raises OutOfDomainError unless ``extend=True``,
     which returns it, computed with the constant extension of u.
     Non-finite points raise OutOfDomainError in either mode.
     """
     y = np.asarray(y, dtype=float)
-    if zmap.grid.dimension == 1:
-        x = zmap._cell_lookup(y)[0]
-    else:
-        zmap._check_points(y, extend=True)
-        x = _picard_inverse(zmap, y)
+    x = zmap._cell_lookup(y)[0]
     zmap._check_points(x, extend)
     return x
-
-
-def _picard_inverse(zmap: ZvonkinMap, y: np.ndarray) -> np.ndarray:
-    x = y.copy()
-    delta = math.inf
-    for _ in range(PICARD_MAX_ITER):
-        x_new = y - zmap.u_at(x)  # u_at is flat outside the box
-        delta = np.max(np.abs(x_new - x))
-        x = x_new
-        if delta < PICARD_TOL:
-            return x
-    raise SolverFailureError(
-        f"Picard inverse of Theta did not converge in {PICARD_MAX_ITER} sweeps "
-        f"(last step {delta:.3e}, tolerance {PICARD_TOL:.0e})", residual=float(delta)
-    )
-
-
-def _inverse_with_u(zmap: ZvonkinMap, y: np.ndarray):
-    """(Theta^-1(y), u and grad u there) for finite points y (..., d), flat beyond the box."""
-    if zmap.grid.dimension == 1:
-        return zmap._cell_lookup(y)
-    x = theta_inv(zmap, y, extend=True)
-    return x, zmap.u_at(x), zmap.grad_u_at(x)
 
 
 def _apply_pointwise(seg, fn):
@@ -415,7 +317,7 @@ def transformed_coeffs(zmap: ZvonkinMap, coeffs: CoefficientSet) -> CoefficientS
 
     def at_endpoints(y):
         if last[0] is not y:
-            last[:] = y, _inverse_with_u(zmap, y)
+            last[:] = y, zmap._cell_lookup(y)
         return last[1]
 
     def b0_hat(y):

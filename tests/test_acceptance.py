@@ -106,7 +106,7 @@ def test_criterion_1_path_space_suite(capsys):
 def test_criterion_2_zvonkin_suite(capsys):
     t0 = time.perf_counter()
     cfg = PathSpaceConfig(d=1, tau=1.0, h=0.01, T_mem=2.0)
-    grid = EllipticGrid(1, L=10.0, dx=1e-3)
+    grid = EllipticGrid(L=10.0, dx=1e-3)
     details = []
     ok = True
     for name in DINI_BUILTINS:
@@ -137,7 +137,7 @@ def test_criterion_3_transform_consistency(capsys):
                             seed=0, stream=0, save_times=[T])
     a = np.sort(direct.endpoints[-1][:, 0])
 
-    zmap = select_lambda(coeffs, EllipticGrid(1, L=12.0, dx=1e-3),
+    zmap = select_lambda(coeffs, EllipticGrid(L=12.0, dx=1e-3),
                          default_lambda_grid(coeffs))
     coeffs_hat = transformed_coeffs(zmap, coeffs)
     eta = PathSegment(cfg, theta(zmap, xi.values))

@@ -88,11 +88,8 @@ def test_imports_at_module_top():
     allowed = {
         ("experiments.py", "scipy.special"),
         ("wasserstein.py", "scipy.optimize"),
-        ("wasserstein.py", "scipy.sparse"),
         ("wasserstein.py", "scipy.spatial.distance"),
         ("zvonkin.py", "scipy.linalg"),
-        ("zvonkin.py", "scipy.sparse"),
-        ("zvonkin.py", "scipy.sparse.linalg"),
     }
     used, found = set(), []
     for path in sorted(SRC.glob("*.py")):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -85,11 +86,25 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="tau0"):
             parse_config("sim.tau0 = 1.5")
 
-    def test_dini_drift_needs_d_at_most_2(self):
-        # The Zvonkin grid is 1-D or 2-D; a drift without a Dini part runs at any d.
-        with pytest.raises(ConfigurationError, match="dimension 1 or 2 only"):
-            parse_config(FAST + "coefficients.name = dini_log\npath.d = 3\n")
+    def test_dini_drift_needs_d_1(self):
+        # The Zvonkin transform is solved at d = 1; a drift without a Dini part runs at any d.
+        with pytest.raises(ConfigurationError, match="Dini drifts run at d = 1 only"):
+            parse_config(FAST + "coefficients.name = dini_log\npath.d = 2\n")
         assert parse_config(FAST + "path.d = 3\n").pathcfg.d == 3
+
+    @pytest.mark.parametrize("seed, ok", [
+        (-1, False), (0, True), (2**63 - 1, True), (2**63, False), (2**64, False),
+        (10**400, False),
+    ], ids=["-1", "0", "2**63-1", "2**63", "2**64", "10**400"])
+    def test_seed_range(self, seed, ok):
+        # Philox's key goes through int64: 2**63 would alias -2**63, and
+        # 2**64 would overflow it.
+        text = FAST + f"sim.seed = {seed}\n"
+        if ok:
+            assert parse_config(text).seed == seed
+        else:
+            with pytest.raises(ConfigurationError, match=r"sim.seed=.* must lie in \[0, 2\*\*63\)"):
+                parse_config(text)
 
     def test_one_particle_needs_a_law_free_drift(self):
         # Mean-field runs need 2 particles only when the drift reads the law (K1 > 0).
@@ -478,6 +493,39 @@ def _verdict_surface(zvonkin_check: str) -> list:
     ]
 
 
+# SHA-256 of every file `all` writes for the shrunk shipped configs of
+# `test_all_runs_the_pinned_checks`.  A change that moves a reported number
+# updates these and says why.
+ALL_OUTPUT_DIGESTS = {
+    "builtin_linear.cfg": {
+        "asymptotic-log-harnack_alh.csv":
+            "1b458e92157fc25e53c292e86b0f09853f011880333e5708fd98e7c910309a0c",
+        "coupling-decay_decay.csv":
+            "484fd91e90527d44b2055cac9dd16ca1867944f51a98443df8b50b65954c154e",
+        "gradient-estimate_gradient.csv":
+            "139d8e68015c307be51fc559e65b1c53e675efe318a34fb917fc0372ece6fece",
+        "relative-entropy_entropy.csv":
+            "ad0f600baead3b7be94762bd2b78ab958d60bf9a255dfea50800f1bf1c107771",
+        "summary.txt": "1ca776926e72120e1bca28c0c1445b0dc1e79fcf1854ef31b2f9668115e04e37",
+        "wasserstein-growth_growth.csv":
+            "ec4bb9727070f631c18df167ecf8cac5d4e1024d1fca8a0a435d8e1c68a8a9bc",
+    },
+    "builtin_dini.cfg": {
+        "asymptotic-log-harnack_alh.csv":
+            "5593f8b0b1da674b17fe76bdeac09a9d394296db937bc80d805089b0309e8523",
+        "coupling-decay_decay.csv":
+            "799f23e69bbbb71b8597f7b8d7c0eaad131a3c5b50d7be63bd89261e86f65cff",
+        "gradient-estimate_gradient.csv":
+            "48a2f2e1362056b88049fb52e240fd49e5fbfe4ac4a3df4adc346ed7a4fffff4",
+        "relative-entropy_entropy.csv":
+            "261298f9a2ee8f39222271d0af1d21b607e7d7bf3537aae333d50e436ecba3b5",
+        "summary.txt": "e05c7c056cd1a2860f40196337556d5a3db942054c5ab0e58dbc4b0678157f08",
+        "wasserstein-growth_growth.csv":
+            "18b7ab088be6e6ef97f6a915b3780cedbe5ebaa25a7f554fabbcfbdbf4343df8",
+    },
+}
+
+
 class TestCli:
     def _cfg_file(self, tmp_path, extra=""):
         p = tmp_path / "run.cfg"
@@ -565,6 +613,7 @@ class TestCli:
 
     @pytest.mark.parametrize("line", [
         "sim.T = 0.5", "sim.kappa = 0.8",
+        pytest.param("coefficients.name = dini_sqrt\npath.d = 2", id="dini at d = 2"),
         pytest.param("coefficients.name = dini_sqrt\npath.d = 3", id="dini at d = 3"),
         pytest.param("sim.N_particles = 1", id="one particle per mean-field block"),
         pytest.param("sim.T = 2.01", id="horizon off the step grid"),
@@ -601,6 +650,9 @@ class TestCli:
                 checks.append((report, label))
         assert [(*key, len(list(group))) for key, group in itertools.groupby(checks)] \
             == _verdict_surface(zvonkin_check)
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in (tmp_path / "out").iterdir()}
+        assert digests == ALL_OUTPUT_DIGESTS[name]
 
     def test_error_classes_declare_exit_codes(self):
         # The CLI prints "<label>: <message>" and exits with the class's code;

@@ -4,8 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
-
+from pathcouple import wasserstein
 from pathcouple.errors import ConfigurationError, InvalidCloudError
 from pathcouple.pathspace import ParticleCloud, PathSegment, PathSpaceConfig, weighted_norm
 from pathcouple.wasserstein import (
@@ -82,7 +81,7 @@ class TestMetricAxioms:
 class TestPlans:
     def test_plan_marginals(self):
         rng = np.random.default_rng(6)
-        a, b = random_cloud(rng, 6), random_cloud(rng, 9)
+        a, b = random_cloud(rng, 9), random_cloud(rng, 9)
         plan = ot_plan(a, b, k=2)
         assert marginal_error(plan) < 1e-8
 
@@ -109,6 +108,17 @@ class TestPlans:
         with pytest.raises(InvalidCloudError):
             wk_full(a, b, k=2)
 
+    def test_unequal_sizes_rejected(self, monkeypatch):
+        # Rejected before the cost matrix is built.
+        def fail(*args):
+            raise AssertionError("cost matrix built")
+
+        monkeypatch.setattr(wasserstein, "pairwise_truncated_norm", fail)
+        rng = np.random.default_rng(15)
+        a, b = random_cloud(rng, 6), random_cloud(rng, 9)
+        with pytest.raises(InvalidCloudError, match="unequal size 6 and 9"):
+            ot_plan(a, b, k=2)
+
 
 class TestExactAtScale:
     """Problems above N*M = 4096 are solved exactly too."""
@@ -125,18 +135,6 @@ class TestExactAtScale:
         a = ParticleCloud.point_mass(x, 80)
         b = ParticleCloud.point_mass(y, 80)
         assert wk_full(a, b, k=2) == pytest.approx(weighted_norm(x - y), abs=1e-12)
-
-    def test_unequal_sizes_match_blown_up_assignment(self):
-        # 60 vs 90 uniform particles: the LP must equal the assignment between
-        # the clouds blown up to 180 particles (each a_i 3 times, each b_j twice).
-        rng = np.random.default_rng(15)
-        a, b = random_cloud(rng, 60), random_cloud(rng, 90)
-        plan = ot_plan(a, b, k=2)
-        assert plan.solver == "linprog"
-        cost = np.repeat(np.repeat(pairwise_truncated_norm(a, b) ** 2, 3, axis=0), 2, axis=1)
-        rows, cols = linear_sum_assignment(cost)
-        want = math.sqrt(cost[rows, cols].sum() / 180)
-        assert wk_full(a, b, 2) == pytest.approx(want, abs=1e-10)
 
 
 class TestCostMatrix:

@@ -37,13 +37,7 @@ from pathcouple.zvonkin import (
 )
 
 CFG = PathSpaceConfig(d=1, tau=1.0, h=0.05, T_mem=2.0)
-GRID = EllipticGrid(1, 5.0, 0.01)
-
-
-def dini_2d_map():
-    cfg2 = PathSpaceConfig(d=2, tau=1.0, h=0.05, T_mem=2.0)
-    coeffs = get_coefficients("dini_sqrt", cfg2)
-    return solve_resolvent(coeffs, EllipticGrid(2, 3.0, 0.1), 4.0), coeffs
+GRID = EllipticGrid(5.0, 0.01)
 
 
 def picard_inverse(zmap, y, sweeps=100):
@@ -104,74 +98,13 @@ class TestSolve:
         zmap = solve_resolvent(coeffs, GRID, 8.0)
         assert zmap.residual <= 1e-8 * (1 + coeffs.b0_bound)
 
-    def test_2d_solve(self):
-        zmap, coeffs = dini_2d_map()
-        assert zmap.u_inf <= coeffs.b0_bound / 4.0 + 10 * 0.1**2
-        x = np.random.default_rng(0).uniform(-2, 2, (50, 2))
-        np.testing.assert_allclose(theta_inv(zmap, theta(zmap, x)), x, atol=1e-10)
-
-    def test_2d_picard_not_converged_raises(self, monkeypatch):
-        zmap, _ = dini_2d_map()
-        x = np.random.default_rng(0).uniform(-2, 2, (50, 2))
-        monkeypatch.setattr(zvonkin, "PICARD_MAX_ITER", 1)
-        with pytest.raises(SolverFailureError, match="did not converge in 1 sweeps"):
-            theta_inv(zmap, theta(zmap, x))
-
-    def test_2d_kronecker_operator_matches_stencil_loop(self):
-        # Cross term a12 != 0 and both drift components nonzero, so every
-        # Kronecker block of the operator is exercised.
-        cfg2 = PathSpaceConfig(d=2, tau=1.0, h=0.05, T_mem=2.0)
-        coeffs = CoefficientSet(
-            name="skew", pathcfg=cfg2, K=2.0, K1=0.0, alpha=0.0, phi=DiniModulus("power"),
-            b0=lambda x: np.stack([np.sin(2 * x[..., 0]) * np.cos(x[..., 1]),
-                                   0.5 * np.cos(x[..., 0] + x[..., 1])], axis=-1),
-            b0_bound=1.2,
-            sigma=lambda x: np.stack([
-                np.stack([1 + 0.2 * np.sin(x[..., 0]), np.full(x.shape[:-1], 0.3)], axis=-1),
-                np.stack([0.1 * np.cos(x[..., 1]), np.ones(x.shape[:-1])], axis=-1),
-            ], axis=-2),
-        )
-        grid, lam = EllipticGrid(2, 1.0, 0.1), 3.0
-        n, dx = grid.n_axis, grid.dx
-        b0 = coeffs.eval_b0(grid.nodes())
-        sig = coeffs.eval_sigma(grid.nodes())
-        a = sig @ np.swapaxes(sig, -1, -2)
-        assert np.abs(a[:, 0, 1]).min() > 0.05 and np.abs(b0).max(axis=0).min() > 0.1
-
-        # Reference: the node-by-node stencil, node (i, j) at row i*n + j.
-        A = np.zeros((n * n, n * n))
-        rhs = np.zeros((n * n, 2))
-        for i in range(n):
-            for j in range(n):
-                p = i * n + j
-                if i in (0, n - 1) or j in (0, n - 1):
-                    A[p, p] = 1.0
-                    rhs[p] = b0[p] / lam
-                    continue
-                a11, a12, a22 = a[p, 0, 0], a[p, 0, 1], a[p, 1, 1]
-                bx, by = b0[p]
-                A[p, p] = -a11 / dx**2 - a22 / dx**2 - lam
-                A[p, p + n] = a11 / (2 * dx**2) + bx / (2 * dx)
-                A[p, p - n] = a11 / (2 * dx**2) - bx / (2 * dx)
-                A[p, p + 1] = a22 / (2 * dx**2) + by / (2 * dx)
-                A[p, p - 1] = a22 / (2 * dx**2) - by / (2 * dx)
-                c = a12 / (4 * dx**2)
-                A[p, p + n + 1] += c
-                A[p, p - n - 1] += c
-                A[p, p + n - 1] -= c
-                A[p, p - n + 1] -= c
-                rhs[p] = -b0[p]
-        zmap = solve_resolvent(coeffs, grid, lam)
-        assert np.abs(zmap.u).max() > 0.05
-        np.testing.assert_allclose(zmap.u, np.linalg.solve(A, rhs), rtol=0, atol=1e-12)
-
     def test_1d_grad_inf_is_spectral_norm(self):
         zmap = solve_resolvent(get_coefficients("dini_log", CFG), GRID, 8.0)
         expected = np.linalg.norm(zmap.grad_u, ord=2, axis=(-2, -1)).max()
         assert zmap.grad_inf == expected
 
     def test_axis_cached_read_only(self):
-        grid = EllipticGrid(1, 5.0, 0.01)
+        grid = EllipticGrid(5.0, 0.01)
         axis = grid.axis
         assert grid.axis is axis
         assert not axis.flags.writeable
@@ -181,8 +114,22 @@ class TestSolve:
             solve_resolvent(get_coefficients("zero", CFG), GRID, -1.0)
 
     def test_d3_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EllipticGrid(3, 5.0, 0.1)
+        coeffs = get_coefficients("dini_sqrt", dataclasses.replace(CFG, d=3))
+        with pytest.raises(ConfigurationError, match="d = 1 only, got d = 3"):
+            solve_resolvent(coeffs, GRID, 4.0)
+
+    def test_d2_rejected(self):
+        coeffs = get_coefficients("dini_sqrt", dataclasses.replace(CFG, d=2))
+        with pytest.raises(ConfigurationError, match="d = 1 only, got d = 2"):
+            solve_resolvent(coeffs, GRID, 4.0)
+
+    @pytest.mark.parametrize("L, dx", [
+        (5.0, 0.0), (5.0, -0.01), (-5.0, -0.01), (0.0, 0.01), (math.inf, 0.01),
+        (math.nan, 0.01), (5.0, math.inf), (5.0, math.nan),
+    ])
+    def test_grid_needs_finite_positive_L_and_dx(self, L, dx):
+        with pytest.raises(ConfigurationError, match="finite positive L and dx"):
+            EllipticGrid(L, dx)
 
 
 class TestSelectLambda:
@@ -229,8 +176,8 @@ class TestSelectLambda:
     def test_mesh_refinement_stable(self):
         coeffs = get_coefficients("dini_sqrt", CFG)
         lams = default_lambda_grid(coeffs)
-        coarse = select_lambda(coeffs, EllipticGrid(1, 5.0, 0.02), lams)
-        fine = select_lambda(coeffs, EllipticGrid(1, 5.0, 0.01), lams)
+        coarse = select_lambda(coeffs, EllipticGrid(5.0, 0.02), lams)
+        fine = select_lambda(coeffs, EllipticGrid(5.0, 0.01), lams)
         assert coarse.lam == fine.lam
         assert coarse.u_inf == pytest.approx(fine.u_inf, rel=0.02)
         assert coarse.grad_inf == pytest.approx(fine.grad_inf, rel=0.02)
@@ -238,44 +185,26 @@ class TestSelectLambda:
 
 class TestInterpolation:
     @staticmethod
-    def _points(L, dim, rng):
-        """Nodes, the box faces, just inside them, random interior and far-field points."""
-        axis = EllipticGrid(1, L, 0.25).axis
+    def _points(L, rng):
+        """Nodes, the interval ends, just inside them, random interior and far-field points."""
+        axis = EllipticGrid(L, 0.25).axis
         edge = np.array([-L, L, -L + 1e-12, L - 1e-12, -L - 1e-3, L + 1e-3, -3 * L, 3 * L])
         coords = np.concatenate([axis, edge, rng.uniform(-L, L, 200),
                                  rng.uniform(-2 * L, 2 * L, 50)])
-        return np.stack([rng.permutation(coords) for _ in range(dim)], axis=-1)
+        return rng.permutation(coords)[:, None]
 
     def test_1d_matches_np_interp_per_column(self):
-        grid = EllipticGrid(1, 2.0, 0.25)
+        grid = EllipticGrid(2.0, 0.25)
         rng = np.random.default_rng(3)
         table = rng.normal(size=(grid.n_axis, 2, 3))
         zmap = ZvonkinMap(grid=grid, lam=1.0, u=table[:, :, 0], grad_u=table, u_inf=0.0,
                           grad_inf=0.0, hess_inf=0.0, residual=0.0)
-        x = self._points(grid.L, 1, rng)
+        x = self._points(grid.L, rng)
         flat = table.reshape(grid.n_axis, -1)
         expected = np.stack([np.interp(x[:, 0], grid.axis, col) for col in flat.T], axis=-1)
         got = zmap.grad_u_at(x)
         assert got.shape == (len(x), 2, 3)
         np.testing.assert_allclose(got.reshape(len(x), -1), expected, rtol=0, atol=1e-14)
-
-    def test_2d_matches_regular_grid_interpolator(self):
-        from scipy.interpolate import RegularGridInterpolator
-
-        grid = EllipticGrid(2, 2.0, 0.25)
-        n = grid.n_axis
-        rng = np.random.default_rng(4)
-        table = rng.normal(size=(n * n, 2, 2))
-        zmap = ZvonkinMap(grid=grid, lam=1.0, u=table[:, :, 0], grad_u=table, u_inf=0.0,
-                          grad_inf=0.0, hess_inf=0.0, residual=0.0)
-        x = self._points(grid.L, 2, rng)
-        itp = RegularGridInterpolator((grid.axis, grid.axis), table.reshape(n, n, 4))
-        expected = itp(np.clip(x, -grid.L, grid.L))  # flat far field beyond the box
-        got = zmap.grad_u_at(x)
-        assert got.shape == (len(x), 2, 2)
-        np.testing.assert_allclose(got.reshape(len(x), 4), expected, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(zmap.u_at(x), expected[:, [0, 2]], rtol=0, atol=1e-14)
-
 
 class TestTheta:
     def test_identity_when_u_zero(self):
@@ -303,6 +232,22 @@ class TestTheta:
         np.testing.assert_allclose(theta_inv(zmap, y, extend=True), picard_inverse(zmap, y),
                                    rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("name", ["dini_sqrt", "dini_log"])
+    def test_mirrored_drift_mirrors_theta(self, name):
+        # b0-(x) = -b0(-x) solves the mirrored equation, so at the same lambda
+        # Theta-(x) = -Theta(-x); the centred stencil keeps that symmetry and a
+        # one-sided advection difference breaks it.
+        coeffs = get_coefficients(name, CFG)
+        zmap = select_lambda(coeffs, GRID, default_lambda_grid(coeffs))
+        mirrored = dataclasses.replace(coeffs, b0=lambda x: -coeffs.b0(-x))
+        zmap_m = solve_resolvent(mirrored, GRID, zmap.lam)
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-GRID.L, GRID.L, (2000, 1))
+        np.testing.assert_allclose(theta(zmap_m, x), -theta(zmap, -x), rtol=0, atol=1e-10)
+        y = rng.uniform(-2 * GRID.L, 2 * GRID.L, (2000, 1))
+        np.testing.assert_allclose(theta_inv(zmap_m, y, extend=True),
+                                   -theta_inv(zmap, -y, extend=True), rtol=0, atol=1e-10)
+
     def test_extended_far_field(self):
         coeffs = get_coefficients("dini_sqrt", CFG)
         zmap = select_lambda(coeffs, GRID, default_lambda_grid(coeffs))
@@ -315,7 +260,7 @@ class TestTheta:
 
     def test_non_monotone_theta_rejected(self):
         # u = -2x gives Theta = -x: no increasing inverse exists.
-        grid = EllipticGrid(1, 1.0, 0.1)
+        grid = EllipticGrid(1.0, 0.1)
         n = grid.n_axis
         zmap = ZvonkinMap(
             grid=grid, lam=1.0, u=-2.0 * grid.axis[:, None], grad_u=np.full((n, 1, 1), -2.0),
@@ -398,7 +343,7 @@ class TestCellLookup:
     def test_tiny_node_step_keeps_the_table_small(self):
         # Theta = x except one node step of 1e-9: a bucket width set by the
         # smallest step would need ~1e9 buckets.
-        grid = EllipticGrid(1, 1.0, 0.1)
+        grid = EllipticGrid(1.0, 0.1)
         n = grid.n_axis
         nodes = grid.axis.copy()
         nodes[11] = nodes[10] + 1e-9
