@@ -21,7 +21,7 @@ import numpy as np
 from . import zvonkin
 from .coefficients import CoefficientSet, check_builtin_name, get_coefficients, validate_H
 from .errors import ConfigurationError
-from .laws import comonotone_pair, exp_norm_moment
+from .laws import _OVERFLOW_LOG, comonotone_pair, exp_norm_moment
 from .pathspace import (
     ParticleCloud,
     PathSegment,
@@ -127,6 +127,11 @@ class ExperimentConfig:
         for t in (self.T, *_times_within(_ALH_TIMES + _GRADIENT_TIMES, self)):
             if abs(round(t / h) * h - t) > 1e-9:
                 raise ConfigurationError(f"sim.T or check time {t} is not a multiple of h={h}")
+        if self.kappa * h >= 1:  # the coupled step multiplies X - Y by 1 - kappa h
+            raise ConfigurationError(f"kappa * h = {self.kappa * h:g} must be below 1")
+        if 2 * abs(self.testfn_amplitude) + math.log(self.N_replicas) > _OVERFLOW_LOG:
+            raise ConfigurationError(f"testfn.amplitude={self.testfn_amplitude}: the sum of f^2 "
+                                     f"over {self.N_replicas} replicas would overflow")
         check_builtin_name(self.coefficients_name)  # fails at parse time, not at the first run
         if self.N_particles < 2 or self.pathcfg.d > 1:
             coeffs = self.coefficients()  # built once, and only when a check reads it
@@ -203,38 +208,37 @@ def parse_config(source) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """f(xi) = exp(A tanh(<w, xi>_grid)) with <w, xi> = h sum_i w_i xi_1(s_i).
+    """f(xi) = exp(A tanh <w, xi>), <w, xi> = h sum_i e^{rate s_i} xi_1(s_i) read
+    from `exp_weighted_integral(rate)`: a batch's running sum, which a drift may share.
 
-    Bounded, strictly positive, with log f Lipschitz in the weighted path
-    norm with constant ``lip``: |tanh a - tanh b| <= |a - b| and
-    |<w, xi - eta>| <= h sum_i |w_i| e^{-tau s_i} ||xi - eta||_tau.
+    Bounded, strictly positive, with log f Lipschitz in the weighted path norm
+    with constant ``lip``: |tanh a - tanh b| <= |a - b| and
+    |<w, xi - eta>| <= h sum_i e^{rate s_i} e^{-tau s_i} ||xi - eta||_tau.
     """
 
     cfg: PathSpaceConfig
     amplitude: float
-    profile: np.ndarray  # (n_points,)
+    rate: float
 
     def __post_init__(self):
-        if np.shape(self.profile) != (self.cfg.n_points,) or not (
-                np.all(np.isfinite(self.profile)) and math.isfinite(self.amplitude)):
-            raise ConfigurationError("a test function needs a finite amplitude and "
-                                     f"{self.cfg.n_points} finite profile values")
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.rate)
+                and -self.rate * self.cfg.T_mem <= _OVERFLOW_LOG):
+            raise ConfigurationError("a test function needs a finite amplitude and a rate whose "
+                                     f"weights do not overflow, got {self.amplitude}, {self.rate}")
 
     @classmethod
     def default(cls, cfg: PathSpaceConfig, amplitude: float = 1.0, rate: Optional[float] = None):
-        rate = 2.0 * cfg.tau if rate is None else rate
-        return cls(cfg, float(amplitude), np.exp(rate * cfg.s_grid))
+        return cls(cfg, float(amplitude), 2.0 * cfg.tau if rate is None else float(rate))
 
-    def inner(self, values: np.ndarray) -> np.ndarray:
-        # A contiguous copy fixes the summation order, so equal values give equal bits.
-        return self.cfg.h * np.einsum("j,...j->...", self.profile,
-                                      np.ascontiguousarray(values[..., 0]))
+    def inner(self, seg) -> np.ndarray:
+        """<w, xi> of a PathSegment, or per row of a SegmentBatch."""
+        return seg.exp_weighted_integral(self.rate)[..., 0]
 
-    def log_f(self, values: np.ndarray) -> np.ndarray:
-        return self.amplitude * np.tanh(self.inner(values))
+    def log_f(self, seg) -> np.ndarray:
+        return self.amplitude * np.tanh(self.inner(seg))
 
-    def f(self, values: np.ndarray) -> np.ndarray:
-        return np.exp(self.log_f(values))
+    def f(self, seg) -> np.ndarray:
+        return np.exp(self.log_f(seg))
 
     @property
     def f_sup(self) -> float:
@@ -243,7 +247,7 @@ class TestFunction:
     @property
     def lip(self) -> float:
         """Declared Lipschitz constant of log f in the weighted path norm."""
-        w = np.abs(self.profile) * np.exp(-self.cfg.tau * self.cfg.s_grid)
+        w = np.exp(self.rate * self.cfg.s_grid) * np.exp(-self.cfg.tau * self.cfg.s_grid)
         return abs(self.amplitude) * float(self.cfg.h * w.sum())
 
     @property
@@ -512,9 +516,9 @@ def _alh_sides(config: ExperimentConfig, coeffs: CoefficientSet, f: TestFunction
 
     Pair i runs X from xi on stream 100 + 2i and Y from eta on 101 + 2i, and G
     consecutive pairs run stacked in one batch.  A save keeps log f of every
-    row, not the window.  So a group holds 2G windows (the running batch,
-    which the run adopts, and the ordered copy f reads at a save), within the
-    2 + n_times windows of one pair that kept a cloud per save for
+    row, read from the batch's running history integral, not the window.  So
+    a group holds G pair windows (the running batch, which the run adopts),
+    within the 2 + n_times of one pair that kept a cloud per save, for
     G = (2 + n_times) // 3.
     """
     t_grid = _times_within(_ALH_TIMES, config)
@@ -526,7 +530,7 @@ def _alh_sides(config: ExperimentConfig, coeffs: CoefficientSet, f: TestFunction
         res = simulate_paths(
             coeffs, SegmentBatch.from_segments([seg for i in group for seg in segs[i]], R),
             max(t_grid), seed=config.seed, stream=[100 + 2 * i + k for i in group for k in (0, 1)],
-            save_times=t_grid, save=lambda batch: f.log_f(batch.ordered_values()))
+            save_times=t_grid, save=f.log_f)
         for j, log_f in enumerate(res.clouds):
             for i, (lx, ly) in zip(group, log_f.reshape(len(group), 2, R)):
                 fx = np.exp(lx)
@@ -739,8 +743,7 @@ def run_gradient_estimate(
     R = config.N_replicas
     # Common random numbers: the same stream drives both stacked starts.
     res = simulate_paths(coeffs, SegmentBatch.from_segments([xi, eta], R), max(t_grid),
-                         seed=config.seed, stream=(500, 500), save_times=t_grid,
-                         save=lambda batch: f.f(batch.ordered_values()))
+                         seed=config.seed, stream=(500, 500), save_times=t_grid, save=f.f)
     lam = entropy_constant * math.exp(
         config.delta * weighted_norm(xi) ** (2 * coeffs.alpha))
     rows = []

@@ -16,7 +16,7 @@ import pytest
 import pathcouple
 from pathcouple import experiments
 from pathcouple.cli import cli_main
-from pathcouple import errors
+from pathcouple import errors, laws
 from pathcouple.errors import BlowUpError, ConfigurationError, InvalidCloudError
 from pathcouple.experiments import (
     FAIL,
@@ -35,7 +35,7 @@ from pathcouple.experiments import (
     run_zvonkin,
     smallest_envelope_c0,
 )
-from pathcouple.pathspace import ParticleCloud, PathSegment, SegmentBatch, weighted_norm
+from pathcouple.pathspace import PathSegment, SegmentBatch, weighted_norm
 from pathcouple.simulate import simulate_paths
 
 FAST = """
@@ -106,6 +106,36 @@ class TestParseConfig:
             with pytest.raises(ConfigurationError, match=r"sim.seed=.* must lie in \[0, 2\*\*63\)"):
                 parse_config(text)
 
+    @pytest.mark.parametrize("kappa, ok", [(20.0, False), (40.0, False), (3.2, True)],
+                             ids=["kappa h = 1", "kappa h = 2", "kappa h = 0.16"])
+    def test_coupling_step_must_contract(self, kappa, ok):
+        # The coupled Euler step multiplies X - Y by 1 - kappa h (FAST steps h = 0.05).
+        text = FAST + f"sim.kappa = {kappa}\n"
+        if ok:
+            assert parse_config(text).kappa == kappa
+        else:
+            with pytest.raises(ConfigurationError, match="kappa \\* h = .* must be below 1"):
+                parse_config(text)
+
+    def test_step_grid_rule_comes_first(self):
+        # h = 0.4 puts check time 1.0 off the grid, and kappa h = 1.6.
+        with pytest.raises(ConfigurationError, match="check time 1.0 is not a multiple"):
+            parse_config(FAST + "sim.h = 0.4\npath.T_mem = 0.8\n")
+
+    @pytest.mark.parametrize("amplitude, ok", [
+        (1.0, True), (-1.0, True), (800.0, False), (-800.0, False),
+        ((laws._OVERFLOW_LOG - math.log(64)) / 2, True),
+        ((laws._OVERFLOW_LOG - math.log(64)) / 2 + 1e-9, False),
+    ], ids=["1", "-1", "800", "-800", "largest", "above largest"])
+    def test_testfn_amplitude_overflow(self, amplitude, ok):
+        # alh and gradient sum f^2 <= e^{2|A|} over N_replicas = 64 rows.
+        text = FAST + f"testfn.amplitude = {amplitude!r}\n"
+        if ok:
+            assert parse_config(text).testfn_amplitude == amplitude
+        else:
+            with pytest.raises(ConfigurationError, match="testfn.amplitude=.* would overflow"):
+                parse_config(text)
+
     def test_one_particle_needs_a_law_free_drift(self):
         # Mean-field runs need 2 particles only when the drift reads the law (K1 > 0).
         with pytest.raises(ConfigurationError, match="at least 2 particles"):
@@ -171,47 +201,53 @@ class TestWeightedTestFunction:
         steps = rng.standard_normal((2, 300, self.CFG.n_points, 1)) * math.sqrt(self.CFG.h)
         a, b = np.cumsum(steps, axis=2)
         dist = np.max(self.CFG.weights * np.abs(a - b)[..., 0], axis=-1)
-        quot = np.abs(f.log_f(a) - f.log_f(b)) / dist
+        log_fa, log_fb = (f.log_f(SegmentBatch(self.CFG, x)) for x in (a, b))
+        quot = np.abs(log_fa - log_fb) / dist
         assert np.all(quot <= f.lip * (1 + 1e-12))
         assert quot.max() > 0.5 * f.lip  # and lip is not loose by orders of magnitude
         assert f.lip > 0
         assert f.f_sup == pytest.approx(math.exp(1.5))
         assert f.grad_f_sup == pytest.approx(f.f_sup * f.lip)
 
-    @pytest.mark.parametrize("amplitude, profile", [
-        (1.0, np.full(21, math.nan)), (1.0, np.ones(20)), (math.inf, np.ones(21)),
-    ], ids=["nan profile", "short profile", "infinite amplitude"])
-    def test_construction_rejects_bad_input(self, amplitude, profile):
-        assert self.CFG.n_points == 21
+    @pytest.mark.parametrize("amplitude, rate", [
+        (1.0, math.nan), (1.0, -math.inf), (1.0, -800.0), (math.inf, 2.0),
+    ], ids=["nan rate", "infinite rate", "rate whose weights overflow", "infinite amplitude"])
+    def test_construction_rejects_bad_input(self, amplitude, rate):
+        assert self.CFG.T_mem == 1.0  # e^{800} overflows at s = -T_mem
         with pytest.raises(ConfigurationError, match="test function"):
-            WeightedTestFunction(self.CFG, amplitude, profile)
+            WeightedTestFunction(self.CFG, amplitude, rate)
 
     def test_bounds(self):
         f = WeightedTestFunction.default(self.CFG)
         rng = np.random.default_rng(0)
-        vals = f.f(rng.standard_normal((50, self.CFG.n_points, 1)) * 5)
+        vals = f.f(SegmentBatch(self.CFG, rng.standard_normal((50, self.CFG.n_points, 1)) * 5))
         assert np.all(vals > 0)
         assert np.all(vals <= f.f_sup)
 
     def test_zero_amplitude_is_constant(self):
         f = WeightedTestFunction.default(self.CFG, amplitude=0.0)
         seg = PathSegment.constant(self.CFG, [3.0])
-        vals = f.f(seg.values[None])
+        vals = f.f(seg)
         np.testing.assert_allclose(vals, 1.0)
         assert f.lip == 0.0
 
-    def test_inner_independent_of_memory_layout(self):
-        f = WeightedTestFunction.default(self.CFG)
-        rng = np.random.default_rng(5)
-        batch = SegmentBatch.from_cloud(
-            ParticleCloud(self.CFG, rng.standard_normal((256, self.CFG.n_points, 1))))
-        for _ in range(7):  # move the ring-buffer head off slot 0
-            batch.advance(rng.standard_normal((256, 1)))
-        ordered = batch.to_cloud().values
-        want = f.inner(np.ascontiguousarray(ordered))
-        time_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(ordered, 1, 0)), 0, 1)
-        for layout in (ordered, np.asfortranarray(ordered), time_major):
-            assert np.array_equal(f.inner(layout), want)
+    @pytest.mark.parametrize("name, rate", [("linear", 2.0), ("linear", 1.0), ("zero", 2.0)],
+                             ids=["drift keeps the sum", "second rate", "drift keeps none"])
+    def test_f_of_batch_matches_direct_window_sum(self, name, rate):
+        # f reads the batch's running integral; over 800 steps it stays within
+        # round-off of f of the direct weighted sum over the window.
+        config = parse_config(FAST + f"coefficients.name = {name}\nsim.h = 0.01\n")
+        cfg = config.pathcfg
+        f = WeightedTestFunction.default(cfg, amplitude=1.5, rate=rate)
+        w = cfg.h * np.exp(rate * cfg.s_grid)
+        rng = np.random.default_rng(3)
+        start = SegmentBatch(cfg, rng.standard_normal((64, cfg.n_points, 1)))
+        res = simulate_paths(config.coefficients(), start, 8.0, seed=1,
+                             save_times=np.arange(1, 9.0),
+                             save=lambda batch: (f.f(batch), batch.ordered_values()[..., 0] @ w))
+        assert len(res.clouds) == 8 and round(8.0 / cfg.h) == 800
+        for got, direct in res.clouds:
+            np.testing.assert_allclose(got, np.exp(1.5 * np.tanh(direct)), rtol=0, atol=1e-12)
 
 
 class TestFits:
@@ -345,7 +381,7 @@ class TestStackedRuns:
 
 class TestSavedFValues:
     """alh and gradient keep f-values at each save; their tables equal a reference
-    run pair by pair on full-window clouds."""
+    run pair by pair, whose hooks read f from their own batch."""
 
     T8 = FAST + "sim.T = 8.0\n"
 
@@ -364,10 +400,9 @@ class TestSavedFValues:
             xi, eta = experiments._pair_segments(config, a, b)
             res = simulate_paths(coeffs, SegmentBatch.from_segments([xi, eta], R), 8.0,
                                  seed=config.seed, stream=(100 + 2 * i, 101 + 2 * i),
-                                 save_times=times)
-            for t in times:
-                values = res.cloud_at(t).values
-                fx, ly = f.f(values[:R]), f.log_f(values[R:])
+                                 save_times=times, save=f.log_f)
+            for t, log_f in zip(times, res.clouds):
+                fx, ly = np.exp(log_f[:R]), log_f[R:]
                 lhs, rhs = ly.mean(), math.log(fx.mean())
                 se = math.hypot(self._stderr(ly), self._stderr(fx) / fx.mean())
                 rows.append([t, i, lhs, rhs, lhs - rhs, se, weighted_norm(xi - eta)])
@@ -382,17 +417,34 @@ class TestSavedFValues:
         xi, eta = experiments._pair_segments(config, 0.25, 0.375)
         dist = weighted_norm(xi - eta)
         res = simulate_paths(coeffs, SegmentBatch.from_segments([xi, eta], R), 4.0,
-                             seed=config.seed, stream=(500, 500), save_times=times)
+                             seed=config.seed, stream=(500, 500), save_times=times, save=f.f)
         lam = math.exp(config.delta * weighted_norm(xi) ** (2 * coeffs.alpha))
         rows = []
-        for t in times:
-            values = res.cloud_at(t).values
-            fx, fy = f.f(values[:R]), f.f(values[R:])
+        for t, f_xy in zip(times, res.clouds):
+            fx, fy = f_xy[:R], f_xy[R:]
             quot = abs((fx - fy).mean()) / dist
             rhs = (math.sqrt(2 * lam) * math.sqrt(max(float(fx.var(ddof=1)), 0.0))
                    + f.grad_f_sup * math.exp(-config.tau0 * t))
             rows.append([t, quot, self._stderr(fx - fy) / dist, rhs, rhs - quot])
         assert _gradient(config).tables["gradient"][1] == rows
+
+    @pytest.mark.parametrize("name", ["linear", "dini_sqrt"])
+    def test_one_window_copy_per_euler_loop(self, monkeypatch, name):
+        # f reads the running integral, so the one ordered copy of a window per
+        # loop starts that sum: six alh loops at sim.T = 8, and one gradient loop.
+        calls = []
+        original = SegmentBatch.ordered_values
+
+        def counting(batch):
+            calls.append(batch.n)
+            return original(batch)
+
+        config = parse_config(self.T8 + f"coefficients.name = {name}\n")
+        config.effective_coefficients()
+        monkeypatch.setattr(SegmentBatch, "ordered_values", counting)
+        run_alh(config)
+        _gradient(config)
+        assert calls == [4 * 64] * 6 + [2 * 64]
 
     def test_alh_and_gradient_never_build_clouds(self, monkeypatch):
         def refuse(batch):
@@ -499,11 +551,11 @@ def _verdict_surface(zvonkin_check: str) -> list:
 ALL_OUTPUT_DIGESTS = {
     "builtin_linear.cfg": {
         "asymptotic-log-harnack_alh.csv":
-            "1b458e92157fc25e53c292e86b0f09853f011880333e5708fd98e7c910309a0c",
+            "af4c9f560bd409abcb49e53771db1e59d8ee151bdc82ff1c52518ed7566af577",
         "coupling-decay_decay.csv":
             "484fd91e90527d44b2055cac9dd16ca1867944f51a98443df8b50b65954c154e",
         "gradient-estimate_gradient.csv":
-            "139d8e68015c307be51fc559e65b1c53e675efe318a34fb917fc0372ece6fece",
+            "bbc176c3f9eafa73b073b65f96ebb11ea539a2aa28a5f9df8b3b01850dbba100",
         "relative-entropy_entropy.csv":
             "ad0f600baead3b7be94762bd2b78ab958d60bf9a255dfea50800f1bf1c107771",
         "summary.txt": "1ca776926e72120e1bca28c0c1445b0dc1e79fcf1854ef31b2f9668115e04e37",
@@ -512,11 +564,11 @@ ALL_OUTPUT_DIGESTS = {
     },
     "builtin_dini.cfg": {
         "asymptotic-log-harnack_alh.csv":
-            "5593f8b0b1da674b17fe76bdeac09a9d394296db937bc80d805089b0309e8523",
+            "84187f657a3aa0293d64b91776744a2d12c8d24a0d986cd797f2d39eb0d6a9e7",
         "coupling-decay_decay.csv":
             "799f23e69bbbb71b8597f7b8d7c0eaad131a3c5b50d7be63bd89261e86f65cff",
         "gradient-estimate_gradient.csv":
-            "48a2f2e1362056b88049fb52e240fd49e5fbfe4ac4a3df4adc346ed7a4fffff4",
+            "6a72bf04894d9094f138a97a53fad8e3f64530dfe4c9055b724ef38dc23a7372",
         "relative-entropy_entropy.csv":
             "261298f9a2ee8f39222271d0af1d21b607e7d7bf3537aae333d50e436ecba3b5",
         "summary.txt": "e05c7c056cd1a2860f40196337556d5a3db942054c5ab0e58dbc4b0678157f08",
@@ -611,8 +663,19 @@ class TestCli:
         assert err.startswith("configuration error: sim.T=0.5 is below the first check time 1.0")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["alh", "gradient", "all"])
+    def test_testfn_amplitude_overflow_exit_1(self, tmp_path, capsys, command):
+        p = self._cfg_file(tmp_path, extra="testfn.amplitude = 800\n")
+        assert cli_main([command, "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: testfn.amplitude=800.0")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("line", [
         "sim.T = 0.5", "sim.kappa = 0.8",
+        pytest.param("sim.kappa = 20", id="kappa h = 1"),
+        pytest.param("sim.kappa = 40", id="kappa h = 2"),
         pytest.param("coefficients.name = dini_sqrt\npath.d = 2", id="dini at d = 2"),
         pytest.param("coefficients.name = dini_sqrt\npath.d = 3", id="dini at d = 3"),
         pytest.param("sim.N_particles = 1", id="one particle per mean-field block"),
