@@ -78,8 +78,8 @@ class ZvonkinMap:
 
     grid: EllipticGrid
     lam: float
-    u: np.ndarray  # (n_axis, 1)
-    grad_u: np.ndarray  # (n_axis, 1, 1)
+    u: np.ndarray  # (n_axis,) u at the grid nodes, read-only
+    grad_u: np.ndarray  # (n_axis,) u' at the grid nodes, read-only
     u_inf: float
     grad_inf: float
     hess_inf: float
@@ -100,16 +100,15 @@ class ZvonkinMap:
             raise OutOfDomainError(f"point with |coordinate| = {worst} outside box L = {L}")
 
     def _interp_values(self, table: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Linear interpolation of a per-node table at points x (..., 1).
+        """Linear interpolation of a per-node table (n_axis,) at points x, in x's shape.
 
         Clamping the fractional node index to [0, n - 1] gives the flat far field.
         """
         g = self.grid
-        s = np.clip((x[..., 0] + g.L) / g.dx, 0, g.n_axis - 1)
+        s = np.clip((x + g.L) / g.dx, 0, g.n_axis - 1)
         j = np.minimum(s.astype(np.intp), g.n_axis - 2)
-        flat = table.reshape(g.n_axis, -1)
-        lo, hi = flat[j], flat[j + 1]
-        return (lo + (s - j)[..., None] * (hi - lo)).reshape(x.shape[:-1] + table.shape[1:])
+        lo, hi = table[j], table[j + 1]
+        return lo + (s - j) * (hi - lo)
 
     @cached_property
     def _cell_table(self):
@@ -124,14 +123,14 @@ class ZvonkinMap:
         bucket count is a fixed multiple of the node count, so the table's size
         does not depend on the smallest node step.
         """
-        nodes = self.grid.axis + self.u[:, 0]
+        nodes = self.grid.axis + self.u
         steps = np.diff(nodes)
         if not np.all(steps > 0):
             raise SolverFailureError(
                 f"Theta is not strictly increasing on the grid (smallest node step "
                 f"{steps.min():.3e}); it has no inverse"
             )
-        u, g = self.u[:, 0], self.grad_u[:, 0, 0]
+        u, g = self.u, self.grad_u
         flat = np.zeros(1)
         rows = np.column_stack([
             np.concatenate([nodes[:1], nodes]),
@@ -173,7 +172,8 @@ class ZvonkinMap:
         return self._interp_values(self.u, x)
 
     def grad_u_at(self, x: np.ndarray) -> np.ndarray:
-        return self._interp_values(self.grad_u, x)
+        """u' at points x (..., 1), as the 1 x 1 Jacobian (..., 1, 1)."""
+        return self._interp_values(self.grad_u, x)[..., None]
 
 
 def default_lambda_grid(coeffs: CoefficientSet) -> np.ndarray:
@@ -182,24 +182,24 @@ def default_lambda_grid(coeffs: CoefficientSet) -> np.ndarray:
     return np.geomspace(2 * base, 1e3 * base, 20)
 
 
-def _diffusion_on_axis(coeffs: CoefficientSet, points: np.ndarray) -> np.ndarray:
-    sig = coeffs.eval_sigma(points)
-    return sig @ np.swapaxes(sig, -1, -2)
-
-
 def _solve_1d(coeffs: CoefficientSet, grid: EllipticGrid, lam: float):
+    """Centred finite-difference solve of b0 u' + 0.5 a u'' - lambda u = -b0 with
+    a = sigma^2 and Dirichlet values b0(+-L) / lambda at the interval ends.
+
+    Returns u and u' at the nodes (n_axis,), the residual of the discrete
+    operator at interior nodes and max |u''|.
+    """
     from scipy.linalg import solve_banded
 
     x = grid.axis[:, None]
     n = grid.n_axis
     dx = grid.dx
-    b0 = coeffs.eval_b0(x)  # (n, d)
-    a = _diffusion_on_axis(coeffs, x)[:, 0, 0]  # (n,)
-    adv = b0[:, 0]  # advection coefficient; same scalar operator per component
+    b0 = coeffs.eval_b0(x)[:, 0]  # advection coefficient and right-hand side
+    a = coeffs.eval_sigma(x)[:, 0, 0] ** 2
 
-    lower = a[1:-1] / (2 * dx**2) - adv[1:-1] / (2 * dx)
+    lower = a[1:-1] / (2 * dx**2) - b0[1:-1] / (2 * dx)
     diag = -a[1:-1] / dx**2 - lam
-    upper = a[1:-1] / (2 * dx**2) + adv[1:-1] / (2 * dx)
+    upper = a[1:-1] / (2 * dx**2) + b0[1:-1] / (2 * dx)
 
     ab = np.zeros((3, n))
     ab[1, 0] = ab[1, -1] = 1.0
@@ -207,26 +207,17 @@ def _solve_1d(coeffs: CoefficientSet, grid: EllipticGrid, lam: float):
     ab[0, 2:] = upper  # superdiagonal
     ab[2, :-2] = lower  # subdiagonal
 
-    rhs = np.empty((n, coeffs.d))
-    rhs[1:-1] = -b0[1:-1]
+    rhs = -b0
     rhs[0] = b0[0] / lam  # Dirichlet far field of the constant-extension problem
     rhs[-1] = b0[-1] / lam
 
     u = solve_banded((1, 1), ab, rhs)
 
-    # Residual of the discrete operator at interior nodes.
-    op = (
-        adv[1:-1, None] * (u[2:] - u[:-2]) / (2 * dx)
-        + a[1:-1, None] * (u[2:] - 2 * u[1:-1] + u[:-2]) / (2 * dx**2)
-        - lam * u[1:-1]
-    )
+    d2 = u[2:] - 2 * u[1:-1] + u[:-2]
+    op = b0[1:-1] * (u[2:] - u[:-2]) / (2 * dx) + a[1:-1] * d2 / (2 * dx**2) - lam * u[1:-1]
     residual = float(np.max(np.abs(op + b0[1:-1])))
-
-    grad = np.gradient(u, dx, axis=0)[..., None]  # (n, d, 1)
-    hess = np.zeros_like(u)
-    hess[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / dx**2
-    hess_inf = float(np.max(np.abs(hess)))
-    return u, grad, residual, hess_inf
+    hess_inf = float(np.max(np.abs(d2))) / dx**2
+    return u, np.gradient(u, dx), residual, hess_inf
 
 
 def solve_resolvent(coeffs: CoefficientSet, grid: EllipticGrid, lam: float) -> ZvonkinMap:
@@ -243,8 +234,8 @@ def solve_resolvent(coeffs: CoefficientSet, grid: EllipticGrid, lam: float) -> Z
             f"resolvent residual {residual:.3e} above tolerance {tol:.3e}", residual=residual
         )
     u.flags.writeable = grad.flags.writeable = False  # one map serves every experiment
-    u_inf = float(np.max(np.linalg.norm(u, axis=-1)))
-    grad_inf = float(np.max(np.linalg.norm(grad[..., 0], axis=-1)))
+    u_inf = float(np.max(np.abs(u)))
+    grad_inf = float(np.max(np.abs(grad)))
     return ZvonkinMap(
         grid=grid,
         lam=float(lam),
@@ -308,7 +299,6 @@ def _apply_pointwise(seg, fn):
 def transformed_coeffs(zmap: ZvonkinMap, coeffs: CoefficientSet) -> CoefficientSet:
     """Drift/diffusion of the transformed equation solved by Theta(X)."""
     lam = zmap.lam
-    eye = np.eye(coeffs.d)
     L = zmap.grid.L
 
     # The simulators evaluate drift and diffusion at the same endpoint array
@@ -330,13 +320,13 @@ def transformed_coeffs(zmap: ZvonkinMap, coeffs: CoefficientSet) -> CoefficientS
                 seg, lambda v: np.clip(theta_inv(zmap, v, extend=True), -L, L))
             x0 = seg_inv.endpoint()
             base = coeffs.eval_b1(seg_inv, law)
-            return np.einsum("...ij,...j->...i", eye + zmap.grad_u_at(x0), base)
+            return (1.0 + zmap.grad_u_at(x0)[..., 0]) * base
 
     def sigma_hat(y):
         x, _, grad = at_endpoints(y)
         if coeffs.sigma is None:
-            return eye + grad
-        return (eye + grad) @ coeffs.eval_sigma(np.clip(x, -L, L))
+            return 1.0 + grad
+        return (1.0 + grad) * coeffs.eval_sigma(np.clip(x, -L, L))
 
     return CoefficientSet(
         name=coeffs.name + "_hat",

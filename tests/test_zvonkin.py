@@ -98,10 +98,9 @@ class TestSolve:
         zmap = solve_resolvent(coeffs, GRID, 8.0)
         assert zmap.residual <= 1e-8 * (1 + coeffs.b0_bound)
 
-    def test_1d_grad_inf_is_spectral_norm(self):
+    def test_1d_grad_inf_is_max_abs_grad(self):
         zmap = solve_resolvent(get_coefficients("dini_log", CFG), GRID, 8.0)
-        expected = np.linalg.norm(zmap.grad_u, ord=2, axis=(-2, -1)).max()
-        assert zmap.grad_inf == expected
+        assert zmap.grad_inf == np.abs(np.gradient(zmap.u, GRID.dx)).max() > 0
 
     def test_axis_cached_read_only(self):
         grid = EllipticGrid(5.0, 0.01)
@@ -194,17 +193,19 @@ class TestInterpolation:
         return rng.permutation(coords)[:, None]
 
     def test_1d_matches_np_interp_per_column(self):
+        # Each node table, u and grad u, against np.interp over the grid nodes.
         grid = EllipticGrid(2.0, 0.25)
         rng = np.random.default_rng(3)
-        table = rng.normal(size=(grid.n_axis, 2, 3))
-        zmap = ZvonkinMap(grid=grid, lam=1.0, u=table[:, :, 0], grad_u=table, u_inf=0.0,
+        u, grad = rng.normal(size=(2, grid.n_axis))
+        zmap = ZvonkinMap(grid=grid, lam=1.0, u=u, grad_u=grad, u_inf=0.0,
                           grad_inf=0.0, hess_inf=0.0, residual=0.0)
         x = self._points(grid.L, rng)
-        flat = table.reshape(grid.n_axis, -1)
-        expected = np.stack([np.interp(x[:, 0], grid.axis, col) for col in flat.T], axis=-1)
-        got = zmap.grad_u_at(x)
-        assert got.shape == (len(x), 2, 3)
-        np.testing.assert_allclose(got.reshape(len(x), -1), expected, rtol=0, atol=1e-14)
+        got_u, got_grad = zmap.u_at(x), zmap.grad_u_at(x)
+        assert got_u.shape == (len(x), 1) and got_grad.shape == (len(x), 1, 1)
+        for got, table in ((got_u[:, 0], u), (got_grad[:, 0, 0], grad)):
+            np.testing.assert_allclose(got, np.interp(x[:, 0], grid.axis, table),
+                                       rtol=0, atol=1e-14)
+
 
 class TestTheta:
     def test_identity_when_u_zero(self):
@@ -251,7 +252,7 @@ class TestTheta:
     def test_extended_far_field(self):
         coeffs = get_coefficients("dini_sqrt", CFG)
         zmap = select_lambda(coeffs, GRID, default_lambda_grid(coeffs))
-        u_lo, u_hi = zmap.u[0, 0], zmap.u[-1, 0]
+        u_lo, u_hi = zmap.u[0], zmap.u[-1]
         assert theta(zmap, [[-5.0]])[0, 0] > -5.6 and theta(zmap, [[5.0]])[0, 0] < 5.6
         y = np.array([[-7.0], [-5.6], [0.3], [4.9], [5.6], [8.0]])
         x = theta_inv(zmap, y, extend=True)
@@ -263,7 +264,7 @@ class TestTheta:
         grid = EllipticGrid(1.0, 0.1)
         n = grid.n_axis
         zmap = ZvonkinMap(
-            grid=grid, lam=1.0, u=-2.0 * grid.axis[:, None], grad_u=np.full((n, 1, 1), -2.0),
+            grid=grid, lam=1.0, u=-2.0 * grid.axis, grad_u=np.full(n, -2.0),
             u_inf=2.0, grad_inf=2.0, hess_inf=0.0, residual=0.0,
         )
         with pytest.raises(SolverFailureError, match="not strictly increasing"):
@@ -281,13 +282,13 @@ class TestTheta:
         # [-4.74, 5.26]: y = -5 comes from outside the box, y = 5.13 from inside.
         coeffs = get_coefficients("dini_sqrt", CFG)
         zmap = select_lambda(coeffs, GRID, default_lambda_grid(coeffs))
-        assert zmap.u[0, 0] == pytest.approx(0.26, abs=5e-3) == zmap.u[-1, 0]
+        assert zmap.u[0] == pytest.approx(0.26, abs=5e-3) == zmap.u[-1]
         with pytest.raises(OutOfDomainError, match="outside box"):
             theta_inv(zmap, [[-5.0]])
         x = theta_inv(zmap, [[5.13]])
         assert abs(x[0, 0]) < GRID.L
         np.testing.assert_allclose(theta(zmap, x), [[5.13]], rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(theta_inv(zmap, [[-5.0]], extend=True), [[-5.0 - zmap.u[0, 0]]])
+        np.testing.assert_array_equal(theta_inv(zmap, [[-5.0]], extend=True), [[-5.0 - zmap.u[0]]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
@@ -306,8 +307,8 @@ class TestCellLookup:
     @staticmethod
     def _reference(zmap, y):
         """x by np.interp over Theta's nodes; u and grad u at x by u_at / grad_u_at."""
-        nodes = zmap.grid.axis + zmap.u[:, 0]
-        x = y - np.interp(y, nodes, zmap.u[:, 0])
+        nodes = zmap.grid.axis + zmap.u
+        x = y - np.interp(y, nodes, zmap.u)
         return x, zmap.u_at(x), zmap.grad_u_at(x)
 
     def _assert_matches(self, zmap, y):
@@ -321,20 +322,20 @@ class TestCellLookup:
     def test_matches_reference(self, name):
         coeffs = get_coefficients(name, CFG)
         zmap = select_lambda(coeffs, GRID, default_lambda_grid(coeffs))
-        L, nodes = GRID.L, GRID.axis + zmap.u[:, 0]
+        L, nodes = GRID.L, GRID.axis + zmap.u
         rng = np.random.default_rng(5)
         interior = rng.uniform(nodes[0], nodes[-1], (3000, 1))
         self._assert_matches(zmap, interior)
         # Exact nodes, both box edges among them, invert to the grid nodes.
         x, u, grad = self._assert_matches(zmap, nodes[:, None])
         np.testing.assert_allclose(x[:, 0], GRID.axis, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(u, zmap.u)
-        np.testing.assert_array_equal(grad, zmap.grad_u)
+        np.testing.assert_array_equal(u[:, 0], zmap.u)
+        np.testing.assert_array_equal(grad[:, 0, 0], zmap.grad_u)
         # Far field: u and grad u are flat at their values on the box edges.
         far = np.array([[-3 * L], [nodes[0] - 1e-9], [nodes[-1] + 1e-9], [3 * L]])
         x, u, grad = self._assert_matches(zmap, far)
-        np.testing.assert_array_equal(u[:, 0], zmap.u[[0, 0, -1, -1], 0])
-        np.testing.assert_array_equal(grad[:, 0, 0], zmap.grad_u[[0, 0, -1, -1], 0, 0])
+        np.testing.assert_array_equal(u[:, 0], zmap.u[[0, 0, -1, -1]])
+        np.testing.assert_array_equal(grad[:, 0, 0], zmap.grad_u[[0, 0, -1, -1]])
         np.testing.assert_array_equal(x, far - u)
         # Any leading shape.
         batch = rng.uniform(-2 * L, 2 * L, (4, 7, 1))
@@ -347,8 +348,8 @@ class TestCellLookup:
         n = grid.n_axis
         nodes = grid.axis.copy()
         nodes[11] = nodes[10] + 1e-9
-        u = (nodes - grid.axis)[:, None]
-        grad = np.gradient(u[:, 0], grid.dx)[:, None, None]
+        u = nodes - grid.axis
+        grad = np.gradient(u, grid.dx)
         zmap = ZvonkinMap(grid=grid, lam=1.0, u=u, grad_u=grad, u_inf=0.1, grad_inf=1.0,
                           hess_inf=0.0, residual=0.0)
         y = np.concatenate([nodes, nodes[10] + np.linspace(0, 1e-9, 7),
@@ -406,6 +407,11 @@ class TestTransformedCoeffs:
         x0 = theta_inv(zmap, batch.endpoint())
         want = (1.0 + zmap.grad_u_at(x0)[..., 0]) * coeffs.eval_b1(hist, None)
         assert np.max(np.abs(hat.eval_b1(batch, None) - want)) <= 1e-14 * np.max(np.abs(want))
+        # b1's shape on one segment and on a batch: (1,) and (5, 1).
+        seg = PathSegment(CFG, batch.ordered_values()[0])
+        for path in (seg, batch):
+            assert hat.eval_b1(path, None).shape == coeffs.eval_b1(path, None).shape
+        assert hat.eval_b1(seg, None).shape == (1,)
 
     def test_b1_hat_inverts_each_point_once_per_step(self, monkeypatch):
         # Per step: one inverse of the 2R endpoints (drift, diffusion, gamma)
@@ -447,12 +453,22 @@ class TestPerConfigMap:
         assert len(calls) == 1
 
     def test_map_is_immutable(self):
-        _, zmap = parse_config(DINI_FAST).effective_coefficients()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            zmap.lam = 1.0
-        for table in (zmap.u, zmap.grad_u):
-            with pytest.raises(ValueError, match="read-only"):
-                table[0] = 0.0
+        # On both Dini builtins the node tables are read-only (n_axis,) arrays,
+        # and the transformed set keeps the shapes the simulators read:
+        # b0 (..., 1) and sigma (..., 1, 1) for any leading shape.
+        for name in ("dini_sqrt", "dini_log"):
+            hat, zmap = parse_config(
+                DINI_FAST.replace("dini_sqrt", name)).effective_coefficients()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                zmap.lam = 1.0
+            for table in (zmap.u, zmap.grad_u):
+                assert table.shape == (zmap.grid.n_axis,)
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0] = 0.0
+            for lead in [(), (5,), (4, 7)]:
+                y = np.linspace(-1.0, 1.0, math.prod(lead)).reshape(lead + (1,))
+                assert hat.eval_b0(y).shape == lead + (1,)
+                assert hat.eval_sigma(y).shape == lead + (1, 1)
 
     def test_one_pair_per_config(self):
         config = parse_config(DINI_FAST)
