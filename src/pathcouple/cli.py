@@ -13,7 +13,7 @@ import csv
 import sys
 from pathlib import Path
 
-from .errors import PathcoupleError
+from .errors import ConfigurationError, PathcoupleError
 from .experiments import (
     EXIT_CODES,
     parse_config,
@@ -46,6 +46,16 @@ def _dispatch(name: str, config, done: dict):
                  (("entropy", "entropy_constant"), ("decay", "decay_prefactor")) if owner in done}
         return run_gradient_estimate(config, **known)
     return _runners()[name](config)
+
+
+def _check_output_dir(out_dir: Path) -> None:
+    """Reject an output path that is a file or lies below one, before any run."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                where = "" if path == out_dir else f" lies below {path}, which"
+                raise ConfigurationError(f"output {out_dir}{where} is not a directory")
+            return
 
 
 def _write_outputs(reports, out_dir: Path) -> None:
@@ -107,6 +117,8 @@ def cli_main(argv=None) -> int:
     done = {}
     try:
         config = parse_config(args.config)
+        out_dir = Path(args.output or config.output_dir)
+        _check_output_dir(out_dir)
         for name in names:
             done[name] = _dispatch(name, config, done)
     except PathcoupleError as exc:
@@ -114,7 +126,6 @@ def cli_main(argv=None) -> int:
         return exc.exit_code
 
     reports = list(done.values())
-    out_dir = Path(args.output or config.output_dir)
     _write_outputs(reports, out_dir)
     for report in reports:
         print("\n".join(report.lines()))

@@ -116,6 +116,11 @@ class ExperimentConfig:
             raise ConfigurationError("need N_particles >= 1 and N_replicas >= 2 (standard errors)")
         if not self.separation > 0:
             raise ConfigurationError(f"separation={self.separation} must be positive")
+        s = self.separation
+        for a, b in [(s / 2, -s / 2), *_entropy_pairs(self), *_alh_pairs(self)]:
+            if a == b:  # a zero start distance makes the fitted constants 0 / 0
+                raise ConfigurationError(
+                    f"separation={s} collapses the start pair ({a}, {b}) in floating point")
         if not 0 <= self.seed < 2**63:  # Philox's key goes through int64
             raise ConfigurationError(f"sim.seed={self.seed} must lie in [0, 2**63)")
         if self.kappa <= self.pathcfg.tau:
@@ -422,15 +427,27 @@ def run_decay(config: ExperimentConfig) -> Report:
     rows = []
     mask = run.times >= config.T / 4
     z_end = np.linalg.norm(run.x_end - run.y_end, axis=-1)  # |Z(t)|, (n_saves, R)
+    t_fit = run.times[mask]
     for p in (1, 2, 4):
         zp = run.z_norms**p
         m = zp.mean(axis=1)
-        rate, se = _check_rate(report, f"decay rate p={p}", run.times[mask], m[mask],
-                               -p * config.tau0)
+        # Fits read only the times whose moment is positive: one that underflows to 0 has no log.
+        m_fit = m[mask]
+        pos = m_fit > 0
+        if np.count_nonzero(pos) >= 3:
+            rate, se = _check_rate(report, f"decay rate p={p}", t_fit[pos], m_fit[pos],
+                                   -p * config.tau0)
+        else:
+            rate = se = math.nan
+            report.add_check(f"decay rate p={p}", INCONCLUSIVE,
+                             f"the moment underflows to 0 at {np.count_nonzero(~pos)} of "
+                             f"{len(pos)} fit times")
         report.records[f"rate_p{p}"] = rate
         report.records[f"rate_stderr_p{p}"] = se
-        report.records[f"endpoint_rate_p{p}"] = fit_line(
-            run.times[mask], np.log((z_end[mask] ** p).mean(axis=1)))[0]
+        ends = (z_end[mask] ** p).mean(axis=1)
+        pos = ends > 0
+        report.records[f"endpoint_rate_p{p}"] = (
+            fit_line(t_fit[pos], np.log(ends[pos]))[0] if np.count_nonzero(pos) >= 3 else math.nan)
         if p == 1:
             report.records["decay_prefactor"] = float(
                 np.max(m * np.exp(config.tau0 * run.times)) / config.separation)

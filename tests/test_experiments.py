@@ -344,6 +344,21 @@ class TestRunDecay:
         rate = run_decay(config).records[f"endpoint_rate_p{p}"]
         assert rate == pytest.approx(want, rel=1e-9)
 
+    def test_underflowed_moments_left_out_of_the_fits(self):
+        # Zero drift, shared noise: z^4 underflows to 0 after t ~ 186 and the
+        # endpoint |Z| reaches 0 exactly, so the fits read only positive moments.
+        report = run_decay(parse_config(FAST + "coefficients.name = zero\nsim.T = 200.0\n"))
+        assert report.verdict == PASS
+        assert report.records["rate_p4"] == pytest.approx(-4.0, abs=1e-6)
+        for p in (1, 2, 4):
+            assert math.isnan(report.records[f"endpoint_rate_p{p}"])
+        # Past t ~ 186 every fit time of p = 4 has a zero moment: nothing to fit.
+        report = run_decay(parse_config(FAST + "coefficients.name = zero\nsim.T = 800.0\n"))
+        label, verdict, detail = report.checks[-1]
+        assert (label, verdict) == ("decay rate p=4", INCONCLUSIVE)
+        assert detail == "the moment underflows to 0 at 25 of 25 fit times"
+        assert math.isnan(report.records["rate_p4"])
+
     def test_kappa_below_tau_rejected(self):
         with pytest.raises(ConfigurationError, match="kappa"):
             run_decay(parse_config(FAST + "sim.kappa = 0.8\n"))
@@ -694,6 +709,33 @@ class TestCli:
         assert cli_main(["all", "--config", str(p)]) == 1
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not (tmp_path / "out").exists()
+
+    def test_tiny_separation_collapsing_a_pair_exit_1(self, tmp_path, capsys):
+        # 0.25 + s / 4 == 0.25 at s = 1e-20: an alh pair at distance 0 gives a 0 / 0 bound.
+        p = self._cfg_file(tmp_path, extra="experiment.separation = 1e-20\n")
+        assert cli_main(["all", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: separation=1e-20 collapses the start pair")
+        assert "Traceback" not in err
+        p = self._cfg_file(tmp_path, extra="experiment.separation = 1e-10\n")
+        assert cli_main(["all", "--config", str(p)]) == 0
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below a file"])
+    def test_unusable_output_exit_1(self, tmp_path, capsys, monkeypatch, below):
+        from pathcouple import cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a runner was called")
+
+        monkeypatch.setattr(cli, "run_validate", fail)
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "out" if below else blocker
+        argv = ["validate", "--config", str(self._cfg_file(tmp_path)), "--output", str(out)]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: output {out}")
+        assert err.endswith("is not a directory\n") and "Traceback" not in err
 
     @pytest.mark.parametrize("name, zvonkin_check", [
         ("builtin_linear.cfg", "transform"), ("builtin_dini.cfg", "resolvent maximum principle"),
