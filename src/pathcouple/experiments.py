@@ -428,24 +428,26 @@ def run_decay(config: ExperimentConfig) -> Report:
     mask = run.times >= config.T / 4
     z_end = np.linalg.norm(run.x_end - run.y_end, axis=-1)  # |Z(t)|, (n_saves, R)
     t_fit = run.times[mask]
+    tiny = np.finfo(float).tiny
     for p in (1, 2, 4):
         zp = run.z_norms**p
         m = zp.mean(axis=1)
-        # Fits read only the times whose moment is positive: one that underflows to 0 has no log.
+        # Fits read only the times whose moment is a normal float: one that underflows
+        # to 0 has no log, and a subnormal one has lost its relative precision.
         m_fit = m[mask]
-        pos = m_fit > 0
+        pos = m_fit >= tiny
         if np.count_nonzero(pos) >= 3:
             rate, se = _check_rate(report, f"decay rate p={p}", t_fit[pos], m_fit[pos],
                                    -p * config.tau0)
         else:
             rate = se = math.nan
             report.add_check(f"decay rate p={p}", INCONCLUSIVE,
-                             f"the moment underflows to 0 at {np.count_nonzero(~pos)} of "
-                             f"{len(pos)} fit times")
+                             f"the moment underflows below the smallest normal float at "
+                             f"{np.count_nonzero(~pos)} of {len(pos)} fit times")
         report.records[f"rate_p{p}"] = rate
         report.records[f"rate_stderr_p{p}"] = se
         ends = (z_end[mask] ** p).mean(axis=1)
-        pos = ends > 0
+        pos = ends >= tiny
         report.records[f"endpoint_rate_p{p}"] = (
             fit_line(t_fit[pos], np.log(ends[pos]))[0] if np.count_nonzero(pos) >= 3 else math.nan)
         if p == 1:
@@ -524,6 +526,17 @@ def _alh_pairs(config: ExperimentConfig):
 
 
 _ALH_TIMES = (1.0, 2.0, 4.0, 8.0)
+_ALH_BATCH_ROWS = 2048  # rows up to which alh stacks pairs in one batch; a larger pair runs alone
+
+
+def _alh_groups(n_pairs: int, n_replicas: int) -> list:
+    """Consecutive pair indices per stacked run: the fewest runs whose batch
+    holds at most ``_ALH_BATCH_ROWS`` rows (2 n_replicas per pair), as even as
+    possible."""
+    per_run = max(1, _ALH_BATCH_ROWS // (2 * n_replicas))
+    n_runs = -(-n_pairs // per_run)
+    cuts = [n_pairs * k // n_runs for k in range(n_runs + 1)]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def _alh_sides(config: ExperimentConfig, coeffs: CoefficientSet, f: TestFunction,
@@ -531,19 +544,18 @@ def _alh_sides(config: ExperimentConfig, coeffs: CoefficientSet, f: TestFunction
     """P_t log f(eta), log P_t f(xi) and the stderr of their difference, each of
     shape (pairs, check times), for the (xi, eta) pairs in ``segs``.
 
-    Pair i runs X from xi on stream 100 + 2i and Y from eta on 101 + 2i, and G
-    consecutive pairs run stacked in one batch.  A save keeps log f of every
-    row, read from the batch's running history integral, not the window.  So
-    a group holds G pair windows (the running batch, which the run adopts),
-    within the 2 + n_times of one pair that kept a cloud per save, for
-    G = (2 + n_times) // 3.
+    Pair i runs X from xi on stream 100 + 2i and Y from eta on 101 + 2i, and
+    consecutive pairs run stacked in one batch of at most ``_ALH_BATCH_ROWS``
+    rows (see ``_alh_groups``).  Each Euler step costs a fixed number of numpy
+    calls whatever the batch size, so on small replica counts a few large
+    batches beat many small ones; the cap bounds the memory of the batch's
+    history window, which grows with its rows.  A save keeps log f of every
+    row, read from the batch's running history integral, not the window.
     """
     t_grid = _times_within(_ALH_TIMES, config)
     R = config.N_replicas
-    G = max(1, (2 + len(t_grid)) // 3)
     lhs, rhs0, se = (np.zeros((len(segs), len(t_grid))) for _ in range(3))
-    for first in range(0, len(segs), G):
-        group = range(first, min(first + G, len(segs)))
+    for group in _alh_groups(len(segs), R):
         res = simulate_paths(
             coeffs, SegmentBatch.from_segments([seg for i in group for seg in segs[i]], R),
             max(t_grid), seed=config.seed, stream=[100 + 2 * i + k for i in group for k in (0, 1)],

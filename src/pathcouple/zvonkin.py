@@ -145,8 +145,11 @@ class ZvonkinMap:
         origin, scale, top = nodes[0] - width, 1.0 / width, float(n_buckets + 1)
         # The lookup's own bucket formula, applied to the row starts.
         bucket = np.clip((nodes - origin) * scale, 0.0, top).astype(np.intp)
-        first = np.searchsorted(bucket, np.arange(n_buckets + 2))
-        hops = int(np.bincount(bucket).max())
+        # bucket is sorted, so first[b], the count of row starts below bucket b, is
+        # a running sum of the row starts per bucket.
+        per_bucket = np.bincount(bucket, minlength=n_buckets + 2)
+        first = np.concatenate([[0], np.cumsum(per_bucket[:-1])])
+        hops = int(per_bucket.max())
         next_start = np.append(nodes, np.inf)  # next_start[r]: where row r + 1 starts
         return origin, scale, top, first, hops, next_start, rows
 

@@ -346,7 +346,7 @@ class TestRunDecay:
 
     def test_underflowed_moments_left_out_of_the_fits(self):
         # Zero drift, shared noise: z^4 underflows to 0 after t ~ 186 and the
-        # endpoint |Z| reaches 0 exactly, so the fits read only positive moments.
+        # endpoint |Z| reaches 0 exactly, so the fits read only normal-float moments.
         report = run_decay(parse_config(FAST + "coefficients.name = zero\nsim.T = 200.0\n"))
         assert report.verdict == PASS
         assert report.records["rate_p4"] == pytest.approx(-4.0, abs=1e-6)
@@ -356,8 +356,12 @@ class TestRunDecay:
         report = run_decay(parse_config(FAST + "coefficients.name = zero\nsim.T = 800.0\n"))
         label, verdict, detail = report.checks[-1]
         assert (label, verdict) == ("decay rate p=4", INCONCLUSIVE)
-        assert detail == "the moment underflows to 0 at 25 of 25 fit times"
+        assert detail == ("the moment underflows below the smallest normal float at "
+                          "25 of 25 fit times")
         assert math.isnan(report.records["rate_p4"])
+        # The norm decays at exactly -1; its p = 1 moment turns subnormal past t ~ 708,
+        # where it has lost digits that would pull the fitted rate to -0.965.
+        assert report.records["rate_p1"] == pytest.approx(-1.0, abs=1e-3)
 
     def test_kappa_below_tau_rejected(self):
         with pytest.raises(ConfigurationError, match="kappa"):
@@ -372,12 +376,16 @@ class TestStackedRuns:
     # FAST steps h = 0.05 to the last check time: sim.T = 2.0 in 40 steps, 8.0 in 160.
     @pytest.mark.parametrize("run, extra, loops, rows, steps", [
         (run_entropy, "", 1, 2 * 6 * 64, 40),  # six coupled pairs of 64 replicas, one batch
-        # X and Y of G pairs stacked, G = (2 + check times) // 3: 1 at two times, 2 at four.
-        (run_alh, "", 12, 2 * 64, 40),
-        (run_alh, "sim.T = 8.0\n", 6, 4 * 64, 160),
+        # X and Y of all twelve pairs stacked: 24 blocks of 64 rows, within 2048.
+        (run_alh, "", 1, 24 * 64, 40),
+        (run_alh, "sim.T = 8.0\n", 1, 24 * 64, 160),
+        # The 2048-row cap at 20 steps: one pair per loop at R = 2048, two at 512, six at 128.
+        (run_alh, "sim.T = 1.0\nsim.N_replicas = 2048\n", 12, 2 * 2048, 20),
+        (run_alh, "sim.T = 1.0\nsim.N_replicas = 512\n", 6, 4 * 512, 20),
+        (run_alh, "sim.T = 1.0\nsim.N_replicas = 128\n", 2, 12 * 128, 20),
         (_gradient, "", 1, 2 * 64, 40),
         (run_w2_growth, "", 2, 4 * 32, 40),  # curves 200 and 300: 4 flows of N; 400: 2 of 2N
-    ], ids=["entropy", "alh", "alh-T8", "gradient", "growth"])
+    ], ids=["entropy", "alh", "alh-T8", "alh-R2048", "alh-R512", "alh-R128", "gradient", "growth"])
     def test_one_euler_loop_per_stack(self, monkeypatch, run, extra, loops, rows, steps):
         from pathcouple import simulate
 
@@ -392,6 +400,16 @@ class TestStackedRuns:
         run(parse_config(FAST + extra))
         assert len(calls) == loops * steps
         assert set(calls) == {rows}
+
+    def test_alh_groups_are_the_fewest_within_the_row_cap(self):
+        for R in range(1, 3000):
+            groups = experiments._alh_groups(12, R)
+            assert [i for g in groups for i in g] == list(range(12))
+            cap = max(2048, 2 * R)
+            assert max(len(g) for g in groups) - min(len(g) for g in groups) <= 1
+            assert all(2 * R * len(g) <= cap for g in groups)
+            if len(groups) > 1:  # one run fewer puts too many rows in some batch
+                assert 2 * R * -(-12 // (len(groups) - 1)) > cap
 
 
 class TestSavedFValues:
@@ -446,7 +464,7 @@ class TestSavedFValues:
     @pytest.mark.parametrize("name", ["linear", "dini_sqrt"])
     def test_one_window_copy_per_euler_loop(self, monkeypatch, name):
         # f reads the running integral, so the one ordered copy of a window per
-        # loop starts that sum: six alh loops at sim.T = 8, and one gradient loop.
+        # loop starts that sum: one alh loop of all twelve pairs, one gradient loop.
         calls = []
         original = SegmentBatch.ordered_values
 
@@ -459,7 +477,7 @@ class TestSavedFValues:
         monkeypatch.setattr(SegmentBatch, "ordered_values", counting)
         run_alh(config)
         _gradient(config)
-        assert calls == [4 * 64] * 6 + [2 * 64]
+        assert calls == [24 * 64, 2 * 64]
 
     def test_alh_and_gradient_never_build_clouds(self, monkeypatch):
         def refuse(batch):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,6 +359,24 @@ class TestCellLookup:
         _, _, _, first, hops, _, _ = zmap._cell_table
         assert len(first) <= zvonkin.BUCKETS_PER_NODE * n + 2
         assert hops >= 2  # the close pair shares a bucket: the search steps twice
+        self._assert_first_is_searchsorted(zmap)
+
+    def test_first_on_the_shipped_dini_map(self):
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "builtin_dini.cfg"
+        _, zmap = parse_config(shipped.read_text()).effective_coefficients()
+        self._assert_first_is_searchsorted(zmap)
+
+    @staticmethod
+    def _assert_first_is_searchsorted(zmap):
+        # first[b]: the lowest row of bucket b, by its definition as a search over
+        # the sorted buckets of the row starts; hops: the most starts in one bucket.
+        origin, scale, top, first, hops, _, _ = zmap._cell_table
+        nodes = zmap.grid.axis + zmap.u
+        bucket = np.clip((nodes - origin) * scale, 0.0, top).astype(np.intp)
+        want = np.searchsorted(bucket, np.arange(int(top) + 1))
+        assert first.dtype == want.dtype
+        np.testing.assert_array_equal(first, want)
+        assert hops == max(np.count_nonzero(bucket == b) for b in np.unique(bucket))
 
 
 class TestTransformedCoeffs:
