@@ -546,10 +546,10 @@ def _alh_sides(config: ExperimentConfig, coeffs: CoefficientSet, f: TestFunction
 
     Pair i runs X from xi on stream 100 + 2i and Y from eta on 101 + 2i, and
     consecutive pairs run stacked in one batch of at most ``_ALH_BATCH_ROWS``
-    rows (see ``_alh_groups``).  Each Euler step costs a fixed number of numpy
-    calls whatever the batch size, so on small replica counts a few large
-    batches beat many small ones; the cap bounds the memory of the batch's
-    history window, which grows with its rows.  A save keeps log f of every
+    rows (see ``_alh_groups``).  Each Euler step makes a fixed number of numpy
+    calls whatever the batch size, and their per-call overhead dominates small
+    batches, so a few large batches beat many small ones; the cap bounds the
+    memory of the batch's history window, which grows with its rows.  A save keeps log f of every
     row, read from the batch's running history integral, not the window.
     """
     t_grid = _times_within(_ALH_TIMES, config)
