@@ -102,7 +102,11 @@ def cli_main(argv=None) -> int:
         if not summary.exists():
             print(f"no summary found in {out_dir}", file=sys.stderr)
             return 1
-        text = summary.read_text()
+        try:
+            text = summary.read_text()
+        except (OSError, UnicodeDecodeError) as exc:  # a directory, or not UTF-8
+            print(f"cannot read {summary}: {exc}", file=sys.stderr)
+            return 1
         print(text, end="")
         # Each report opens with a "[VERDICT] name" header line.
         verdicts = [line[1:].partition("] ")[0] for line in text.splitlines()

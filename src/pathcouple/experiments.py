@@ -544,13 +544,19 @@ def _alh_sides(config: ExperimentConfig, coeffs: CoefficientSet, f: TestFunction
     """P_t log f(eta), log P_t f(xi) and the stderr of their difference, each of
     shape (pairs, check times), for the (xi, eta) pairs in ``segs``.
 
-    Pair i runs X from xi on stream 100 + 2i and Y from eta on 101 + 2i, and
-    consecutive pairs run stacked in one batch of at most ``_ALH_BATCH_ROWS``
+    Pair i runs X from xi and Y from eta on the one stream 100 + 2i: common
+    random numbers, listed twice in the stacked run and drawn once.  Replica r
+    of X and of Y then share their noise, so the two sides are positively
+    correlated and the stderr is the joint delta-method one,
+    sd(log f(Y) - f(X) / mean f(X)) / sqrt(R), with the covariance in it.
+
+    Consecutive pairs run stacked in one batch of at most ``_ALH_BATCH_ROWS``
     rows (see ``_alh_groups``).  Each Euler step makes a fixed number of numpy
     calls whatever the batch size, and their per-call overhead dominates small
     batches, so a few large batches beat many small ones; the cap bounds the
-    memory of the batch's history window, which grows with its rows.  A save keeps log f of every
-    row, read from the batch's running history integral, not the window.
+    memory of the batch's history window, which grows with its rows.  A save
+    keeps log f of every row, read from the batch's running history integral,
+    not the window.
     """
     t_grid = _times_within(_ALH_TIMES, config)
     R = config.N_replicas
@@ -558,14 +564,14 @@ def _alh_sides(config: ExperimentConfig, coeffs: CoefficientSet, f: TestFunction
     for group in _alh_groups(len(segs), R):
         res = simulate_paths(
             coeffs, SegmentBatch.from_segments([seg for i in group for seg in segs[i]], R),
-            max(t_grid), seed=config.seed, stream=[100 + 2 * i + k for i in group for k in (0, 1)],
+            max(t_grid), seed=config.seed, stream=[100 + 2 * i for i in group for _ in ("X", "Y")],
             save_times=t_grid, save=f.log_f)
         for j, log_f in enumerate(res.clouds):
             for i, (lx, ly) in zip(group, log_f.reshape(len(group), 2, R)):
                 fx = np.exp(lx)
                 mean_fx = fx.mean()
                 lhs[i, j], rhs0[i, j] = ly.mean(), math.log(mean_fx)
-                se[i, j] = math.hypot(_mc_stderr(ly), _mc_stderr(fx) / mean_fx)
+                se[i, j] = _mc_stderr(ly - fx / mean_fx)
     return lhs, rhs0, se
 
 
@@ -589,7 +595,7 @@ def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None) -> Repor
     n_train = len(segs) // 2
     dists = np.array([weighted_norm(xi - eta) for xi, eta in segs])
 
-    # D[i, j]: defect at pair i, time t_grid[j]; se_D the combined stderr.
+    # D[i, j]: defect at pair i, time t_grid[j]; se_D its joint stderr.
     lhs, rhs0, se_D = _alh_sides(config, coeffs, f, segs)
     D = lhs - rhs0
     rows = [[t, i, lhs[i, j], rhs0[i, j], D[i, j], se_D[i, j], dists[i]]

@@ -284,6 +284,8 @@ class SegmentBatch:
     def _adopt(self, config: PathSpaceConfig, ring: np.ndarray) -> None:
         # ring is a fresh C-ordered (n_points, R, d) array in time order.
         self.config = config
+        self.n_points = config.n_points  # read by every step, so not recomputed from config
+        self.h = config.h
         self.values = ring
         self.head = config.n_steps  # ordered layout on construction
         self._integrals = {}  # rate -> [S, e^{-rate h}, h e^{-rate T_mem}]
@@ -324,12 +326,12 @@ class SegmentBatch:
         return self.values[self.head]
 
     def advance(self, new_values: np.ndarray) -> None:
-        self.head = (self.head + 1) % self.config.n_points
+        self.head = (self.head + 1) % self.n_points
         row = self.values[self.head]  # x_oldest, read by the integrals before the write
         for S, decay, tail in self._integrals.values():
             S -= np.multiply(tail, row, out=self._scratch)
             S *= decay
-            S += np.multiply(self.config.h, new_values, out=self._scratch)
+            S += np.multiply(self.h, new_values, out=self._scratch)
         row[...] = new_values
 
     def exp_weighted_integral(self, rate: float) -> np.ndarray:

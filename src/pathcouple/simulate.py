@@ -72,22 +72,26 @@ def _block_increments(seed: int, streams: list[int], rows: int, d: int, n_steps:
     """Yield each step's sqrt(h) dW, a (len(streams) * rows, d) array valid until the next.
 
     Block b is sqrt(h) times the next (rows, d) draw of philox_rng(seed, streams[b]).
-    One call per unique stream fills a chunk of steps of one buffer, with the bits
-    of a draw per step; a repeated stream is copied from its first block.
+    One call per unique stream draws a chunk of steps, with the bits of a draw per
+    step, and one product scales it into its block of a step-major buffer, so each
+    step's increment is a view; a repeated stream is copied from its first block.
     """
-    rngs = {s: philox_rng(seed, s) for s in streams}
+    rngs = {s: philox_rng(seed, s) for s in dict.fromkeys(streams)}
+    first = [streams.index(s) for s in streams]
     chunk = max(1, min(n_steps, _CHUNK_BYTES // (8 * len(streams) * rows * d)))
-    buf = np.empty((len(streams), chunk, rows, d))
+    buf = np.empty((chunk, len(streams), rows, d))
+    draws = np.empty((chunk, rows, d))
+    sqrt_h = math.sqrt(h)
     for start in range(0, n_steps, chunk):
         k = min(chunk, n_steps - start)
         for b, s in enumerate(streams):
-            if streams.index(s) < b:
-                buf[b, :k] = buf[streams.index(s), :k]
+            if first[b] < b:
+                buf[:k, b] = buf[:k, first[b]]
             else:
-                rngs[s].standard_normal(out=buf[b, :k])
-        buf[:, :k] *= math.sqrt(h)
+                rngs[s].standard_normal(out=draws[:k])
+                np.multiply(draws[:k], sqrt_h, out=buf[:k, b])
         for j in range(k):
-            yield buf[:, j].reshape(-1, d)
+            yield buf[j].reshape(-1, d)
 
 
 class _BlockLaws:
@@ -152,19 +156,19 @@ def _euler_step(coeffs: CoefficientSet, batch: SegmentBatch, x: np.ndarray, law,
                 dW: np.ndarray, step: int, extra=None) -> np.ndarray:
     """Advance ``batch`` to x + (b0 + b1 + extra) h + sigma dW and return that endpoint.
 
-    ``extra`` is None or a pair (rows, term): term is added to the drift of
-    those rows only.  A set without b0 and a call without ``extra`` skip
-    those terms.  ``x`` is the batch endpoint that ``sig`` was evaluated at,
-    so drift and diffusion share any inverse memoized on it; ``step``
-    (1-based) labels a blow-up.
+    ``extra`` is None or a triple (rows, op, term): the drift of those rows
+    only becomes op(drift, term), with op np.add or np.subtract.  A set
+    without b0 and a call without ``extra`` skip those terms.  ``x`` is the
+    batch endpoint that ``sig`` was evaluated at, so drift and diffusion
+    share any inverse memoized on it; ``step`` (1-based) labels a blow-up.
     """
     drift = coeffs.eval_b1(batch, law)  # every b1 returns a new array, so the step owns it
     if coeffs.b0 is not None:
         drift = coeffs.eval_b0(x) + drift
     if extra is not None:
-        rows, term = extra
-        drift[rows] += term
-    new = drift * batch.config.h
+        rows, op, term = extra
+        op(drift[rows], term, out=drift[rows])
+    new = drift * batch.h
     new += x
     new += _apply_sigma(sig, dW)
     _check_endpoint(new, step)
@@ -369,28 +373,32 @@ def simulate_coupled_Q(
         saves["half_g2"].append(half_g2.copy())
         saves["log_r"].append(log_r.copy())
 
+    def dot(a, b):
+        # A sum of one product at d = 1 is that product, with the einsum's bits.
+        return a[:, 0] * b[:, 0] if cfg.d == 1 else np.einsum("rj,rj->r", a, b)
+
     save_set = set(save_idx.tolist())
+    xy = batch.endpoint()
     if 0 in save_set:
-        snapshot(batch.endpoint())
+        snapshot(xy)
+    diff = xy[:R] - xy[R:]
     for step, dW in enumerate(increments, 1):
-        xy = batch.endpoint()
-        diff = xy[:R] - xy[R:]
         sig = _eval_sigma(coeffs_hat, xy)
         gamma = kappa * _solve_sigma(None if sig is None else sig[:R], diff)
-        if measure == "Q":
-            extra = slice(None, R), -kappa * diff
-        else:
-            extra = slice(R, None), _apply_sigma(None if sig is None else sig[R:], gamma)
-        new = _euler_step(coeffs_hat, batch, xy, None, sig, dW, step, extra)
-        g2 = np.einsum("rj,rj->r", gamma, gamma)
+        if measure == "P":
+            extra = slice(R, None), np.add, _apply_sigma(None if sig is None else sig[R:], gamma)
+        else:  # -kappa (X - Y) on X, which is -gamma when sigma is the identity
+            extra = slice(None, R), np.subtract, gamma if sig is None else kappa * diff
+        xy = _euler_step(coeffs_hat, batch, xy, None, sig, dW, step, extra)
+        g2 = dot(gamma, gamma)
         half_g2 += 0.5 * g2 * h
         if measure == "P":
-            log_r += -np.einsum("rj,rj->r", gamma, dW[:R]) - 0.5 * g2 * h
-        dz = new[:R] - new[R:]
+            log_r += -dot(gamma, dW[:R]) - 0.5 * g2 * h
+        diff = xy[:R] - xy[R:]
         zn *= decay
-        np.maximum(zn, np.sqrt(np.add.reduce(dz * dz, axis=-1)), out=zn)  # np.linalg.norm's sum
+        np.maximum(zn, np.sqrt(dot(diff, diff)), out=zn)  # np.linalg.norm's sum
         if step in save_set:
-            snapshot(new)
+            snapshot(xy)
 
     degenerate = np.abs(log_r) > LOG_WEIGHT_LIMIT
     if np.any(degenerate):

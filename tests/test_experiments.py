@@ -422,24 +422,63 @@ class TestSavedFValues:
     def _stderr(x):
         return np.std(x, ddof=1) / math.sqrt(len(x))
 
+    @staticmethod
+    def _alh_pair_runs(config, times):
+        """(i, xi, eta, log f at each of times) of every alh pair, each run alone
+        with X and Y on the one stream 100 + 2i."""
+        coeffs, _ = config.effective_coefficients()
+        f = WeightedTestFunction.default(config.pathcfg, config.testfn_amplitude)
+        for i, (a, b) in enumerate(experiments._alh_pairs(config)):
+            xi, eta = experiments._pair_segments(config, a, b)
+            res = simulate_paths(coeffs, SegmentBatch.from_segments([xi, eta], config.N_replicas),
+                                 times[-1], seed=config.seed, stream=(100 + 2 * i, 100 + 2 * i),
+                                 save_times=times, save=f.log_f)
+            yield i, xi, eta, res.clouds
+
     @pytest.mark.parametrize("name", ["linear", "dini_sqrt"])
     def test_alh_table_equals_per_pair_reference(self, name):
         config = parse_config(self.T8 + f"coefficients.name = {name}\n")
-        coeffs, _ = config.effective_coefficients()
-        f = WeightedTestFunction.default(config.pathcfg, config.testfn_amplitude)
         R, times = config.N_replicas, [1.0, 2.0, 4.0, 8.0]
         rows = []
-        for i, (a, b) in enumerate(experiments._alh_pairs(config)):
-            xi, eta = experiments._pair_segments(config, a, b)
-            res = simulate_paths(coeffs, SegmentBatch.from_segments([xi, eta], R), 8.0,
-                                 seed=config.seed, stream=(100 + 2 * i, 101 + 2 * i),
-                                 save_times=times, save=f.log_f)
-            for t, log_f in zip(times, res.clouds):
+        for i, xi, eta, clouds in self._alh_pair_runs(config, times):
+            for t, log_f in zip(times, clouds):
                 fx, ly = np.exp(log_f[:R]), log_f[R:]
                 lhs, rhs = ly.mean(), math.log(fx.mean())
-                se = math.hypot(self._stderr(ly), self._stderr(fx) / fx.mean())
+                se = self._stderr(ly - fx / fx.mean())
                 rows.append([t, i, lhs, rhs, lhs - rhs, se, weighted_norm(xi - eta)])
         assert run_alh(config).tables["alh"][1] == rows
+
+    @pytest.mark.parametrize("name", ["linear", "dini_sqrt"])
+    def test_alh_joint_stderr_below_independent_sides(self, name):
+        # X and Y share their noise, so log f(Y) and f(X) / P_t f(X) move together
+        # and the stderr of their difference is below the two sides' combined.
+        config = parse_config(FAST + f"coefficients.name = {name}\n")
+        R = config.N_replicas
+        sides = []
+        for _, _, _, clouds in self._alh_pair_runs(config, [1.0, 2.0]):
+            for log_f in clouds:
+                fx, ly = np.exp(log_f[:R]), log_f[R:]
+                sides.append(math.hypot(self._stderr(ly), self._stderr(fx) / fx.mean()))
+        joint = [row[5] for row in run_alh(config).tables["alh"][1]]
+        assert len(joint) == len(sides) == 24
+        assert all(j < s for j, s in zip(joint, sides))
+
+    @pytest.mark.parametrize("extra", ["", "sim.T = 1.0\nsim.N_replicas = 512\n"],
+                             ids=["one-batch", "six-batches"])
+    def test_alh_draws_one_stream_per_pair(self, monkeypatch, extra):
+        from pathcouple import simulate
+
+        keys = []
+        original = simulate.philox_rng
+
+        def recording(seed, stream):
+            keys.append((seed, stream))
+            return original(seed, stream)
+
+        monkeypatch.setattr(simulate, "philox_rng", recording)
+        config = parse_config(FAST + extra)
+        run_alh(config)
+        assert sorted(keys) == [(config.seed, 100 + 2 * i) for i in range(12)]
 
     @pytest.mark.parametrize("name", ["linear", "dini_sqrt"])
     def test_gradient_table_equals_full_cloud_reference(self, name):
@@ -584,27 +623,27 @@ def _verdict_surface(zvonkin_check: str) -> list:
 ALL_OUTPUT_DIGESTS = {
     "builtin_linear.cfg": {
         "asymptotic-log-harnack_alh.csv":
-            "af4c9f560bd409abcb49e53771db1e59d8ee151bdc82ff1c52518ed7566af577",
+            "4dcc1b35462000568f4e4ae2e77f2686151fef45f697fd8a25225be8a75d9ade",
         "coupling-decay_decay.csv":
             "484fd91e90527d44b2055cac9dd16ca1867944f51a98443df8b50b65954c154e",
         "gradient-estimate_gradient.csv":
             "bbc176c3f9eafa73b073b65f96ebb11ea539a2aa28a5f9df8b3b01850dbba100",
         "relative-entropy_entropy.csv":
             "ad0f600baead3b7be94762bd2b78ab958d60bf9a255dfea50800f1bf1c107771",
-        "summary.txt": "1ca776926e72120e1bca28c0c1445b0dc1e79fcf1854ef31b2f9668115e04e37",
+        "summary.txt": "5edc2bd252de4fc0c32c0f52ecdd79101a779d02ad8fb28794268fa231a04203",
         "wasserstein-growth_growth.csv":
             "ec4bb9727070f631c18df167ecf8cac5d4e1024d1fca8a0a435d8e1c68a8a9bc",
     },
     "builtin_dini.cfg": {
         "asymptotic-log-harnack_alh.csv":
-            "84187f657a3aa0293d64b91776744a2d12c8d24a0d986cd797f2d39eb0d6a9e7",
+            "795f24c7d3cb29c1ac44e4865b9df80339db0538d2aec3c2adef4ce3b7ada42f",
         "coupling-decay_decay.csv":
             "799f23e69bbbb71b8597f7b8d7c0eaad131a3c5b50d7be63bd89261e86f65cff",
         "gradient-estimate_gradient.csv":
             "6a72bf04894d9094f138a97a53fad8e3f64530dfe4c9055b724ef38dc23a7372",
         "relative-entropy_entropy.csv":
             "261298f9a2ee8f39222271d0af1d21b607e7d7bf3537aae333d50e436ecba3b5",
-        "summary.txt": "e05c7c056cd1a2860f40196337556d5a3db942054c5ab0e58dbc4b0678157f08",
+        "summary.txt": "92498262e1b76cc0f4ff5c1fb3c74d1f6753d0b60cf62dcd61062d69ff7775f2",
         "wasserstein-growth_growth.csv":
             "18b7ab088be6e6ef97f6a915b3780cedbe5ebaa25a7f554fabbcfbdbf4343df8",
     },
@@ -875,6 +914,18 @@ class TestCli:
             (tmp_path / "summary.txt").write_text(text)
             assert cli_main(["report", "--output", str(tmp_path)]) == 1
             assert "no [VERDICT] name header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", [
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b"[PASS] caf\xe9\n"),
+    ], ids=["directory", "not-utf8"])
+    def test_report_unreadable_summary_exit_1(self, tmp_path, capsys, make):
+        summary = tmp_path / "summary.txt"
+        make(summary)
+        assert cli_main(["report", "--output", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cannot read {summary}: ")
+        assert "Traceback" not in captured.err and not captured.out
 
     @pytest.mark.parametrize("verdict, code", [(PASS, 0), (FAIL, 3), (INCONCLUSIVE, 4)])
     def test_report_exit_code_follows_worst_check(self, tmp_path, capsys, verdict, code):

@@ -13,6 +13,7 @@ from pathcouple.errors import (
     BlowUpError,
     ConfigurationError,
     DegenerateWeightWarning,
+    InvalidCoefficientError,
     SingularDiffusionError,
 )
 from pathcouple import simulate
@@ -708,6 +709,27 @@ class TestChunkedLoop:
                                    4.0, 1.0, seed=6, stream=(1, 2, 3), n_replicas=12,
                                    measure=measure)
             assert (err.value.step, err.value.particle) == (5, 21)
+
+    @pytest.mark.parametrize("run", ["paths", "Q", "P"])
+    @pytest.mark.parametrize("term", ["b0", "b1"])
+    def test_non_finite_coefficient_past_the_first_step(self, term, run):
+        # A drift term that turns NaN at step 3 is a bad coefficient (exit 1); the
+        # step rejects it before its endpoint could read as a blow-up (exit 2).
+        calls = []
+
+        def coefficient(arg, law=None):
+            calls.append(None)
+            value = np.zeros_like(arg if term == "b0" else arg.endpoint())
+            return value if len(calls) < 3 else value + np.nan
+
+        coeffs = dataclasses.replace(ZERO, **{term: coefficient})
+        with pytest.raises(InvalidCoefficientError) as err:
+            if run == "paths":
+                simulate_paths(coeffs, SegmentBatch.from_segment(ZERO_SEG, 4), 1.0, seed=6)
+            else:
+                simulate_coupled_Q(coeffs, ZERO_SEG, PathSegment.constant(CFG, [0.25]), 4.0,
+                                   1.0, seed=6, n_replicas=4, measure=run)
+        assert len(calls) == 3 and err.value.exit_code == 1
 
     def test_run_consumes_its_start_batch(self):
         batch = SegmentBatch.from_segment(PathSegment.constant(CFG, [0.5]), 4)
