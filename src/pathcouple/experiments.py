@@ -546,9 +546,9 @@ def _alh_sides(config: ExperimentConfig, coeffs: CoefficientSet, f: TestFunction
 
     Pair i runs X from xi and Y from eta on the one stream 100 + 2i: common
     random numbers, listed twice in the stacked run and drawn once.  Replica r
-    of X and of Y then share their noise, so the two sides are positively
-    correlated and the stderr is the joint delta-method one,
-    sd(log f(Y) - f(X) / mean f(X)) / sqrt(R), with the covariance in it.
+    of X and of Y then share their noise, so the two sides are correlated and
+    the stderr is the joint delta-method one,
+    sd(log f(Y) - f(X) / mean f(X)) / sqrt(R), which carries their covariance.
 
     Consecutive pairs run stacked in one batch of at most ``_ALH_BATCH_ROWS``
     rows (see ``_alh_groups``).  Each Euler step makes a fixed number of numpy
