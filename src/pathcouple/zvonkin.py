@@ -6,8 +6,9 @@ inverse, and produces the transformed drift/diffusion pair.  The interval
 must contain the region the simulation visits; `decay` reports the share of
 its saved endpoints whose preimage lies outside it.
 
-SciPy is imported inside the resolvent solver, so importing this module loads
-numpy only: `_solve_1d` imports `scipy.linalg.solve_banded`.
+The discrete resolvent system is tridiagonal and is solved in numpy by cyclic
+reduction, so neither importing this module nor running the transform loads
+SciPy.
 """
 
 from __future__ import annotations
@@ -185,42 +186,111 @@ def default_lambda_grid(coeffs: CoefficientSet) -> np.ndarray:
     return np.geomspace(2 * base, 1e3 * base, 20)
 
 
+def _tridiagonal_solve(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve the tridiagonal system with subdiagonal lower (n - 1,), diagonal
+    diag (n,) and superdiagonal upper (n - 1,) by odd-even cyclic reduction.
+
+    There is no pivoting, so a zero pivot gives non-finite values rather than an
+    error.  On a strictly diagonally dominant system every pivot is nonzero and
+    the reduction is stable, since each level keeps the dominance (Heller,
+    SIAM J. Numer. Anal. 1976).
+    """
+    n = len(diag)
+    m = n | 1  # _reduce takes an odd size; a padding row reads u = 0
+    p, b, q, d = np.zeros(m), np.ones(m), np.zeros(m), np.zeros(m)
+    np.negative(lower, out=p[1:n])
+    np.negative(upper, out=q[:n - 1])
+    b[:n] = diag
+    d[:n] = rhs
+    return _reduce(p, b, q, d)[:n]
+
+
+def _reduce(p, b, q, d) -> np.ndarray:
+    """Solve -p_i u_{i-1} + b_i u_i - q_i u_{i+1} = d_i for an odd number of
+    rows with p_0 = q_{m-1} = 0.
+
+    The odd rows, each between two even ones, are rid of the even unknowns and
+    form the next level, padded to an odd size again; the even unknowns follow
+    from the odd ones by back-substitution.  Keeping the off-diagonals negated
+    saves a negation per level.
+    """
+    m = len(b)
+    if m == 1:
+        return d / b
+    k = m // 2
+    size = k | 1
+    p2, b2, q2, d2 = np.empty(size), np.empty(size), np.empty(size), np.empty(size)
+    if size > k:  # the padding row
+        p2[k] = q2[k] = d2[k] = 0.0
+        b2[k] = 1.0
+    al = p[1::2] / b[0:-1:2]  # multiple of the left even row added to each odd row
+    ga = q[1::2] / b[2::2]  # and of the right one
+    pk, bk, qk, dk = p2[:k], b2[:k], q2[:k], d2[:k]
+    np.multiply(al, p[0:-1:2], out=pk)
+    np.multiply(ga, q[2::2], out=qk)
+    np.multiply(al, q[0:-1:2], out=bk)
+    np.subtract(b[1::2], bk, out=bk)
+    t = ga * p[2::2]
+    bk -= t
+    np.multiply(al, d[0:-1:2], out=dk)
+    dk += d[1::2]
+    np.multiply(ga, d[2::2], out=t)
+    dk += t
+
+    odd = _reduce(p2, b2, q2, d2)[:k]
+    u = np.empty(m)  # after the recursion, to reuse the memory it freed: measured faster
+    u[1::2] = odd
+    even = d[0::2].copy()
+    np.multiply(p[2::2], odd, out=t)
+    even[1:] += t
+    np.multiply(q[0:-1:2], odd, out=t)
+    even[:-1] += t
+    even /= b[0::2]
+    u[0::2] = even
+    return u
+
+
 def _solve_1d(coeffs: CoefficientSet, grid: EllipticGrid, lam: float):
     """Centred finite-difference solve of b0 u' + 0.5 a u'' - lambda u = -b0 with
     a = sigma^2 and Dirichlet values b0(+-L) / lambda at the interval ends.
 
+    The tridiagonal system goes to `_tridiagonal_solve`, cyclic reduction without
+    pivoting.  Interior row i has diagonal -a/dx^2 - lambda and off-diagonals
+    a/(2 dx^2) -+ b0/(2 dx), so it is strictly diagonally dominant, by lambda,
+    wherever |b0| dx <= a.  `solve_resolvent` checks the residual returned here,
+    which also backs the solve where that condition fails; a zero pivot makes
+    the residual non-finite.
+
     Returns u and u' at the nodes (n_axis,), the residual of the discrete
     operator at interior nodes and max |u''|.
     """
-    from scipy.linalg import solve_banded
-
     x = grid.axis[:, None]
-    n = grid.n_axis
     dx = grid.dx
     b0 = coeffs.eval_b0(x)[:, 0]  # advection coefficient and right-hand side
     a = coeffs.eval_sigma(x)[:, 0, 0] ** 2
 
-    lower = a[1:-1] / (2 * dx**2) - b0[1:-1] / (2 * dx)
-    diag = -a[1:-1] / dx**2 - lam
-    upper = a[1:-1] / (2 * dx**2) + b0[1:-1] / (2 * dx)
-
-    ab = np.zeros((3, n))
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab[1, 1:-1] = diag
-    ab[0, 2:] = upper  # superdiagonal
-    ab[2, :-2] = lower  # subdiagonal
-
+    half = a / (2 * dx**2)
+    drift = b0 / (2 * dx)
+    lower = half - drift
+    diag = -a / dx**2 - lam
+    upper = half + drift
     rhs = -b0
-    rhs[0] = b0[0] / lam  # Dirichlet far field of the constant-extension problem
-    rhs[-1] = b0[-1] / lam
+    # Dirichlet far field of the constant-extension problem in rows 0 and n - 1.
+    diag[[0, -1]] = 1.0
+    upper[0] = lower[-1] = 0.0
+    rhs[[0, -1]] = b0[[0, -1]] / lam
 
-    u = solve_banded((1, 1), ab, rhs)
-
-    d2 = u[2:] - 2 * u[1:-1] + u[:-2]
-    op = b0[1:-1] * (u[2:] - u[:-2]) / (2 * dx) + a[1:-1] * d2 / (2 * dx**2) - lam * u[1:-1]
-    residual = float(np.max(np.abs(op + b0[1:-1])))
-    hess_inf = float(np.max(np.abs(d2))) / dx**2
-    return u, np.gradient(u, dx), residual, hess_inf
+    with np.errstate(all="ignore"):  # non-finite values end in the residual check
+        u = _tridiagonal_solve(lower[1:], diag, upper[:-1], rhs)
+        du = u[2:] - u[:-2]
+        d2 = u[2:] - 2 * u[1:-1] + u[:-2]
+        op = drift[1:-1] * du + half[1:-1] * d2 - lam * u[1:-1]
+        residual = float(np.max(np.abs(op + b0[1:-1])))
+        hess_inf = float(np.max(np.abs(d2))) / dx**2
+        grad = np.empty_like(u)  # np.gradient's centred and one-sided differences
+        np.divide(du, 2.0 * dx, out=grad[1:-1])
+        grad[[0, -1]] = (u[[1, -1]] - u[[0, -2]]) / dx
+    return u, grad, residual, hess_inf
 
 
 def solve_resolvent(coeffs: CoefficientSet, grid: EllipticGrid, lam: float) -> ZvonkinMap:
@@ -232,7 +302,7 @@ def solve_resolvent(coeffs: CoefficientSet, grid: EllipticGrid, lam: float) -> Z
     u, grad, residual, hess_inf = _solve_1d(coeffs, grid, lam)
 
     tol = RESIDUAL_TOL * (1.0 + coeffs.b0_bound)
-    if residual > tol:
+    if not residual <= tol:  # also a NaN residual
         raise SolverFailureError(
             f"resolvent residual {residual:.3e} above tolerance {tol:.3e}", residual=residual
         )

@@ -89,7 +89,6 @@ def test_imports_at_module_top():
         ("experiments.py", "scipy.special"),
         ("wasserstein.py", "scipy.optimize"),
         ("wasserstein.py", "scipy.spatial.distance"),
-        ("zvonkin.py", "scipy.linalg"),
     }
     used, found = set(), []
     for path in sorted(SRC.glob("*.py")):

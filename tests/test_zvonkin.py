@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,58 @@ class TestSolve:
     def test_grid_needs_finite_positive_L_and_dx(self, L, dx):
         with pytest.raises(ConfigurationError, match="finite positive L and dx"):
             EllipticGrid(L, dx)
+
+    def test_nan_solve_fails(self, monkeypatch):
+        # A NaN residual compares False with any tolerance; it must still fail.
+        monkeypatch.setattr(zvonkin, "_tridiagonal_solve",
+                            lambda lower, diag, upper, rhs: np.full_like(rhs, np.nan))
+        with pytest.raises(SolverFailureError, match="residual nan"):
+            solve_resolvent(get_coefficients("dini_sqrt", CFG), GRID, 4.0)
+
+    def test_zero_pivot_fails_without_warning(self, monkeypatch):
+        solve = zvonkin._tridiagonal_solve
+        monkeypatch.setattr(zvonkin, "_tridiagonal_solve",
+                            lambda lower, diag, upper, rhs: solve(lower, 0 * diag, upper, rhs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverFailureError):
+                solve_resolvent(get_coefficients("dini_sqrt", CFG), GRID, 4.0)
+
+
+def banded_solve(lower, diag, upper, rhs):
+    """Reference: LAPACK's pivoted banded solve of the same tridiagonal system."""
+    from scipy.linalg import solve_banded
+
+    ab = np.zeros((3, len(diag)))
+    ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+    return solve_banded((1, 1), ab, rhs)
+
+
+class TestTridiagonalSolve:
+    @pytest.mark.parametrize("n", [*range(3, 71), *(2**k + s for k in range(2, 16) for s in (-1, 1)),
+                                   28001, 32001])
+    def test_matches_banded_on_dominant_systems(self, n):
+        rng = np.random.default_rng(n)
+        lower, upper = rng.uniform(-1, 1, (2, n - 1))
+        off = np.abs(np.append(lower, 0.0)) + np.abs(np.insert(upper, 0, 0.0))
+        diag = rng.choice([-1.0, 1.0], n) * (off + rng.uniform(0.01, 1.0, n))
+        rhs = rng.standard_normal(n)
+        u = zvonkin._tridiagonal_solve(lower, diag, upper, rhs)
+        reference = banded_solve(lower, diag, upper, rhs)
+        np.testing.assert_allclose(u, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
+
+    @pytest.mark.parametrize("name", ["dini_sqrt", "dini_log"])
+    def test_shipped_maps_match_banded(self, monkeypatch, name):
+        # The shipped grid and lambda sweep of a T = 4 run.
+        coeffs = get_coefficients(name, CFG)
+        grid = EllipticGrid(16.0, 1e-3)
+        zmap = select_lambda(coeffs, grid, default_lambda_grid(coeffs))
+        monkeypatch.setattr(zvonkin, "_tridiagonal_solve", banded_solve)
+        reference = solve_resolvent(coeffs, grid, zmap.lam)
+        tol = zvonkin.RESIDUAL_TOL * (1 + coeffs.b0_bound)
+        assert max(zmap.residual, reference.residual) <= tol
+        np.testing.assert_allclose(zmap.u, reference.u, rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(zmap.grad_u, np.gradient(zmap.u, grid.dx))
 
 
 class TestSelectLambda:
