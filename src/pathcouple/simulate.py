@@ -1,9 +1,11 @@
 """Euler-Maruyama engines for path-dependent and distribution-dependent SDEs.
 
-One Euler step serves the interacting-particle simulation of the mean-field
-equation and the drift-corrected coupled pair under the corrected measure Q
-or the reference measure P (with Girsanov log-weights).  The coupled pair is
-one batch: rows [0, R) hold X and rows [R, 2R) hold Y, driven by the same noise.
+One Euler loop, `_euler_loop`, serves the interacting-particle simulation of
+the mean-field equation and the drift-corrected coupled pair under the
+corrected measure Q or the reference measure P (with Girsanov log-weights).
+The coupled pair is one batch, X in rows [0, R) and Y in rows [R, 2R) under the
+same noise, and one `_Coupling` corrects its drift and books its records.  The
+noise is the loop's input: any iterator of increments serves.
 
 Both simulators also run *blocks*: independent simulations stacked in one
 batch, each with its own start and its own Philox stream, so one Euler loop
@@ -24,8 +26,8 @@ most the truncation bound.
 A step reads the batch only through `SegmentBatch.endpoint` and its history
 integrals, and writes it only through `SegmentBatch.advance`, which keeps
 those integrals in O(R d) per step; the batch's time-major ring makes each
-of these one contiguous (R, d) row.  The coupled step adds its correction
-only to the rows that carry it: X under Q, Y under P.
+of these one contiguous (R, d) row.  The coupling corrects only the rows
+that carry it: X under Q, Y under P.
 """
 
 from __future__ import annotations
@@ -153,21 +155,18 @@ def _solve_sigma(sig, v: np.ndarray) -> np.ndarray:
 
 
 def _euler_step(coeffs: CoefficientSet, batch: SegmentBatch, x: np.ndarray, law, sig,
-                dW: np.ndarray, step: int, extra=None) -> np.ndarray:
-    """Advance ``batch`` to x + (b0 + b1 + extra) h + sigma dW and return that endpoint.
+                dW: np.ndarray, step: int, coupling=None) -> np.ndarray:
+    """Advance ``batch`` to x + (b0 + b1) h + sigma dW and return that endpoint.
 
-    ``extra`` is None or a triple (rows, op, term): the drift of those rows
-    only becomes op(drift, term), with op np.add or np.subtract.  A set
-    without b0 and a call without ``extra`` skip those terms.  ``x`` is the
-    batch endpoint that ``sig`` was evaluated at, so drift and diffusion
-    share any inverse memoized on it; ``step`` (1-based) labels a blow-up.
+    A set without b0 skips that term; a ``coupling`` first corrects the drift in
+    place.  ``x`` is the batch endpoint that ``sig`` was evaluated at, so drift and
+    diffusion share any inverse memoized on it; ``step`` (1-based) labels a blow-up.
     """
     drift = coeffs.eval_b1(batch, law)  # every b1 returns a new array, so the step owns it
     if coeffs.b0 is not None:
         drift = coeffs.eval_b0(x) + drift
-    if extra is not None:
-        rows, op, term = extra
-        op(drift[rows], term, out=drift[rows])
+    if coupling is not None:
+        coupling.correct(drift, sig)
     new = drift * batch.h
     new += x
     new += _apply_sigma(sig, dW)
@@ -176,7 +175,28 @@ def _euler_step(coeffs: CoefficientSet, batch: SegmentBatch, x: np.ndarray, law,
     return new
 
 
-def _save_steps(cfg: PathSpaceConfig, T: float, save_times) -> tuple[np.ndarray, np.ndarray]:
+def _euler_loop(coeffs: CoefficientSet, batch: SegmentBatch, increments, save_idx, save,
+                law=None, coupling=None) -> list:
+    """Take one Euler step per increment and return ``save(batch)`` at each save step.
+
+    ``increments`` yields each step's (batch.n, d) sqrt(h) dW, valid until the
+    next; any such iterator serves, negated draws included.  Each step
+    evaluates sigma once at the endpoint, and a ``coupling`` books the step.
+    """
+    save_set = set(save_idx.tolist())
+    saved = [save(batch)] if 0 in save_set else []
+    for step, dW in enumerate(increments, 1):
+        x = batch.endpoint()
+        new = _euler_step(coeffs, batch, x, law, _eval_sigma(coeffs, x), dW, step, coupling)
+        if coupling is not None:
+            coupling.book(new, dW)
+        if step in save_set:
+            saved.append(save(batch))
+    return saved
+
+
+def _save_steps(cfg: PathSpaceConfig, T: float, save_times) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n_steps, save steps, save times) of a run to T."""
     n_steps = int(round(T / cfg.h))
     if abs(n_steps * cfg.h - T) > 1e-9:
         raise ConfigurationError(f"T={T} is not a multiple of h={cfg.h}")
@@ -187,10 +207,10 @@ def _save_steps(cfg: PathSpaceConfig, T: float, save_times) -> tuple[np.ndarray,
         idx = np.array([int(round(t / cfg.h)) for t in np.atleast_1d(save_times)])
         if np.any(np.abs(idx * cfg.h - np.atleast_1d(save_times)) > 1e-9):
             raise ConfigurationError("save_times must lie on the step grid")
-        if np.any(idx < 0) or np.any(idx > n_steps):
-            raise ConfigurationError("save_times must lie in [0, T]")
+        if not idx.size or np.any(idx < 0) or np.any(idx > n_steps):
+            raise ConfigurationError("save_times must be one or more times in [0, T]")
         idx = np.unique(idx)
-    return idx, idx * cfg.h
+    return n_steps, idx, idx * cfg.h
 
 
 @dataclass
@@ -254,23 +274,10 @@ def simulate_paths(
             f"{init.n} rows do not split evenly across {len(streams)} streams")
     if mckean and init.n < 2 * len(streams) and coeffs.K1 > 0:
         raise ConfigurationError("mean-field simulation needs at least 2 particles per block")
-    save_idx, times = _save_steps(cfg, T, save_times)
-    n_steps = int(round(T / cfg.h))
+    n_steps, save_idx, times = _save_steps(cfg, T, save_times)
     increments = _block_increments(seed, streams, init.n // len(streams), cfg.d, n_steps, cfg.h)
-
-    batch = init
-    law = _BlockLaws(batch, len(streams)) if mckean else None
-    saved = []
-    save_set = set(save_idx.tolist())
-    if 0 in save_set:
-        saved.append(save(batch))
-    for step, dW in enumerate(increments, 1):
-        x = batch.endpoint()
-        _euler_step(coeffs, batch, x, law, _eval_sigma(coeffs, x), dW, step)
-        if step in save_set:
-            saved.append(save(batch))
-
-    return SimulationResult(times=times, clouds=saved)
+    law = _BlockLaws(init, len(streams)) if mckean else None
+    return SimulationResult(times, _euler_loop(coeffs, init, increments, save_idx, save, law))
 
 
 def simulate_mckean(
@@ -308,6 +315,50 @@ class CouplingRun:
     @property
     def n_replicas(self) -> int:
         return self.half_int_gamma_sq.shape[1]
+
+
+class _Coupling:
+    """Drift correction and records of the coupled pair: X in rows [0, R), Y in [R, 2R).
+
+    Each step gamma = kappa sigma(X)^{-1} (X - Y).  Under Q X carries -kappa (X - Y);
+    under P Y carries sigma(Y) gamma and log R adds -<gamma, dW> - 1/2 |gamma|^2 h.
+    """
+
+    def __init__(self, batch: SegmentBatch, kappa: float, measure: str):
+        cfg = batch.config
+        self.R, self.kappa, self.measure = batch.n // 2, kappa, measure
+        self.h, self.decay, self.d = cfg.h, math.exp(-cfg.tau * cfg.h), cfg.d
+        self.zn = ParticleCloud(cfg, np.subtract(*np.split(batch.ordered_values(), 2))).norms()
+        self.half_g2, self.log_r = np.zeros(self.R), np.zeros(self.R)
+        self.diff = np.subtract(*np.split(batch.endpoint(), 2))
+
+    def _dot(self, a, b):
+        # One product at d = 1, with the einsum's bits; sqrt(_dot(z, z)) has np.linalg.norm's.
+        return a[:, 0] * b[:, 0] if self.d == 1 else np.einsum("rj,rj->r", a, b)
+
+    def correct(self, drift: np.ndarray, sig) -> None:
+        """Add this step's correction to ``drift`` in place; keep its gamma for `book`."""
+        R, kappa = self.R, self.kappa
+        self.gamma = kappa * _solve_sigma(None if sig is None else sig[:R], self.diff)
+        if self.measure == "P":
+            drift[R:] += _apply_sigma(None if sig is None else sig[R:], self.gamma)
+        else:  # -kappa (X - Y) on X, which is -gamma when sigma is the identity
+            drift[:R] -= self.gamma if sig is None else kappa * self.diff
+
+    def book(self, xy: np.ndarray, dW: np.ndarray) -> None:
+        """Add the step that ended at ``xy`` to 1/2 int |gamma|^2, log R and the running norm."""
+        g2 = self._dot(self.gamma, self.gamma)
+        self.half_g2 += 0.5 * g2 * self.h
+        if self.measure == "P":
+            self.log_r += -self._dot(self.gamma, dW[:self.R]) - 0.5 * g2 * self.h
+        self.diff = xy[:self.R] - xy[self.R:]
+        self.zn *= self.decay
+        np.maximum(self.zn, np.sqrt(self._dot(self.diff, self.diff)), out=self.zn)
+
+    def snapshot(self, batch: SegmentBatch) -> tuple:
+        """Copies of (x_end, y_end, z_norms, half_int_gamma_sq, log_R) now."""
+        return tuple(a.copy() for a in (*np.split(batch.endpoint(), 2), self.zn, self.half_g2,
+                                        self.log_r))
 
 
 def simulate_coupled_Q(
@@ -348,74 +399,23 @@ def simulate_coupled_Q(
         raise ConfigurationError("initial segments and coefficients use different configs")
     if measure not in ("Q", "P"):
         raise ConfigurationError(f"measure must be 'Q' or 'P', got {measure!r}")
-    if kappa != 0.0 and kappa <= cfg.tau:
-        raise ConfigurationError(f"kappa={kappa} must exceed tau={cfg.tau} (or be 0)")
+    if not (kappa == 0.0 or cfg.tau < kappa < math.inf):  # False on NaN
+        raise ConfigurationError(f"kappa={kappa} must be finite and exceed tau={cfg.tau} (or be 0)")
     R = int(n_replicas)
     if R % len(streams):
         raise ConfigurationError(
             f"n_replicas={R} does not split evenly across {len(streams)} pairs")
-    save_idx, times = _save_steps(cfg, T, save_times)
-    n_steps = int(round(T / cfg.h))
-    h = cfg.h
-    increments = _block_increments(seed, streams + streams, R // len(streams), cfg.d, n_steps, h)
-    decay = math.exp(-cfg.tau * h)
-
+    n_steps, save_idx, times = _save_steps(cfg, T, save_times)
+    increments = _block_increments(seed, 2 * streams, R // len(streams), cfg.d, n_steps, cfg.h)
     batch = SegmentBatch.from_segments(xis + etas, R // len(streams))
-    zn = ParticleCloud(cfg, np.subtract(*np.split(batch.ordered_values(), 2))).norms()
-    half_g2 = np.zeros(R)
-    log_r = np.zeros(R)
-    saves = {"x_end": [], "y_end": [], "z_norms": [], "half_g2": [], "log_r": []}
-
-    def snapshot(xy):
-        saves["x_end"].append(xy[:R].copy())
-        saves["y_end"].append(xy[R:].copy())
-        saves["z_norms"].append(zn.copy())
-        saves["half_g2"].append(half_g2.copy())
-        saves["log_r"].append(log_r.copy())
-
-    def dot(a, b):
-        # A sum of one product at d = 1 is that product, with the einsum's bits.
-        return a[:, 0] * b[:, 0] if cfg.d == 1 else np.einsum("rj,rj->r", a, b)
-
-    save_set = set(save_idx.tolist())
-    xy = batch.endpoint()
-    if 0 in save_set:
-        snapshot(xy)
-    diff = xy[:R] - xy[R:]
-    for step, dW in enumerate(increments, 1):
-        sig = _eval_sigma(coeffs_hat, xy)
-        gamma = kappa * _solve_sigma(None if sig is None else sig[:R], diff)
-        if measure == "P":
-            extra = slice(R, None), np.add, _apply_sigma(None if sig is None else sig[R:], gamma)
-        else:  # -kappa (X - Y) on X, which is -gamma when sigma is the identity
-            extra = slice(None, R), np.subtract, gamma if sig is None else kappa * diff
-        xy = _euler_step(coeffs_hat, batch, xy, None, sig, dW, step, extra)
-        g2 = dot(gamma, gamma)
-        half_g2 += 0.5 * g2 * h
-        if measure == "P":
-            log_r += -dot(gamma, dW[:R]) - 0.5 * g2 * h
-        diff = xy[:R] - xy[R:]
-        zn *= decay
-        np.maximum(zn, np.sqrt(dot(diff, diff)), out=zn)  # np.linalg.norm's sum
-        if step in save_set:
-            snapshot(xy)
-
-    degenerate = np.abs(log_r) > LOG_WEIGHT_LIMIT
-    if np.any(degenerate):
-        warnings.warn(
-            f"{int(degenerate.sum())} of {R} Girsanov log-weights exceed "
-            f"{LOG_WEIGHT_LIMIT} in magnitude",
-            DegenerateWeightWarning,
-        )
-    return CouplingRun(
-        measure=measure,
-        times=times,
-        x_end=np.array(saves["x_end"]),
-        y_end=np.array(saves["y_end"]),
-        z_norms=np.array(saves["z_norms"]),
-        half_int_gamma_sq=np.array(saves["half_g2"]),
-        log_R=np.array(saves["log_r"]),
-    )
+    coupling = _Coupling(batch, kappa, measure)
+    saved = _euler_loop(coeffs_hat, batch, increments, save_idx, coupling.snapshot,
+                        coupling=coupling)
+    n_degenerate = int((np.abs(coupling.log_r) > LOG_WEIGHT_LIMIT).sum())
+    if n_degenerate:
+        warnings.warn(f"{n_degenerate} of {R} Girsanov log-weights exceed {LOG_WEIGHT_LIMIT} "
+                      "in magnitude", DegenerateWeightWarning)
+    return CouplingRun(measure, times, *(np.array(col) for col in zip(*saved)))
 
 
 def girsanov_weight_P(run: CouplingRun):

@@ -81,6 +81,15 @@ def test_benchmark_tracer_binds_every_name(monkeypatch):
     assert not t._patches
 
 
+def test_one_euler_step_call():
+    # Every simulator steps through the one Euler loop, the only caller of _euler_step.
+    calls = [(path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_euler_step"]
+    assert len(calls) == 1, f"calls of _euler_step (file, line): {calls}"
+
+
 def test_imports_at_module_top():
     # A function-level import hides a dependency (or an import cycle) until the
     # function runs.

@@ -177,6 +177,12 @@ class TestPathSimulation:
         with pytest.raises(ConfigurationError):
             simulate_paths(ZERO, batch, 1.0, save_times=[0.5, 0.7071])
 
+    def test_empty_save_times_rejected(self):
+        with pytest.raises(ConfigurationError, match="save_times"):
+            simulate_paths(ZERO, SegmentBatch.from_segment(ZERO_SEG, 2), 1.0, save_times=[])
+        with pytest.raises(ConfigurationError, match="save_times"):
+            simulate_coupled_Q(ZERO, ZERO_SEG, ZERO_SEG, 4.0, 1.0, save_times=[])
+
     def test_cloud_at_off_save_time_rejected(self):
         batch = SegmentBatch.from_segment(PathSegment.zero(CFG), 2)
         res = simulate_paths(ZERO, batch, 1.0, save_times=[0.5, 1.0])
@@ -268,6 +274,16 @@ class TestCoupling:
     def test_kappa_below_tau_rejected(self):
         with pytest.raises(ConfigurationError):
             simulate_coupled_Q(ZERO, self.XI, self.ETA, 0.5, 1.0)
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+    def test_non_finite_kappa_rejected(self, kappa):
+        # NaN and +inf pass a plain kappa <= tau test, then blow up at step 1 (exit 2).
+        with pytest.raises(ConfigurationError, match="finite") as err:
+            simulate_coupled_Q(ZERO, self.XI, self.ETA, kappa, 1.0, n_replicas=4)
+        assert err.value.exit_code == 1
+        # kappa = 0 stays allowed: X - Y keeps its start value under the shared noise.
+        run = simulate_coupled_Q(ZERO, self.XI, self.ETA, 0.0, 1.0, n_replicas=4)
+        np.testing.assert_allclose(run.x_end[-1] - run.y_end[-1], 1.0, rtol=1e-12)
 
     def test_one_d_sigma_keeps_the_matrix_bits(self):
         from pathcouple import simulate
@@ -735,3 +751,66 @@ class TestChunkedLoop:
         batch = SegmentBatch.from_segment(PathSegment.constant(CFG, [0.5]), 4)
         res = simulate_paths(get_coefficients("linear", CFG), batch, 0.5, seed=2)
         np.testing.assert_array_equal(batch.ordered_values(), res.clouds[-1].values)
+
+
+def _reflect_run(name, d, sign, mckean=False, measure=None):
+    """Every step's saves of `_euler_loop` on builtin ``name`` from sign times the
+    starts, driven by sign times the Philox increments; under ``measure`` a
+    coupled run at kappa = 4, as the columns (x_end, y_end, z_norms,
+    half_int_gamma_sq, log_R)."""
+    cfg = dataclasses.replace(CFG, d=d)
+    coeffs = get_coefficients(name, cfg)
+    starts = [[0.5, -0.25], [-0.25, 1.0]] + ([[1.0, 0.5], [0.0, -0.75]] if measure else [])
+    rows, streams, n_steps = 8, [5, 7], 40
+    batch = SegmentBatch.from_segments(
+        [PathSegment.constant(cfg, sign * np.array(v[:d])) for v in starts], rows)
+    blocks = streams + streams if measure else streams
+    increments = (sign * dW for dW in simulate._block_increments(3, blocks, rows, d, n_steps,
+                                                                 cfg.h))
+    save_idx = np.arange(n_steps + 1)
+    if measure is None:
+        law = simulate._BlockLaws(batch, len(streams)) if mckean else None
+        return np.array(simulate._euler_loop(coeffs, batch, increments, save_idx,
+                                             SegmentBatch.ordered_values, law))
+    coupling = simulate._Coupling(batch, 4.0, measure)
+    saved = simulate._euler_loop(coeffs, batch, increments, save_idx, coupling.snapshot,
+                                 coupling=coupling)
+    return [np.array(col) for col in zip(*saved)]
+
+
+class TestReflection:
+    """Negated noise from a negated start negates every run of an odd drift, bit
+    for bit: IEEE negation is exact, and linear (its K1 law term included),
+    sublinear and zero have odd drifts.  dini_sqrt's b0 = min(sqrt|x|, 1) e1 is
+    even, so its reflected runs differ.  The noise is the loop's input, so no
+    generator is patched."""
+
+    ODD = pytest.mark.parametrize("name, d", [(n, d) for d in (1, 2)
+                                              for n in ("linear", "sublinear", "zero")])
+
+    @ODD
+    @pytest.mark.parametrize("mckean", [False, True], ids=["plain", "mckean"])
+    def test_paths_negate(self, name, d, mckean):
+        up = _reflect_run(name, d, 1.0, mckean=mckean)
+        assert np.abs(up).min() > 0.0
+        assert np.array_equal(_reflect_run(name, d, -1.0, mckean=mckean), -up)
+
+    @ODD
+    @pytest.mark.parametrize("measure", ["Q", "P"])
+    def test_coupled_records_reflect(self, name, d, measure):
+        x, y, zn, half_g2, log_r = _reflect_run(name, d, 1.0, measure=measure)
+        assert half_g2[-1].min() > 0.0 and (measure == "Q" or np.abs(log_r[-1]).min() > 0.0)
+        rx, ry, rzn, rhalf_g2, rlog_r = _reflect_run(name, d, -1.0, measure=measure)
+        assert np.array_equal(rx, -x) and np.array_equal(ry, -y)
+        assert np.array_equal(rzn, zn)
+        assert np.array_equal(rhalf_g2, half_g2)
+        assert np.array_equal(rlog_r, log_r)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_dini_sqrt_does_not_reflect(self, d):
+        for mckean in (False, True):
+            up = _reflect_run("dini_sqrt", d, 1.0, mckean=mckean)
+            assert not np.array_equal(_reflect_run("dini_sqrt", d, -1.0, mckean=mckean), -up)
+        for measure in ("Q", "P"):
+            x = _reflect_run("dini_sqrt", d, 1.0, measure=measure)[0]
+            assert not np.array_equal(_reflect_run("dini_sqrt", d, -1.0, measure=measure)[0], -x)
