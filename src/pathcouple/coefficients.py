@@ -96,6 +96,18 @@ class DiniModulus:
 # Coefficient sets
 
 
+def _all_finite(out) -> bool:
+    """Whether every entry of ``out`` is finite, in one pass when it is.
+
+    The sum of squares is finite only if every entry is, so one dot product
+    settles the common case without a temporary array; a non-finite one is
+    rechecked entry by entry, because finite entries above ~1e154 overflow it.
+    Unlike np.add.reduce, the dot product raises no floating-point warning on
+    +inf + -inf or on an overflow, so a bad value still ends in the typed error.
+    """
+    return math.isfinite(np.vdot(out, out)) or bool(np.isfinite(out).all())
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """Drift/diffusion triple with declared hypothesis constants; sigma None is the identity."""
@@ -119,7 +131,7 @@ class CoefficientSet:
         if self.b0 is None:
             return np.zeros_like(x)
         out = self.b0(x)
-        if not np.isfinite(out).all():
+        if not _all_finite(out):
             raise InvalidCoefficientError(f"b0 returned non-finite value at x={x!r}")
         return out
 
@@ -128,7 +140,7 @@ class CoefficientSet:
             shape = seg.endpoint().shape
             return np.zeros(shape)
         out = self.b1(seg, law)
-        if not np.isfinite(out).all():
+        if not _all_finite(out):
             raise InvalidCoefficientError("b1 returned a non-finite value")
         return out
 
@@ -137,7 +149,7 @@ class CoefficientSet:
             eye = np.eye(self.d)
             return np.broadcast_to(eye, x.shape + (self.d,)).copy()
         out = self.sigma(x)
-        if not np.isfinite(out).all():
+        if not _all_finite(out):
             raise InvalidCoefficientError(f"sigma returned non-finite value at x={x!r}")
         return out
 

@@ -268,6 +268,13 @@ class SegmentBatch:
     `exp_weighted_integral(r)`, and then kept by `advance` in O(R d) as
     S' = e^{-r h} (S - h e^{-r T_mem} x_oldest) + h x_new, in place through one
     scratch row buffer and in that order.  New batches start without.
+
+    A batch from `from_segments` keeps its B start windows until its first
+    `advance`; until then `per_row`, and so a first history integral, computes
+    on the starts and repeats each result to its block's rows.  Each row's sum
+    is the same computation whatever the number of rows, so the bits equal
+    those of a sum over the window, which a batch built from a window or a
+    cloud, or one that has advanced, takes.
     """
 
     def __init__(self, config: PathSpaceConfig, values):
@@ -290,6 +297,7 @@ class SegmentBatch:
         self.head = config.n_steps  # ordered layout on construction
         self._integrals = {}  # rate -> [S, e^{-rate h}, h e^{-rate T_mem}]
         self._scratch = np.empty(ring.shape[1:])  # one row per particle for advance
+        self._starts = None  # (B, n_points, d) start windows and block size, until advance
 
     @classmethod
     def from_segment(cls, seg: PathSegment, n: int) -> "SegmentBatch":
@@ -301,9 +309,10 @@ class SegmentBatch:
         config = segments[0].config
         if any(seg.config != config for seg in segments):
             raise ConfigurationError("segments live on different grids")
-        starts = np.stack([seg.values for seg in segments], axis=1)
+        starts = np.stack([seg.values for seg in segments])
         batch = cls.__new__(cls)
-        batch._adopt(config, np.repeat(starts, n, axis=1))
+        batch._adopt(config, np.repeat(starts.transpose(1, 0, 2), n, axis=1))
+        batch._starts = starts, n
         return batch
 
     @classmethod
@@ -325,7 +334,21 @@ class SegmentBatch:
         """The (R, d) samples at s = 0: a C-contiguous view into the ring."""
         return self.values[self.head]
 
+    def per_row(self, fn) -> np.ndarray:
+        """fn(window) of the (R, n_points, d) window, oldest first.
+
+        fn must compute each result row from one window row, or from rows i and
+        i + R/2 alike, so that its rows follow the blocks.  Until the first
+        `advance` of a batch from `from_segments`, fn runs on the B start windows
+        instead and each result row is repeated to its block, so no window is copied.
+        """
+        if self._starts is None:
+            return fn(self.ordered_values())
+        starts, n = self._starts
+        return np.repeat(fn(starts), n, axis=0)
+
     def advance(self, new_values: np.ndarray) -> None:
+        self._starts = None
         self.head = (self.head + 1) % self.n_points
         row = self.values[self.head]  # x_oldest, read by the integrals before the write
         for S, decay, tail in self._integrals.values():
@@ -338,7 +361,7 @@ class SegmentBatch:
         if rate not in self._integrals:
             cfg = self.config
             w = np.exp(rate * cfg.s_grid)
-            self._integrals[rate] = [cfg.h * np.einsum("j,rjd->rd", w, self.ordered_values()),
+            self._integrals[rate] = [self.per_row(lambda v: cfg.h * np.einsum("j,rjd->rd", w, v)),
                                      np.exp(-rate * cfg.h), cfg.h * np.exp(-rate * cfg.T_mem)]
         return self._integrals[rate][0].copy()
 

@@ -28,6 +28,15 @@ integrals, and writes it only through `SegmentBatch.advance`, which keeps
 those integrals in O(R d) per step; the batch's time-major ring makes each
 of these one contiguous (R, d) row.  The coupling corrects only the rows
 that carry it: X under Q, Y under P.
+
+A run's t = 0 work is done once per start segment: on a fresh batch from
+`SegmentBatch.from_segments`, the first history integral a drift asks for and
+the coupling's initial running norm of X - Y are computed on the B starts and
+repeated to their rows (`SegmentBatch.per_row`), with the bits of the per-row
+computation.  Each step tests b0, b1 and sigma for finite values in one pass
+(`CoefficientSet.eval_b0` and its siblings): the dot product of the output
+with itself is finite only if every entry is, and only a non-finite one is
+rechecked entry by entry.
 """
 
 from __future__ import annotations
@@ -82,6 +91,7 @@ def _block_increments(seed: int, streams: list[int], rows: int, d: int, n_steps:
     first = [streams.index(s) for s in streams]
     chunk = max(1, min(n_steps, _CHUNK_BYTES // (8 * len(streams) * rows * d)))
     buf = np.empty((chunk, len(streams), rows, d))
+    steps = buf.reshape(chunk, -1, d)
     draws = np.empty((chunk, rows, d))
     sqrt_h = math.sqrt(h)
     for start in range(0, n_steps, chunk):
@@ -93,7 +103,7 @@ def _block_increments(seed: int, streams: list[int], rows: int, d: int, n_steps:
                 rngs[s].standard_normal(out=draws[:k])
                 np.multiply(draws[:k], sqrt_h, out=buf[:k, b])
         for j in range(k):
-            yield buf[j].reshape(-1, d)
+            yield steps[j]
 
 
 class _BlockLaws:
@@ -115,7 +125,7 @@ class _BlockLaws:
 
 
 def _check_endpoint(x: np.ndarray, step: int) -> None:
-    if np.abs(x).max(initial=0.0) <= BLOWUP_LIMIT:  # one reduction; False on NaN
+    if np.maximum.reduce(np.abs(x), axis=None, initial=0.0) <= BLOWUP_LIMIT:  # False on NaN
         return
     bad = ~np.isfinite(x).all(axis=-1) | (np.abs(x) > BLOWUP_LIMIT).any(axis=-1)
     particle = int(np.argmax(bad))
@@ -169,7 +179,7 @@ def _euler_step(coeffs: CoefficientSet, batch: SegmentBatch, x: np.ndarray, law,
         coupling.correct(drift, sig)
     new = drift * batch.h
     new += x
-    new += _apply_sigma(sig, dW)
+    new += dW if sig is None else _apply_sigma(sig, dW)
     _check_endpoint(new, step)
     batch.advance(new)
     return new
@@ -328,7 +338,7 @@ class _Coupling:
         cfg = batch.config
         self.R, self.kappa, self.measure = batch.n // 2, kappa, measure
         self.h, self.decay, self.d = cfg.h, math.exp(-cfg.tau * cfg.h), cfg.d
-        self.zn = ParticleCloud(cfg, np.subtract(*np.split(batch.ordered_values(), 2))).norms()
+        self.zn = batch.per_row(lambda w: ParticleCloud(cfg, np.subtract(*np.split(w, 2))).norms())
         self.half_g2, self.log_r = np.zeros(self.R), np.zeros(self.R)
         self.diff = np.subtract(*np.split(batch.endpoint(), 2))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -117,6 +118,42 @@ class TestEvalDrift:
         )
         with pytest.raises(InvalidCoefficientError):
             coeffs.eval_b0(np.array([1.0]))
+
+
+def _eval_returning(term, entries):
+    """eval_<term> of a set whose ``term`` returns ones in its output shape at
+    four 2-D points, ending in ``entries``."""
+    x = np.zeros((4, 2))
+    shape = x.shape + ((2,) if term == "sigma" else ())
+
+    def coefficient(*_):
+        out = np.ones(shape)
+        out.flat[-len(entries):] = entries
+        return out
+
+    coeffs = dataclasses.replace(get_coefficients("zero", CFG2), **{term: coefficient})
+    if term == "b1":
+        return coeffs.eval_b1(PathSegment.zero(CFG2), None)
+    return getattr(coeffs, f"eval_{term}")(x)
+
+
+class TestFiniteOutputs:
+    """b0, b1 and sigma outputs pass only when every entry is finite; the suite turns
+    a RuntimeWarning into an error, so these also show the check warns of nothing."""
+
+    TERMS = pytest.mark.parametrize("term", ["b0", "b1", "sigma"])
+
+    @TERMS
+    @pytest.mark.parametrize("entries", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+                             ids=["nan", "+inf", "-inf", "+inf and -inf"])
+    def test_non_finite_rejected(self, term, entries):
+        with pytest.raises(InvalidCoefficientError):
+            _eval_returning(term, entries)
+
+    @TERMS
+    def test_finite_output_whose_sum_overflows_accepted(self, term):
+        out = _eval_returning(term, [1e308, 1e308])  # their sum and their squares overflow
+        assert np.array_equal(out.flat[-2:], [1e308, 1e308])
 
 
 def test_grid_decay_constant_close_to_integral():

@@ -16,7 +16,7 @@ import pytest
 import pathcouple
 from pathcouple import experiments
 from pathcouple.cli import cli_main
-from pathcouple import errors, laws
+from pathcouple import errors, laws, simulate
 from pathcouple.errors import BlowUpError, ConfigurationError, InvalidCloudError
 from pathcouple.experiments import (
     FAIL,
@@ -387,8 +387,6 @@ class TestStackedRuns:
         (run_w2_growth, "", 2, 4 * 32, 40),  # curves 200 and 300: 4 flows of N; 400: 2 of 2N
     ], ids=["entropy", "alh", "alh-T8", "alh-R2048", "alh-R512", "alh-R128", "gradient", "growth"])
     def test_one_euler_loop_per_stack(self, monkeypatch, run, extra, loops, rows, steps):
-        from pathcouple import simulate
-
         calls = []
         original = simulate._euler_step
 
@@ -466,8 +464,6 @@ class TestSavedFValues:
     @pytest.mark.parametrize("extra", ["", "sim.T = 1.0\nsim.N_replicas = 512\n"],
                              ids=["one-batch", "six-batches"])
     def test_alh_draws_one_stream_per_pair(self, monkeypatch, extra):
-        from pathcouple import simulate
-
         keys = []
         original = simulate.philox_rng
 
@@ -500,10 +496,9 @@ class TestSavedFValues:
             rows.append([t, quot, self._stderr(fx - fy) / dist, rhs, rhs - quot])
         assert _gradient(config).tables["gradient"][1] == rows
 
-    @pytest.mark.parametrize("name", ["linear", "dini_sqrt"])
-    def test_one_window_copy_per_euler_loop(self, monkeypatch, name):
-        # f reads the running integral, so the one ordered copy of a window per
-        # loop starts that sum: one alh loop of all twelve pairs, one gradient loop.
+    @staticmethod
+    def _window_copies(monkeypatch, config, runs):
+        """Rows of every ordered copy of a batch window that ``runs`` make."""
         calls = []
         original = SegmentBatch.ordered_values
 
@@ -511,12 +506,28 @@ class TestSavedFValues:
             calls.append(batch.n)
             return original(batch)
 
-        config = parse_config(self.T8 + f"coefficients.name = {name}\n")
         config.effective_coefficients()
         monkeypatch.setattr(SegmentBatch, "ordered_values", counting)
-        run_alh(config)
-        _gradient(config)
-        assert calls == [24 * 64, 2 * 64]
+        for run in runs:
+            run(config)
+        return calls
+
+    @pytest.mark.parametrize("name", ["linear", "dini_sqrt"])
+    def test_one_window_copy_per_euler_loop(self, monkeypatch, name):
+        # f reads the running integral.  linear's b1 starts that sum at step 1 from
+        # the batch's start segments, with no copy; dini_sqrt has no b1, so f asks
+        # first at a save, after the batch has advanced, and the one ordered copy
+        # of a window per loop starts it: one alh loop of all twelve pairs, one
+        # gradient loop.
+        config = parse_config(self.T8 + f"coefficients.name = {name}\n")
+        copies = self._window_copies(monkeypatch, config, [run_alh, _gradient])
+        assert copies == ([] if name == "linear" else [24 * 64, 2 * 64])
+
+    @pytest.mark.parametrize("name", ["linear", "dini_sqrt"])
+    def test_coupled_runs_copy_no_window(self, monkeypatch, name):
+        # simulate_coupled_Q takes its running norm of X - Y from the start segments.
+        config = parse_config(FAST + f"coefficients.name = {name}\n")
+        assert self._window_copies(monkeypatch, config, [run_decay, run_entropy]) == []
 
     def test_alh_and_gradient_never_build_clouds(self, monkeypatch):
         def refuse(batch):
@@ -526,6 +537,48 @@ class TestSavedFValues:
         config = parse_config(self.T8)
         assert run_alh(config).tables["alh"][1]
         assert _gradient(config).tables["gradient"][1]
+
+
+def _reflected_side(name, d, side, sign):
+    """Every step's saves of alh's stacked run of all twelve pairs (``side="alh"``,
+    log f) or of gradient's run (``side="gradient"``, f), on the raw builtin
+    ``name``, from sign times the starts, driven by sign times the noise, with f
+    at amplitude sign * A."""
+    config = parse_config(FAST + f"coefficients.name = {name}\npath.d = {d}\n"
+                          "sim.N_replicas = 8\n")
+    cfg, R = config.pathcfg, config.N_replicas
+    if side == "alh":
+        pairs = [experiments._pair_segments(config, a, b) for a, b in experiments._alh_pairs(config)]
+        streams = [100 + 2 * i for i in range(len(pairs)) for _ in ("X", "Y")]
+    else:
+        pairs, streams = [experiments._pair_segments(config, 0.25, 0.375)], [500, 500]
+    batch = SegmentBatch.from_segments([sign * seg for pair in pairs for seg in pair], R)
+    f = WeightedTestFunction.default(cfg, sign * config.testfn_amplitude)
+    n_steps = int(round(config.T / cfg.h))
+    increments = (sign * dW for dW in simulate._block_increments(config.seed, streams, R, d,
+                                                                 n_steps, cfg.h))
+    save = f.log_f if side == "alh" else f.f
+    return np.array(simulate._euler_loop(config.coefficients(), batch, increments,
+                                         np.arange(n_steps + 1), save))
+
+
+class TestSideReflection:
+    """alh's and gradient's sides under f -> f(-.): on an odd drift, negated noise
+    from negated starts negates the history integral bit for bit, tanh is odd, so
+    log f and f at amplitude -A equal those at +A.  dini_sqrt's b0 is even."""
+
+    @pytest.mark.parametrize("side", ["alh", "gradient"])
+    @pytest.mark.parametrize("name, d", [(n, d) for d in (1, 2)
+                                         for n in ("linear", "sublinear", "zero")])
+    def test_sides_reflect(self, name, d, side):
+        up = _reflected_side(name, d, side, 1.0)
+        assert np.abs(np.log(up[1:]) if side == "gradient" else up[1:]).min() > 0.0
+        assert np.array_equal(_reflected_side(name, d, side, -1.0), up)
+
+    @pytest.mark.parametrize("side", ["alh", "gradient"])
+    def test_dini_sqrt_sides_do_not_reflect(self, side):  # a Dini config has d = 1
+        up = _reflected_side("dini_sqrt", 1, side, 1.0)
+        assert not np.array_equal(_reflected_side("dini_sqrt", 1, side, -1.0), up)
 
 
 class TestNegativeControls:

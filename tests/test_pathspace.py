@@ -191,6 +191,30 @@ class TestSegmentBatch:
         w = np.exp(rate * cfg.s_grid)
         return cfg.h * np.einsum("j,rjd->rd", w, batch.ordered_values())
 
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_first_integral_from_the_starts(self, d, n):
+        # A fresh from_segments batch sums over its 3 starts and repeats the sums to
+        # their rows, with the bits of a batch built from the same window.
+        cfg = PathSpaceConfig(d=d, tau=1.0, h=0.05, T_mem=2.0)
+        rng = np.random.default_rng(20 + d)
+        batch = SegmentBatch.from_segments([random_segment(rng, cfg) for _ in range(3)], n)
+        ref = SegmentBatch(cfg, batch.ordered_values())
+        for rate in (2.0, 0.5):
+            got = batch.exp_weighted_integral(rate)
+            assert np.array_equal(got, ref.exp_weighted_integral(rate))
+            assert len(np.unique(got[:, 0])) == 3
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_first_integral_after_advance_sums_the_window(self, d):
+        cfg = PathSpaceConfig(d=d, tau=1.0, h=0.05, T_mem=2.0)
+        rng = np.random.default_rng(30 + d)
+        batch = SegmentBatch.from_segments([random_segment(rng, cfg) for _ in range(3)], 4)
+        batch.exp_weighted_integral(2.0)
+        batch.advance(rng.standard_normal((12, d)))
+        ref = SegmentBatch(cfg, batch.ordered_values())
+        assert np.array_equal(batch.exp_weighted_integral(0.5), ref.exp_weighted_integral(0.5))
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_running_integral_after_ring_wraps(self, d):
         # A constructed batch and from_segments blocks of the same starts, advanced alike.

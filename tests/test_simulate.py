@@ -778,6 +778,21 @@ def _reflect_run(name, d, sign, mckean=False, measure=None):
     return [np.array(col) for col in zip(*saved)]
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_coupling_start_norm_from_the_starts(d):
+    # X of 3 pairs, then Y, from distinct random windows: the running norm starts at
+    # the weighted norm of each row's X - Y window, taken per pair and repeated.
+    cfg = dataclasses.replace(CFG, d=d)
+    rng = np.random.default_rng(40 + d)
+    segs = [PathSegment(cfg, np.cumsum(rng.standard_normal((cfg.n_points, d)), axis=0) / 10)
+            for _ in range(6)]
+    batch = SegmentBatch.from_segments(segs, 4)
+    x, y = np.split(batch.ordered_values(), 2)
+    zn = simulate._Coupling(batch, 4.0, "Q").zn
+    assert np.array_equal(zn, ParticleCloud(cfg, x - y).norms())
+    assert len(np.unique(zn)) == 3
+
+
 class TestReflection:
     """Negated noise from a negated start negates every run of an odd drift, bit
     for bit: IEEE negation is exact, and linear (its K1 law term included),
