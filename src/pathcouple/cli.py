@@ -38,16 +38,6 @@ def _runners() -> dict:
             "gradient": run_gradient_estimate}
 
 
-def _dispatch(name: str, config, done: dict):
-    """Run one experiment; ``done`` holds the reports already run on ``config``."""
-    if name == "gradient":
-        # Reuse the constants an earlier entropy or decay pass already recorded.
-        known = {key: done[owner].records[key] for owner, key in
-                 (("entropy", "entropy_constant"), ("decay", "decay_prefactor")) if owner in done}
-        return run_gradient_estimate(config, **known)
-    return _runners()[name](config)
-
-
 def _check_output_dir(out_dir: Path) -> None:
     """Reject an output path that is a file or lies below one, before any run."""
     for path in (out_dir, *out_dir.parents):
@@ -118,18 +108,16 @@ def cli_main(argv=None) -> int:
         return EXIT_CODES[worst_verdict(verdicts)]
 
     names = list(_runners()) if args.command == "all" else [args.command]
-    done = {}
     try:
         config = parse_config(args.config)
         out_dir = Path(args.output or config.output_dir)
         _check_output_dir(out_dir)
-        for name in names:
-            done[name] = _dispatch(name, config, done)
+        # Work shared by several experiments is cached on the config, so runs once.
+        reports = [_runners()[name](config) for name in names]
     except PathcoupleError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
 
-    reports = list(done.values())
     _write_outputs(reports, out_dir)
     for report in reports:
         print("\n".join(report.lines()))

@@ -117,7 +117,7 @@ class ExperimentConfig:
         if not self.separation > 0:
             raise ConfigurationError(f"separation={self.separation} must be positive")
         s = self.separation
-        for a, b in [(s / 2, -s / 2), *_entropy_pairs(self), *_alh_pairs(self)]:
+        for a, b in [*_coupled_pairs(self), *_alh_pairs(self)]:
             if a == b:  # a zero start distance makes the fitted constants 0 / 0
                 raise ConfigurationError(
                     f"separation={s} collapses the start pair ({a}, {b}) in floating point")
@@ -165,6 +165,18 @@ class ExperimentConfig:
     def effective_coefficients(self):
         """(coeffs, zvonkin_map_or_None): one shared pair per config."""
         return self._effective
+
+    @cached_property
+    def _coupled(self):
+        """(run, R_c): decay's pair on stream 1 and entropy's six on streams 10-15,
+        stacked in one coupled run of R_c = max(N_replicas // 8, 64) replicas per
+        pair; run once per config.  Pair p holds rows [p R_c, (p + 1) R_c)."""
+        R = max(self.N_replicas // 8, 64)
+        xis, etas = zip(*(_pair_segments(self, a, b) for a, b in _coupled_pairs(self)))
+        run = simulate_coupled_Q(self._effective[0], xis, etas, self.kappa, self.T, seed=self.seed,
+                                 stream=[1, *range(10, 9 + len(xis))], n_replicas=R * len(xis),
+                                 save_times=_save_grid(self, 32))
+        return run, R
 
 
 def parse_config(source) -> ExperimentConfig:
@@ -404,33 +416,32 @@ def run_decay(config: ExperimentConfig) -> Report:
     """Fit the decay rate of log E_Q ||X_t - Y_t||_tau^p against -p tau0, p = 1, 2, 4, and
     record Gamma_t's prefactor max_t E_Q ||X_t - Y_t||_tau e^{tau0 t} / separation.
 
+    The pair (s/2, -s/2) is pair 0 of the config's shared coupled run: R_c =
+    max(N_replicas // 8, 64) replicas on stream 1 (see `ExperimentConfig._coupled`).
+
     Beside each checked rate, ``endpoint_rate_p{p}`` records the fitted rate of
     E_Q |Z(t)|^p for the endpoint difference Z = X(t) - Y(t) (in transformed
     coordinates on a Dini drift), over the same times and with no check: the
     running norm keeps the e^{-tau t}-weighted initial separation, so its rate
     can read -p tau0 while the coupling itself contracts faster."""
     coeffs, zmap = config.effective_coefficients()
-    xi, eta = _pair_segments(config, config.separation / 2, -config.separation / 2)
-    run = simulate_coupled_Q(
-        coeffs, xi, eta, config.kappa, config.T,
-        seed=config.seed, stream=1, n_replicas=config.N_replicas,
-        save_times=_save_grid(config, 32),
-    )
+    run, R = config._coupled
+    x_end, y_end, z_norms = (a[:, :R] for a in (run.x_end, run.y_end, run.z_norms))
     report = _new_report("coupling-decay", config, coeffs)
     if zmap is not None:
         report.records["zvonkin_lambda"] = zmap.lam
         # Saved endpoints whose preimage lies outside the box, where u is extended flat.
-        ends = np.concatenate([run.x_end, run.y_end], axis=1)
+        ends = np.concatenate([x_end, y_end], axis=1)
         x = zvonkin.theta_inv(zmap, ends, extend=True)
         report.records["box_escape_fraction"] = float(
             np.mean(np.any(np.abs(x) > zmap.grid.L, axis=-1)))
     rows = []
     mask = run.times >= config.T / 4
-    z_end = np.linalg.norm(run.x_end - run.y_end, axis=-1)  # |Z(t)|, (n_saves, R)
+    z_end = np.linalg.norm(x_end - y_end, axis=-1)  # |Z(t)|, (n_saves, R)
     t_fit = run.times[mask]
     tiny = np.finfo(float).tiny
     for p in (1, 2, 4):
-        zp = run.z_norms**p
+        zp = z_norms**p
         m = zp.mean(axis=1)
         # Fits read only the times whose moment is a normal float: one that underflows
         # to 0 has no log, and a subnormal one has lost its relative precision.
@@ -453,7 +464,7 @@ def run_decay(config: ExperimentConfig) -> Report:
         if p == 1:
             report.records["decay_prefactor"] = float(
                 np.max(m * np.exp(config.tau0 * run.times)) / config.separation)
-        for t, mm, ss in zip(run.times, m, zp.std(axis=1, ddof=1) / math.sqrt(run.n_replicas)):
+        for t, mm, ss in zip(run.times, m, zp.std(axis=1, ddof=1) / math.sqrt(R)):
             rows.append([t, p, mm, ss])
     report.tables["decay"] = (["t", "p", "mean_znorm_p", "stderr"], rows)
     return report
@@ -463,10 +474,11 @@ def run_decay(config: ExperimentConfig) -> Report:
 # Relative entropy
 
 
-def _entropy_pairs(config: ExperimentConfig):
+def _coupled_pairs(config: ExperimentConfig):
+    """Start values of the shared coupled run's pairs: decay's, then entropy's six."""
     s = config.separation
     return [
-        (0.0, s), (0.0, s / 2), (0.25, 0.25 + s),
+        (s / 2, -s / 2), (0.0, s), (0.0, s / 2), (0.25, 0.25 + s),
         (-0.25, -0.25 + s / 2), (0.5, 0.5 - s), (-0.5, -0.5 + s),
     ]
 
@@ -475,20 +487,15 @@ def run_entropy(config: ExperimentConfig) -> Report:
     """Boundedness in t of H(t) = E_Q[1/2 int |gamma|^2] and the entropy fit.
 
     Fits the smallest c with H(T) <= c e^{delta ||eta||^{2 alpha}} ||xi-eta||^2
-    over the pair grid.
+    over the pair grid, read from pairs 1-6 of the config's shared coupled run.
     """
     coeffs, _ = config.effective_coefficients()
     report = _new_report("relative-entropy", config, coeffs)
     c_fit = 0.0
     rows = []
-    R = max(config.N_replicas // 8, 64)
-    segs = [_pair_segments(config, a, b) for a, b in _entropy_pairs(config)]
-    run = simulate_coupled_Q(
-        coeffs, [xi for xi, _ in segs], [eta for _, eta in segs], config.kappa, config.T,
-        seed=config.seed, stream=[10 + i for i in range(len(segs))],
-        n_replicas=R * len(segs), save_times=_save_grid(config, 32),
-    )
-    half_g2 = run.half_int_gamma_sq.reshape(len(run.times), len(segs), R)
+    run, R = config._coupled
+    segs = [_pair_segments(config, a, b) for a, b in _coupled_pairs(config)[1:]]
+    half_g2 = run.half_int_gamma_sq.reshape(len(run.times), len(segs) + 1, R)[:, 1:]
     for i, (xi, eta) in enumerate(segs):
         H = half_g2[:, i].mean(axis=1)
         se = half_g2[:, i].std(axis=1, ddof=1) / math.sqrt(R)

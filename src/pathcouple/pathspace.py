@@ -54,7 +54,7 @@ class PathSpaceConfig:
         if not (self.h > 0 and np.isfinite(self.h)):
             raise ConfigurationError(f"h must be positive, got {self.h}")
         n = self.T_mem / self.h
-        if not np.isclose(n, round(n), atol=1e-9) or round(n) < 1:
+        if not (1 <= n < np.inf and np.isclose(n, round(n), atol=1e-9)):  # False on NaN
             raise ConfigurationError(
                 f"T_mem={self.T_mem} must be a positive multiple of h={self.h}"
             )

@@ -207,6 +207,8 @@ def _euler_loop(coeffs: CoefficientSet, batch: SegmentBatch, increments, save_id
 
 def _save_steps(cfg: PathSpaceConfig, T: float, save_times) -> tuple[int, np.ndarray, np.ndarray]:
     """(n_steps, save steps, save times) of a run to T."""
+    if not 0 <= T / cfg.h < math.inf:  # False on NaN
+        raise ConfigurationError(f"T={T} must be nonnegative and a finite number of steps h={cfg.h}")
     n_steps = int(round(T / cfg.h))
     if abs(n_steps * cfg.h - T) > 1e-9:
         raise ConfigurationError(f"T={T} is not a multiple of h={cfg.h}")
@@ -214,6 +216,8 @@ def _save_steps(cfg: PathSpaceConfig, T: float, save_times) -> tuple[int, np.nda
         n_saves = min(n_steps, 50)
         idx = np.unique(np.round(np.linspace(0, n_steps, n_saves + 1)).astype(int))
     else:
+        if not np.isfinite(save_times).all():
+            raise ConfigurationError(f"save_times must be finite, got {save_times}")
         idx = np.array([int(round(t / cfg.h)) for t in np.atleast_1d(save_times)])
         if np.any(np.abs(idx * cfg.h - np.atleast_1d(save_times)) > 1e-9):
             raise ConfigurationError("save_times must lie on the step grid")
@@ -279,9 +283,9 @@ def simulate_paths(
     if cfg != coeffs.pathcfg:
         raise ConfigurationError("initial batch and coefficients use different configs")
     streams = _stream_list(stream)
-    if init.n % len(streams):
+    if init.n < 1 or init.n % len(streams):
         raise ConfigurationError(
-            f"{init.n} rows do not split evenly across {len(streams)} streams")
+            f"need one or more rows that split evenly across {len(streams)} streams, got {init.n}")
     if mckean and init.n < 2 * len(streams) and coeffs.K1 > 0:
         raise ConfigurationError("mean-field simulation needs at least 2 particles per block")
     n_steps, save_idx, times = _save_steps(cfg, T, save_times)
@@ -412,9 +416,9 @@ def simulate_coupled_Q(
     if not (kappa == 0.0 or cfg.tau < kappa < math.inf):  # False on NaN
         raise ConfigurationError(f"kappa={kappa} must be finite and exceed tau={cfg.tau} (or be 0)")
     R = int(n_replicas)
-    if R % len(streams):
+    if R < 1 or R % len(streams):
         raise ConfigurationError(
-            f"n_replicas={R} does not split evenly across {len(streams)} pairs")
+            f"n_replicas={R} must be positive and split evenly across {len(streams)} pairs")
     n_steps, save_idx, times = _save_steps(cfg, T, save_times)
     increments = _block_increments(seed, 2 * streams, R // len(streams), cfg.d, n_steps, cfg.h)
     batch = SegmentBatch.from_segments(xis + etas, R // len(streams))

@@ -90,6 +90,16 @@ def test_one_euler_step_call():
     assert len(calls) == 1, f"calls of _euler_step (file, line): {calls}"
 
 
+def test_one_coupled_run_call():
+    # decay and entropy read one coupled run, cached on the config, so one
+    # call site in experiments.py simulates it.
+    path = SRC / "experiments.py"
+    calls = [node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "simulate_coupled_Q"]
+    assert len(calls) == 1, f"lines of experiments.py that call simulate_coupled_Q: {calls}"
+
+
 def test_imports_at_module_top():
     # A function-level import hides a dependency (or an import cycle) until the
     # function runs.

@@ -375,7 +375,9 @@ def _gradient(config):
 class TestStackedRuns:
     # FAST steps h = 0.05 to the last check time: sim.T = 2.0 in 40 steps, 8.0 in 160.
     @pytest.mark.parametrize("run, extra, loops, rows, steps", [
-        (run_entropy, "", 1, 2 * 6 * 64, 40),  # six coupled pairs of 64 replicas, one batch
+        # decay's pair and entropy's six, 64 replicas each, in one shared coupled batch.
+        (run_decay, "", 1, 2 * 7 * 64, 40),
+        (run_entropy, "", 1, 2 * 7 * 64, 40),
         # X and Y of all twelve pairs stacked: 24 blocks of 64 rows, within 2048.
         (run_alh, "", 1, 24 * 64, 40),
         (run_alh, "sim.T = 8.0\n", 1, 24 * 64, 160),
@@ -385,7 +387,7 @@ class TestStackedRuns:
         (run_alh, "sim.T = 1.0\nsim.N_replicas = 128\n", 2, 12 * 128, 20),
         (_gradient, "", 1, 2 * 64, 40),
         (run_w2_growth, "", 2, 4 * 32, 40),  # curves 200 and 300: 4 flows of N; 400: 2 of 2N
-    ], ids=["entropy", "alh", "alh-T8", "alh-R2048", "alh-R512", "alh-R128", "gradient", "growth"])
+    ], ids=["decay", "entropy", "alh", "alh-T8", "alh-R2048", "alh-R512", "alh-R128", "gradient", "growth"])
     def test_one_euler_loop_per_stack(self, monkeypatch, run, extra, loops, rows, steps):
         calls = []
         original = simulate._euler_step
@@ -591,17 +593,19 @@ class TestNegativeControls:
     @pytest.mark.parametrize("name", ["linear", "zero"])
     def test_decay_without_coupling_fails(self, monkeypatch, name):
         # At kappa = 0, ||X - Y|| grows (linear) or stays (zero): no rate near -p tau0.
-        config = parse_config(FAST + f"coefficients.name = {name}\n")
-        assert self._verdicts(run_decay(config), "decay rate") == {PASS}
+        text = FAST + f"coefficients.name = {name}\n"
+        assert self._verdicts(run_decay(parse_config(text)), "decay rate") == {PASS}
         original = experiments.simulate_coupled_Q
 
         def uncoupled(coeffs, xi, eta, kappa, *args, **kwargs):
             return original(coeffs, xi, eta, 0.0, *args, **kwargs)
 
+        # A config caches its coupled run, so the patched run needs a fresh config.
         monkeypatch.setattr(experiments, "simulate_coupled_Q", uncoupled)
-        assert self._verdicts(run_decay(config), "decay rate") == {FAIL}
+        assert self._verdicts(run_decay(parse_config(text)), "decay rate") == {FAIL}
 
     def test_entropy_growing_linearly_fails(self, monkeypatch):
+        # Patched before the config is parsed, so its shared coupled run is the patched one.
         original = experiments.simulate_coupled_Q
 
         def growing(*args, **kwargs):
@@ -915,25 +919,24 @@ class TestCli:
                    len(lines))
         return lines[start:end]
 
-    def test_all_fits_entropy_and_decay_once(self, tmp_path, monkeypatch):
-        # `all` hands its entropy and decay reports to `gradient` instead of
-        # rerunning them; the numbers must match a standalone `gradient`.
-        from pathcouple import cli, experiments
+    def test_all_and_gradient_make_one_coupled_run(self, tmp_path, monkeypatch):
+        # decay, entropy and gradient read one coupled run cached on the config:
+        # `all` and a standalone `gradient` each simulate it once, and report
+        # the same gradient numbers.
+        calls = []
+        original = experiments.simulate_coupled_Q
 
-        calls = {"run_decay": 0, "run_entropy": 0}
-        for fn in calls:
-            def counted(*args, _fn=fn, _original=getattr(experiments, fn), **kwargs):
-                calls[_fn] += 1
-                return _original(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(kwargs["stream"])
+            return original(*args, **kwargs)
 
-            for module in (experiments, cli):
-                monkeypatch.setattr(module, fn, counted)
+        monkeypatch.setattr(experiments, "simulate_coupled_Q", counted)
         p = self._cfg_file(tmp_path)
         out_all, out_grad = tmp_path / "all", tmp_path / "gradient"
         assert cli_main(["all", "--config", str(p), "--output", str(out_all)]) == 0
-        assert calls == {"run_decay": 1, "run_entropy": 1}
-        monkeypatch.undo()
+        assert calls == [[1, 10, 11, 12, 13, 14, 15]]
         assert cli_main(["gradient", "--config", str(p), "--output", str(out_grad)]) == 0
+        assert len(calls) == 2
         block = self._summary_block(out_all, "gradient-estimate")
         assert block[0] == f"[{PASS}] gradient-estimate"
         for owner, key in (("coupling-decay", "decay_prefactor"),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,12 @@ class TestConfig:
             PathSpaceConfig(d=1, tau=-1.0, h=0.05, T_mem=2.0)
         with pytest.raises(Exception):
             PathSpaceConfig(d=1, tau=1.0, h=0.3, T_mem=1.0)  # not a divisor
+
+    @pytest.mark.parametrize("T_mem", [math.nan, math.inf, -math.inf, 1e308])
+    def test_non_finite_window_rejected(self, T_mem):
+        # round() of a NaN or infinite step count raises ValueError or OverflowError.
+        with pytest.raises(ConfigurationError, match="positive multiple"):
+            PathSpaceConfig(d=1, tau=1.0, h=0.05, T_mem=T_mem)
 
     def test_truncation_bound(self):
         assert truncation_bound(CFG) == pytest.approx(np.exp(-2.0))

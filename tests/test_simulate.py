@@ -183,6 +183,35 @@ class TestPathSimulation:
         with pytest.raises(ConfigurationError, match="save_times"):
             simulate_coupled_Q(ZERO, ZERO_SEG, ZERO_SEG, 4.0, 1.0, save_times=[])
 
+    @pytest.mark.parametrize("T, save_times", [
+        (math.nan, None), (math.inf, None), (-math.inf, None), (1e308, None),
+        (-0.9, None), (1.0, [0.5, math.nan]), (1.0, [math.inf]),
+    ])
+    @pytest.mark.parametrize("simulator", ["paths", "mckean", "coupled"])
+    def test_bad_horizon_or_save_times_rejected(self, simulator, T, save_times):
+        # Each would otherwise fail in round() or np.linspace, outside the error classes.
+        runs = {
+            "paths": lambda: simulate_paths(ZERO, SegmentBatch.from_segment(ZERO_SEG, 2), T,
+                                            save_times=save_times),
+            "mckean": lambda: simulate_mckean(ZERO, ParticleCloud(CFG, np.zeros((2, 101, 1))),
+                                              T, save_times=save_times),
+            "coupled": lambda: simulate_coupled_Q(ZERO, ZERO_SEG, ZERO_SEG, 4.0, T, n_replicas=2,
+                                                  save_times=save_times),
+        }
+        with pytest.raises(ConfigurationError) as err:
+            runs[simulator]()
+        assert err.value.exit_code == 1
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_no_rows_rejected(self, n):
+        # A batch of no rows would divide by zero sizing its chunk of normals.
+        with pytest.raises(ConfigurationError, match="n_replicas"):
+            simulate_coupled_Q(ZERO, ZERO_SEG, ZERO_SEG, 4.0, 1.0, n_replicas=n)
+        with pytest.raises(ConfigurationError, match="one or more rows"):
+            simulate_paths(ZERO, SegmentBatch(CFG, np.zeros((0, 101, 1))), 1.0)
+        with pytest.raises(ConfigurationError, match="one or more rows"):
+            simulate_mckean(ZERO, ParticleCloud(CFG, np.zeros((0, 101, 1))), 1.0)
+
     def test_cloud_at_off_save_time_rejected(self):
         batch = SegmentBatch.from_segment(PathSegment.zero(CFG), 2)
         res = simulate_paths(ZERO, batch, 1.0, save_times=[0.5, 1.0])

@@ -577,13 +577,14 @@ class TestPerConfigMap:
         assert after_entropy == alone
 
     def test_one_inverse_per_step(self, monkeypatch):
-        # Drift, diffusion and gamma share one cell search of the stacked 2R
-        # endpoints per step; saving needs none.  After the run, the escape
-        # record inverts the 33 saved endpoint pairs once.
+        # Drift, diffusion and gamma share one cell search of the stacked
+        # endpoints per step, 2R rows for each of the shared coupled run's seven
+        # pairs; saving needs none.  After the run, the escape record inverts
+        # decay's 33 saved endpoint pairs once.
         config = parse_config(DINI_FAST + "experiment.separation = 30.0\n")
         config.effective_coefficients()  # the lambda sweep, outside the count
         points = count_cell_lookups(monkeypatch)
         run_decay(config)
-        R, n_steps = 64, 40
-        assert points == [2 * R] * n_steps + [33 * 2 * R]
-        assert sum(points[:n_steps]) == 2 * R * n_steps == 5120
+        R, n_pairs, n_steps = 64, 7, 40
+        assert points == [2 * n_pairs * R] * n_steps + [33 * 2 * R]
+        assert sum(points[:n_steps]) == 2 * n_pairs * R * n_steps == 35840
