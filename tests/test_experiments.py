@@ -854,12 +854,17 @@ class TestCli:
     @pytest.mark.parametrize("name, zvonkin_check", [
         ("builtin_linear.cfg", "transform"), ("builtin_dini.cfg", "resolvent maximum principle"),
     ])
-    def test_all_runs_the_pinned_checks(self, tmp_path, name, zvonkin_check):
+    def test_all_runs_the_pinned_checks(self, tmp_path, monkeypatch, name, zvonkin_check):
         # Adding or dropping a check of a shipped config shows up as an edit here.
         shipped = Path(__file__).resolve().parents[1] / "configs" / name
         p = tmp_path / name
         p.write_text(shipped.read_text() + "sim.N_replicas = 64\nsim.N_particles = 16\n")
+        calls = []
+        original = experiments.simulate_coupled_Q
+        monkeypatch.setattr(experiments, "simulate_coupled_Q",
+                            lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
         cli_main(["all", "--config", str(p), "--output", str(tmp_path / "out")])
+        assert len(calls) == 1  # decay, entropy and gradient read one coupled run
         checks = []
         for line in (tmp_path / "out" / "summary.txt").read_text().splitlines():
             if line.startswith("["):
