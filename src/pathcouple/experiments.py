@@ -5,6 +5,9 @@ verifiable statement (coupling decay, relative-entropy boundedness,
 asymptotic log-Harnack, Wasserstein growth, gradient estimate), fits the
 empirical constants the statement asserts to exist, and returns a Report with
 PASS/FAIL/INCONCLUSIVE checks plus every quantity needed to reproduce it.
+Each simulator has one call site: decay and entropy read the config's cached
+coupled run, growth one stacked McKean run, and alh and gradient `_crn_log_f`,
+which runs pair i's X and Y on one stream (100 + 2i for alh, 500 for gradient).
 """
 
 from __future__ import annotations
@@ -301,13 +304,14 @@ class Report:
         return out
 
 
-def _new_report(name: str, config: ExperimentConfig, coeffs: CoefficientSet) -> Report:
-    """A report holding the records every simulation experiment shares."""
+def _new_report(name: str, config: ExperimentConfig, coeffs: CoefficientSet,
+                n_replicas: int) -> Report:
+    """A report holding the records every simulation experiment shares, n_replicas per pair."""
     cfg = config.pathcfg
     return Report(name, records={
         "h": cfg.h,
         "truncation_bound": truncation_bound(cfg),
-        "N_replicas": config.N_replicas,
+        "N_replicas": n_replicas,
         "N_particles": config.N_particles,
         "seed": config.seed,
         "kappa": config.kappa,
@@ -335,13 +339,8 @@ def _mc_stderr(x: np.ndarray) -> float:
 
 
 def _pair_segments(config: ExperimentConfig, a: float, b: float):
-    d = config.pathcfg.d
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    return (
-        PathSegment.constant(config.pathcfg, a * e1),
-        PathSegment.constant(config.pathcfg, b * e1),
-    )
+    e1 = np.eye(config.pathcfg.d)[0]
+    return tuple(PathSegment.constant(config.pathcfg, v * e1) for v in (a, b))
 
 
 def _save_grid(config: ExperimentConfig, n: int) -> np.ndarray:
@@ -427,7 +426,7 @@ def run_decay(config: ExperimentConfig) -> Report:
     coeffs, zmap = config.effective_coefficients()
     run, R = config._coupled
     x_end, y_end, z_norms = (a[:, :R] for a in (run.x_end, run.y_end, run.z_norms))
-    report = _new_report("coupling-decay", config, coeffs)
+    report = _new_report("coupling-decay", config, coeffs, R)
     if zmap is not None:
         report.records["zvonkin_lambda"] = zmap.lam
         # Saved endpoints whose preimage lies outside the box, where u is extended flat.
@@ -490,10 +489,10 @@ def run_entropy(config: ExperimentConfig) -> Report:
     over the pair grid, read from pairs 1-6 of the config's shared coupled run.
     """
     coeffs, _ = config.effective_coefficients()
-    report = _new_report("relative-entropy", config, coeffs)
+    run, R = config._coupled
+    report = _new_report("relative-entropy", config, coeffs, R)
     c_fit = 0.0
     rows = []
-    run, R = config._coupled
     segs = [_pair_segments(config, a, b) for a, b in _coupled_pairs(config)[1:]]
     half_g2 = run.half_int_gamma_sq.reshape(len(run.times), len(segs) + 1, R)[:, 1:]
     for i, (xi, eta) in enumerate(segs):
@@ -533,17 +532,38 @@ def _alh_pairs(config: ExperimentConfig):
 
 
 _ALH_TIMES = (1.0, 2.0, 4.0, 8.0)
-_ALH_BATCH_ROWS = 2048  # rows up to which alh stacks pairs in one batch; a larger pair runs alone
+_CRN_BATCH_ROWS = 2048  # rows up to which pairs stack in one batch; a larger pair runs alone
 
 
-def _alh_groups(n_pairs: int, n_replicas: int) -> list:
-    """Consecutive pair indices per stacked run: the fewest runs whose batch
-    holds at most ``_ALH_BATCH_ROWS`` rows (2 n_replicas per pair), as even as
-    possible."""
-    per_run = max(1, _ALH_BATCH_ROWS // (2 * n_replicas))
+def _crn_groups(n_pairs: int, n_replicas: int) -> list:
+    """Consecutive pair indices per stacked run: the fewest runs of at most
+    ``_CRN_BATCH_ROWS`` rows (2 n_replicas per pair), split as evenly as possible."""
+    per_run = max(1, _CRN_BATCH_ROWS // (2 * n_replicas))
     n_runs = -(-n_pairs // per_run)
     cuts = [n_pairs * k // n_runs for k in range(n_runs + 1)]
     return [range(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _crn_log_f(config: ExperimentConfig, coeffs: CoefficientSet, f: TestFunction,
+               segs: list, streams: list, t_grid: np.ndarray) -> np.ndarray:
+    """log f of X and of Y, (pairs, check times, 2, N_replicas), for the (xi, eta)
+    pairs in ``segs``: alh's and gradient's common-random-numbers run.
+
+    Pair i runs X from xi and Y from eta on the one stream ``streams[i]``, listed
+    twice and drawn once, so replica r of X and of Y share their noise.  Pairs
+    stack in batches of at most ``_CRN_BATCH_ROWS`` rows (``_crn_groups``): numpy's
+    per-call overhead dominates small batches, and the cap bounds the history
+    window's memory.  A save keeps log f, read from the running history integral."""
+    R = config.N_replicas
+    out = np.empty((len(segs), len(t_grid), 2, R))
+    for group in _crn_groups(len(segs), R):
+        res = simulate_paths(
+            coeffs, SegmentBatch.from_segments([seg for i in group for seg in segs[i]], R),
+            max(t_grid), seed=config.seed, stream=[streams[i] for i in group for _ in ("X", "Y")],
+            save_times=t_grid, save=f.log_f)
+        for j, log_f in enumerate(res.clouds):
+            out[group, j] = log_f.reshape(len(group), 2, R)
+    return out
 
 
 def _alh_sides(config: ExperimentConfig, coeffs: CoefficientSet, f: TestFunction,
@@ -551,35 +571,26 @@ def _alh_sides(config: ExperimentConfig, coeffs: CoefficientSet, f: TestFunction
     """P_t log f(eta), log P_t f(xi) and the stderr of their difference, each of
     shape (pairs, check times), for the (xi, eta) pairs in ``segs``.
 
-    Pair i runs X from xi and Y from eta on the one stream 100 + 2i: common
-    random numbers, listed twice in the stacked run and drawn once.  Replica r
-    of X and of Y then share their noise, so the two sides are correlated and
-    the stderr is the joint delta-method one,
-    sd(log f(Y) - f(X) / mean f(X)) / sqrt(R), which carries their covariance.
-
-    Consecutive pairs run stacked in one batch of at most ``_ALH_BATCH_ROWS``
-    rows (see ``_alh_groups``).  Each Euler step makes a fixed number of numpy
-    calls whatever the batch size, and their per-call overhead dominates small
-    batches, so a few large batches beat many small ones; the cap bounds the
-    memory of the batch's history window, which grows with its rows.  A save
-    keeps log f of every row, read from the batch's running history integral,
-    not the window.
+    Pair i runs on stream 100 + 2i of ``_crn_log_f``.  Replica r of X and of Y
+    share their noise, so the two sides are correlated and the stderr is the
+    joint delta-method one, sd(log f(Y) - f(X) / mean f(X)) / sqrt(R), which
+    carries their covariance.
     """
     t_grid = _times_within(_ALH_TIMES, config)
-    R = config.N_replicas
-    lhs, rhs0, se = (np.zeros((len(segs), len(t_grid))) for _ in range(3))
-    for group in _alh_groups(len(segs), R):
-        res = simulate_paths(
-            coeffs, SegmentBatch.from_segments([seg for i in group for seg in segs[i]], R),
-            max(t_grid), seed=config.seed, stream=[100 + 2 * i for i in group for _ in ("X", "Y")],
-            save_times=t_grid, save=f.log_f)
-        for j, log_f in enumerate(res.clouds):
-            for i, (lx, ly) in zip(group, log_f.reshape(len(group), 2, R)):
-                fx = np.exp(lx)
-                mean_fx = fx.mean()
-                lhs[i, j], rhs0[i, j] = ly.mean(), math.log(mean_fx)
-                se[i, j] = _mc_stderr(ly - fx / mean_fx)
+    log_f = _crn_log_f(config, coeffs, f, segs, [100 + 2 * i for i in range(len(segs))], t_grid)
+    lhs, rhs0, se = (np.zeros(log_f.shape[:2]) for _ in range(3))
+    for i, j in np.ndindex(lhs.shape):
+        lx, ly = log_f[i, j]
+        fx = np.exp(lx)
+        mean_fx = fx.mean()
+        lhs[i, j], rhs0[i, j] = ly.mean(), math.log(mean_fx)
+        se[i, j] = _mc_stderr(ly - fx / mean_fx)
     return lhs, rhs0, se
+
+
+def _bound_verdict(margin: float, noisy: bool) -> str:
+    """PASS when margin >= 0, else INCONCLUSIVE when the estimate is noisy, else FAIL."""
+    return PASS if margin >= 0 else INCONCLUSIVE if noisy else FAIL
 
 
 def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None) -> Report:
@@ -595,7 +606,7 @@ def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None) -> Repor
     if f is None:
         f = TestFunction.default(cfg, config.testfn_amplitude)
     t_grid = _times_within(_ALH_TIMES, config)
-    report = _new_report("asymptotic-log-harnack", config, coeffs)
+    report = _new_report("asymptotic-log-harnack", config, coeffs, config.N_replicas)
     report.records["lip_logf"] = f.lip
 
     segs = [_pair_segments(config, a, b) for a, b in _alh_pairs(config)]
@@ -618,14 +629,8 @@ def run_alh(config: ExperimentConfig, f: Optional[TestFunction] = None) -> Repor
     for i in range(n_train, len(segs)):
         for j, t in enumerate(t_grid):
             slack = c_fit * denom[i, j] + 3 * se_D[i, j] - D[i, j]
-            if slack >= 0:
-                verdict = PASS
-            elif noisy[i, j]:
-                verdict = INCONCLUSIVE
-            else:
-                verdict = FAIL
             report.add_check(
-                f"held-out pair {i} t={t}", verdict,
+                f"held-out pair {i} t={t}", _bound_verdict(slack, noisy[i, j]),
                 f"defect {D[i, j]:.4g} vs bound {c_fit * denom[i, j]:.4g} "
                 f"+- {3 * se_D[i, j]:.2g}",
             )
@@ -709,7 +714,7 @@ def _epsilon(alpha: float) -> float:
 def run_w2_growth(config: ExperimentConfig) -> Report:
     """Exponential growth envelope for W2 between two mean-field flows."""
     coeffs = config.coefficients()
-    report = _new_report("wasserstein-growth", config, coeffs)
+    report = _new_report("wasserstein-growth", config, coeffs, config.N_replicas)
     eps = _epsilon(coeffs.alpha)
     save_times = _save_grid(config, 16)
 
@@ -769,7 +774,7 @@ def run_gradient_estimate(
     coeffs, _ = config.effective_coefficients()
     if f is None:
         f = TestFunction.default(cfg, config.testfn_amplitude)
-    report = _new_report("gradient-estimate", config, coeffs)
+    report = _new_report("gradient-estimate", config, coeffs, config.N_replicas)
 
     if entropy_constant is None:
         entropy_constant = run_entropy(config).records["entropy_constant"]
@@ -782,15 +787,12 @@ def run_gradient_estimate(
     xi, eta = _pair_segments(config, 0.25, 0.25 + sep)
     dist = weighted_norm(xi - eta)
     t_grid = _times_within(_GRADIENT_TIMES, config)
-    R = config.N_replicas
-    # Common random numbers: the same stream drives both stacked starts.
-    res = simulate_paths(coeffs, SegmentBatch.from_segments([xi, eta], R), max(t_grid),
-                         seed=config.seed, stream=(500, 500), save_times=t_grid, save=f.f)
+    (log_f,) = _crn_log_f(config, coeffs, f, [(xi, eta)], [500], t_grid)
     lam = entropy_constant * math.exp(
         config.delta * weighted_norm(xi) ** (2 * coeffs.alpha))
     rows = []
-    for t, f_xy in zip(t_grid, res.clouds):
-        fx, fy = f_xy[:R], f_xy[R:]
+    for t, (lx, ly) in zip(t_grid, log_f):
+        fx, fy = np.exp(lx), np.exp(ly)
         diff = fx - fy
         quot = abs(diff.mean()) / dist
         quot_se = _mc_stderr(diff) / dist
@@ -798,13 +800,7 @@ def run_gradient_estimate(
         gamma_t = decay_prefactor * math.exp(-config.tau0 * t)
         rhs = math.sqrt(2 * lam) * math.sqrt(var) + f.grad_f_sup * gamma_t
         margin = rhs - quot
-        if margin >= 0:
-            verdict = PASS
-        elif quot_se > 0.5 * quot:
-            verdict = INCONCLUSIVE
-        else:
-            verdict = FAIL
-        report.add_check(f"gradient bound t={t}", verdict,
+        report.add_check(f"gradient bound t={t}", _bound_verdict(margin, quot_se > 0.5 * quot),
                          f"quotient {quot:.4g} +- {quot_se:.2g} vs rhs {rhs:.4g}")
         rows.append([t, quot, quot_se, rhs, margin])
     report.tables["gradient"] = (

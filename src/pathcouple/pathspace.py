@@ -358,12 +358,16 @@ class SegmentBatch:
         row[...] = new_values
 
     def exp_weighted_integral(self, rate: float) -> np.ndarray:
+        """h sum_i e^{rate s_i} x(s_i) per row, (R, d): a read-only view of the
+        running sum, valid until the next `advance` updates it in place."""
         if rate not in self._integrals:
             cfg = self.config
             w = np.exp(rate * cfg.s_grid)
             self._integrals[rate] = [self.per_row(lambda v: cfg.h * np.einsum("j,rjd->rd", w, v)),
                                      np.exp(-rate * cfg.h), cfg.h * np.exp(-rate * cfg.T_mem)]
-        return self._integrals[rate][0].copy()
+        view = self._integrals[rate][0].view()
+        view.setflags(write=False)
+        return view
 
     def map_values(self, fn) -> "SegmentBatch":
         """New batch, in the ordered layout, with fn applied to the window flattened to (M, d)."""

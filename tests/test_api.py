@@ -90,14 +90,16 @@ def test_one_euler_step_call():
     assert len(calls) == 1, f"calls of _euler_step (file, line): {calls}"
 
 
-def test_one_coupled_run_call():
-    # decay and entropy read one coupled run, cached on the config, so one
-    # call site in experiments.py simulates it.
+@pytest.mark.parametrize("simulator", ["simulate_paths", "simulate_coupled_Q", "simulate_mckean"])
+def test_one_call_site_per_simulator(simulator):
+    # decay and entropy read one coupled run, cached on the config; alh and
+    # gradient share one common-random-numbers runner; growth's flows run in one
+    # stacked mean-field helper.  So each simulator has one call site in experiments.py.
     path = SRC / "experiments.py"
     calls = [node.lineno for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Call)
-             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "simulate_coupled_Q"]
-    assert len(calls) == 1, f"lines of experiments.py that call simulate_coupled_Q: {calls}"
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == simulator]
+    assert len(calls) == 1, f"lines of experiments.py that call {simulator}: {calls}"
 
 
 def test_imports_at_module_top():

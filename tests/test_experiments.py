@@ -335,6 +335,12 @@ class TestRunDecay:
         want = np.max(rows[:, 2] * np.exp(config.tau0 * rows[:, 0])) / config.separation
         assert report.records["decay_prefactor"] == want
 
+    def test_coupled_reports_record_their_replicas(self):
+        # decay and entropy rest on R_c = max(N_replicas // 8, 64) replicas per pair.
+        config = parse_config(FAST + "sim.N_replicas = 1024\n")
+        assert run_decay(config).records["N_replicas"] == 128
+        assert run_entropy(config).records["N_replicas"] == 128
+
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_endpoint_rate_on_zero(self, p):
         # Zero drift, shared noise: under Q, Z_{k+1} = (1 - kappa h) Z_k exactly.
@@ -386,8 +392,11 @@ class TestStackedRuns:
         (run_alh, "sim.T = 1.0\nsim.N_replicas = 512\n", 6, 4 * 512, 20),
         (run_alh, "sim.T = 1.0\nsim.N_replicas = 128\n", 2, 12 * 128, 20),
         (_gradient, "", 1, 2 * 64, 40),
+        # gradient's one pair shares alh's runner, and runs alone above the row cap.
+        (_gradient, "sim.T = 1.0\nsim.N_replicas = 2048\n", 1, 2 * 2048, 20),
         (run_w2_growth, "", 2, 4 * 32, 40),  # curves 200 and 300: 4 flows of N; 400: 2 of 2N
-    ], ids=["decay", "entropy", "alh", "alh-T8", "alh-R2048", "alh-R512", "alh-R128", "gradient", "growth"])
+    ], ids=["decay", "entropy", "alh", "alh-T8", "alh-R2048", "alh-R512", "alh-R128", "gradient",
+            "gradient-R2048", "growth"])
     def test_one_euler_loop_per_stack(self, monkeypatch, run, extra, loops, rows, steps):
         calls = []
         original = simulate._euler_step
@@ -403,7 +412,7 @@ class TestStackedRuns:
 
     def test_alh_groups_are_the_fewest_within_the_row_cap(self):
         for R in range(1, 3000):
-            groups = experiments._alh_groups(12, R)
+            groups = experiments._crn_groups(12, R)
             assert [i for g in groups for i in g] == list(range(12))
             cap = max(2048, 2 * R)
             assert max(len(g) for g in groups) - min(len(g) for g in groups) <= 1
@@ -463,9 +472,12 @@ class TestSavedFValues:
         assert len(joint) == len(sides) == 24
         assert all(j < s for j, s in zip(joint, sides))
 
-    @pytest.mark.parametrize("extra", ["", "sim.T = 1.0\nsim.N_replicas = 512\n"],
-                             ids=["one-batch", "six-batches"])
-    def test_alh_draws_one_stream_per_pair(self, monkeypatch, extra):
+    @pytest.mark.parametrize("run, extra, streams", [
+        (run_alh, "", [100 + 2 * i for i in range(12)]),
+        (run_alh, "sim.T = 1.0\nsim.N_replicas = 512\n", [100 + 2 * i for i in range(12)]),
+        (_gradient, "", [500]),
+    ], ids=["one-batch", "six-batches", "gradient"])
+    def test_alh_draws_one_stream_per_pair(self, monkeypatch, run, extra, streams):
         keys = []
         original = simulate.philox_rng
 
@@ -475,8 +487,8 @@ class TestSavedFValues:
 
         monkeypatch.setattr(simulate, "philox_rng", recording)
         config = parse_config(FAST + extra)
-        run_alh(config)
-        assert sorted(keys) == [(config.seed, 100 + 2 * i) for i in range(12)]
+        run(config)
+        assert sorted(keys) == [(config.seed, s) for s in streams]
 
     @pytest.mark.parametrize("name", ["linear", "dini_sqrt"])
     def test_gradient_table_equals_full_cloud_reference(self, name):
@@ -656,6 +668,42 @@ class TestNegativeControls:
         assert run_zvonkin(config).verdict == PASS
         monkeypatch.setattr(ExperimentConfig, "effective_coefficients", inflated)
         assert self._verdicts(run_zvonkin(config), "resolvent maximum principle") == {FAIL}
+
+
+class TestNoisyBreaches:
+    """A bound check that fails within its estimate's noise is INCONCLUSIVE."""
+
+    @staticmethod
+    def _verdicts(report, prefix):
+        return {verdict for label, verdict, _ in report.checks if label.startswith(prefix)}
+
+    def test_alh_held_out_defect_within_noise_is_inconclusive(self, monkeypatch):
+        original = experiments._alh_sides
+        n_train = len(experiments._alh_pairs(parse_config(FAST))) // 2
+
+        def shifted_and_noisy(config, coeffs, f, segs):
+            lhs, rhs, se = original(config, coeffs, f, segs)
+            lhs[n_train:] += 5.0
+            se[n_train:] = 1.0  # above a tenth of the defect, yet 3 se stay below it
+            return lhs, rhs, se
+
+        monkeypatch.setattr(experiments, "_alh_sides", shifted_and_noisy)
+        assert self._verdicts(run_alh(parse_config(FAST)), "held-out") == {INCONCLUSIVE}
+
+    def test_gradient_quotient_within_noise_is_inconclusive(self, monkeypatch):
+        # Y's replicas are X's shifted by one and lifted by 1e-6: the difference
+        # quotient is tiny beside its stderr, and zero constants put the bound at 0.
+        original = experiments._crn_log_f
+
+        def unpaired(*args):
+            log_f = original(*args)
+            log_f[:, :, 1] = np.roll(log_f[:, :, 0], 1, axis=-1) + 1e-6
+            return log_f
+
+        monkeypatch.setattr(experiments, "_crn_log_f", unpaired)
+        report = run_gradient_estimate(parse_config(FAST), entropy_constant=0.0,
+                                       decay_prefactor=0.0)
+        assert self._verdicts(report, "gradient bound") == {INCONCLUSIVE}
 
 
 def _verdict_surface(zvonkin_check: str) -> list:

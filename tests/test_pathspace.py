@@ -259,17 +259,20 @@ class TestSegmentBatch:
         np.testing.assert_allclose(batch.exp_weighted_integral(2.0),
                                    self._summed_integral(batch, 2.0), rtol=0, atol=1e-13)
 
-    def test_returned_integral_is_a_copy(self):
+    def test_returned_integral_is_read_only(self):
+        # The running sum itself, not a copy: a write raises and leaves it intact.
         rng = np.random.default_rng(12)
         batch = SegmentBatch(CFG, rng.standard_normal((2, CFG.n_points, CFG.d)))
         first = batch.exp_weighted_integral(2.0)
         expected = first.copy()
-        first[:] = 1e6
+        with pytest.raises(ValueError, match="read-only"):
+            first[:] = 1e6
         np.testing.assert_array_equal(batch.exp_weighted_integral(2.0), expected)
-        batch.exp_weighted_integral(2.0)[:] = -1e6
         batch.advance(np.zeros((2, CFG.d)))
         np.testing.assert_allclose(batch.exp_weighted_integral(2.0),
                                    self._summed_integral(batch, 2.0), rtol=0, atol=1e-13)
+        with pytest.raises(ValueError, match="read-only"):
+            batch.exp_weighted_integral(2.0)[:] = -1e6
 
     def test_map_values_starts_fresh(self):
         rng = np.random.default_rng(13)
