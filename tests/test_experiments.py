@@ -673,9 +673,7 @@ class TestNegativeControls:
 class TestNoisyBreaches:
     """A bound check that fails within its estimate's noise is INCONCLUSIVE."""
 
-    @staticmethod
-    def _verdicts(report, prefix):
-        return {verdict for label, verdict, _ in report.checks if label.startswith(prefix)}
+    _verdicts = staticmethod(TestNegativeControls._verdicts)
 
     def test_alh_held_out_defect_within_noise_is_inconclusive(self, monkeypatch):
         original = experiments._alh_sides
